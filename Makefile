@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmtcheck vet ispyvet vetsmoke vet-waivers build test race fuzz faultsmoke chaossmoke scenariosmoke benchsmoke benchall bench
+.PHONY: check fmtcheck vet ispyvet vetsmoke vet-waivers build test race fuzz faultsmoke chaossmoke scenariosmoke benchtest benchall
 
 # The full gate: what CI (and every PR) must pass.
-check: fmtcheck vet ispyvet vetsmoke build race fuzz faultsmoke chaossmoke scenariosmoke benchsmoke
+check: fmtcheck vet ispyvet vetsmoke build race fuzz faultsmoke chaossmoke scenariosmoke benchtest
 
 # gofmt enforcement: fails listing any file that needs formatting.
 fmtcheck:
@@ -79,21 +79,13 @@ scenariosmoke:
 		{ echo "scenariosmoke: ispyd soak with -scenario failed"; exit 1; }
 	@echo "scenariosmoke: ok (CLI scenario + soak scenario target both clean)"
 
-# Benchmark smoke: scripts/bench.sh must produce parseable JSON, and its
-# built-in regression gate must pass against the newest committed
-# BENCH_PR*.json (>10% wordpress-throughput loss fails; bench.sh -no-gate
-# is the escape hatch for noisy machines). The test skips itself unless the
-# env var is set because it spawns a nested `go test -bench`.
-benchsmoke:
-	ISPY_BENCH_SMOKE=1 $(GO) test -run TestBenchScriptEmitsJSON .
+# The repository benchmark's self-test: bench/ is its own module, so the
+# root `go test ./...` never runs it. It drives every workload and the traced
+# run at toy scale, offline, writing only to a temp dir (see bench/README.md).
+benchtest:
+	$(GO) -C bench test ./...
 
 # The full benchmark suite (per-figure regeneration + ablations).
 benchall:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
-# The reproducible perf baseline: headline benchmarks → BENCH_PR$(PR).json
-# at the repo root, gated against the newest committed baseline (see
-# docs/PERFORMANCE.md). Override the label with `make bench PR=7`.
-PR ?= 6
-bench:
-	./scripts/bench.sh -pr $(PR)

@@ -11,7 +11,6 @@
 package ispy_test
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -149,8 +148,7 @@ func benchSimThroughput(b *testing.B, app string, kernel func(*isa.Program, sim.
 }
 
 // BenchmarkSimulatorThroughput measures the fast-path kernel's raw
-// simulation speed on every app preset. scripts/bench.sh records these in
-// BENCH_*.json as the repo's perf trajectory.
+// simulation speed on every app preset.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for _, name := range workload.AppNames {
 		name := name
@@ -160,42 +158,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkSimulatorReference times the golden reference kernel on the
 // default preset; the ratio against BenchmarkSimulatorThroughput/wordpress
-// is the fast path's speedup (benchjson derives it as fastpath_speedup).
+// is the fast path's speedup.
 func BenchmarkSimulatorReference(b *testing.B) {
 	benchSimThroughput(b, "wordpress", sim.RunReference)
-}
-
-// BenchmarkSimulatorSharded times the sharded kernel (DESIGN.md §11) on the
-// default preset at the machine's auto shard count; the ratio against
-// BenchmarkSimulatorThroughput/wordpress is the scaling the sharding buys
-// on this host (benchjson derives it as sharded_speedup). On a single-core
-// runner auto resolves to one shard and the ratio is ~1 by construction;
-// docs/PERFORMANCE.md describes the multi-core methodology.
-func BenchmarkSimulatorSharded(b *testing.B) {
-	shards := sim.AutoShards()
-	kernel := func(prog *isa.Program, src sim.BlockSource, cfg sim.Config, hooks *sim.Hooks) *sim.Stats {
-		return sim.RunSharded(prog, src, cfg, hooks, shards)
-	}
-	b.Run("wordpress", func(b *testing.B) {
-		benchSimThroughput(b, "wordpress", kernel)
-		b.ReportMetric(float64(shards), "shards")
-	})
-}
-
-// BenchmarkSimulatorShardScaling measures throughput at fixed shard counts
-// (the scaling curve of docs/PERFORMANCE.md). Widths beyond the core count
-// are expected to lose to the sequential kernel — the banked pipeline's
-// synchronization only pays for itself with real parallelism.
-func BenchmarkSimulatorShardScaling(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		kernel := func(prog *isa.Program, src sim.BlockSource, cfg sim.Config, hooks *sim.Hooks) *sim.Stats {
-			return sim.RunSharded(prog, src, cfg, hooks, shards)
-		}
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			benchSimThroughput(b, "wordpress", kernel)
-		})
-	}
 }
 
 // BenchmarkAnalysisPipeline times the offline analysis alone (profile in

@@ -18,7 +18,6 @@
 //	-instrs N     measured workload instructions per run (warmups rescale)
 //	-cache-dir D  persist artifacts in D; later runs reuse them
 //	-jobs N       worker-pool size shared by all parallel work
-//	-shards N     per-simulation shard count (0 auto, 1 off; see DESIGN.md §11)
 //	-timeout D    cancel the run after D (e.g. 10m); partial results still print
 //	-v            live progress lines and an end-of-run telemetry summary
 //	-seq          disable parallelism (deterministic ordering of log lines)
@@ -85,7 +84,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	instrs := fs.Uint64("instrs", 0, "measured workload instructions per run")
 	cacheDir := fs.String("cache-dir", "", "artifact cache directory (reused across runs)")
 	jobs := fs.Int("jobs", 0, "worker-pool size (default: GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "per-simulation shard count (0 = auto, 1 = off)")
 	timeout := fs.Duration("timeout", 0, "cancel the run after this duration (partial results, exit 1)")
 	verbose := fs.Bool("v", false, "print per-artifact progress and a telemetry summary")
 	seq := fs.Bool("seq", false, "disable parallel work")
@@ -138,7 +136,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	cfg.Jobs = *jobs
-	cfg.Shards = *shards
 	cfg.CacheDir = *cacheDir
 	cfg.Verbose = *verbose
 	if *faultSpec != "" {

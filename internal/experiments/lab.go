@@ -46,12 +46,6 @@ type Config struct {
 	// Jobs bounds the shared worker pool. 0 means GOMAXPROCS when Parallel
 	// is set and 1 otherwise; Parallel=false forces 1 regardless.
 	Jobs int
-	// Shards is the per-simulation shard count (sim.RunSharded). 0 picks
-	// automatically: the largest power of two ≤ GOMAXPROCS/jobs when
-	// Parallel is set (so pool-level and intra-run parallelism together
-	// never oversubscribe the -jobs budget) and 1 otherwise. 1 disables
-	// intra-run sharding.
-	Shards int
 	// CacheDir, when non-empty, persists artifacts across runs (see
 	// internal/artifacts). Empty disables the on-disk cache.
 	CacheDir string
@@ -120,7 +114,6 @@ type Lab struct {
 	apps map[string]*App
 
 	pool     *Pool
-	shards   int
 	tel      *metrics.Telemetry
 	report   *Report
 	faults   *faults.Injector
@@ -182,7 +175,7 @@ func NewLabContext(ctx context.Context, cfg Config) *Lab {
 }
 
 // newLab builds the lab core: config defaulting, pool sizing (or adoption of
-// a shared pool), shard budgeting, telemetry and report plumbing.
+// a shared pool), telemetry and report plumbing.
 func newLab(ctx context.Context, cfg Config, pool *Pool) *Lab {
 	d := DefaultConfig()
 	if len(cfg.Apps) == 0 {
@@ -211,17 +204,6 @@ func newLab(ctx context.Context, cfg Config, pool *Pool) *Lab {
 			jobs = runtime.GOMAXPROCS(0)
 		}
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		// Auto: give each pool worker an equal slice of the cores; the
-		// product jobs×shards never exceeds GOMAXPROCS, so the pool's own
-		// parallelism is not oversubscribed. Sequential labs keep single
-		// goroutine runs (sharding there would surprise -seq users).
-		shards = 1
-		if cfg.Parallel && runtime.GOMAXPROCS(0) > jobs {
-			shards = pow2Floor(runtime.GOMAXPROCS(0) / jobs)
-		}
-	}
 	var out io.Writer
 	if cfg.Verbose {
 		out = os.Stderr
@@ -237,7 +219,6 @@ func newLab(ctx context.Context, cfg Config, pool *Pool) *Lab {
 		ctx:    ctx,
 		apps:   make(map[string]*App),
 		pool:   pool,
-		shards: shards,
 		tel:    metrics.NewTelemetry(out),
 		report: NewReport(),
 		faults: cfg.Faults,
@@ -255,19 +236,6 @@ func (l *Lab) Context() context.Context { return l.ctx }
 
 // Pool returns the shared worker pool.
 func (l *Lab) Pool() *Pool { return l.pool }
-
-// Shards returns the per-simulation shard count single runs use (see
-// Config.Shards).
-func (l *Lab) Shards() int { return l.shards }
-
-// pow2Floor returns the largest power of two ≤ n (1 for n < 2).
-func pow2Floor(n int) int {
-	p := 1
-	for p*2 <= n {
-		p *= 2
-	}
-	return p
-}
 
 // Group starts a task group on the shared pool under the lab's context.
 func (l *Lab) Group() *Group { return l.pool.Group(l.ctx) }
@@ -422,13 +390,9 @@ func (a *App) Run(prog *isa.Program, cfg sim.Config) *sim.Stats {
 	return a.RunInput(prog, cfg, workload.DefaultInput(a.W))
 }
 
-// RunInput simulates prog under cfg with an explicit input. Single runs go
-// through the sharded kernel with the lab's shard budget; sim.PlanShards
-// falls back to the sequential kernel for configurations banking cannot
-// split, so the result is bit-identical either way.
+// RunInput simulates prog under cfg with an explicit input.
 func (a *App) RunInput(prog *isa.Program, cfg sim.Config, in workload.Input) *sim.Stats {
-	ex := workload.NewExecutor(a.W, in)
-	return sim.RunSharded(prog, ex, cfg, nil, a.lab.shards)
+	return sim.Run(prog, workload.NewExecutor(a.W, in), cfg, nil)
 }
 
 // Base returns the no-prefetching baseline run.

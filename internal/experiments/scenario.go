@@ -7,9 +7,9 @@
 // I-SPY builds are reused — and the injected programs are then merged into
 // the multi-tenant address space and evaluated under the interleaved
 // production schedule. Per-tenant rows are attributed from simulator hook
-// events (pinned bit-identical across shard counts) and persisted next to
-// the run statistics in the artifact cache, so cold and warm replays of
-// the same (seed, spec) render byte-identical reports.
+// events and persisted next to the run statistics in the artifact cache, so
+// cold and warm replays of the same (seed, spec) render byte-identical
+// reports.
 package experiments
 
 import (
@@ -79,7 +79,7 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 			panic(xerr) // unreachable: the trace was validated above
 		}
 		col := traffic.NewCollector(world)
-		st := sim.RunSharded(prog, ex, cfg, col.Hooks(), l.shards)
+		st := sim.Run(prog, ex, cfg, col.Hooks())
 		return scenarioRun{St: st, Rows: col.Rows()}
 	}
 

@@ -11,13 +11,12 @@ import (
 const goldenSpec = "name=golden;seed=20260807;requests=96;arrival=gamma:0.7;day=0.6,1.4;zipf=0.9;" +
 	"tenants=wordpress:slo=interactive,tomcat:slo=batch"
 
-func scenarioLabConfig(cacheDir string, shards int) Config {
+func scenarioLabConfig(cacheDir string) Config {
 	return Config{
 		Apps:          []string{"wordpress", "tomcat"},
 		MeasureInstrs: 300_000,
 		WarmupInstrs:  100_000,
 		Parallel:      true,
-		Shards:        shards,
 		CacheDir:      cacheDir,
 	}
 }
@@ -36,21 +35,17 @@ func renderScenario(t *testing.T, cfg Config) string {
 	return res.Render()
 }
 
-// TestScenarioGoldenAcrossShards is the acceptance-criteria golden test:
-// the same (seed, spec) renders byte-identical reports across -shards
-// {1,4} and across cold/warm cache.
-func TestScenarioGoldenAcrossShards(t *testing.T) {
+// TestScenarioGolden is the acceptance-criteria golden test: the same
+// (seed, spec) renders byte-identical reports from a cold cache, a warm
+// cache and no cache at all.
+func TestScenarioGolden(t *testing.T) {
 	dir := t.TempDir()
-	cold := renderScenario(t, scenarioLabConfig(dir, 1))
-	warm := renderScenario(t, scenarioLabConfig(dir, 1))
+	cold := renderScenario(t, scenarioLabConfig(dir))
+	warm := renderScenario(t, scenarioLabConfig(dir))
 	if cold != warm {
 		t.Fatalf("cold and warm cache render differently:\ncold:\n%s\nwarm:\n%s", cold, warm)
 	}
-	sharded := renderScenario(t, scenarioLabConfig(t.TempDir(), 4))
-	if cold != sharded {
-		t.Fatalf("shards 1 and 4 render differently:\n1:\n%s\n4:\n%s", cold, sharded)
-	}
-	nocache := renderScenario(t, scenarioLabConfig("", 2))
+	nocache := renderScenario(t, scenarioLabConfig(""))
 	if cold != nocache {
 		t.Fatalf("cache bypass renders differently:\n%s\nvs\n%s", cold, nocache)
 	}
@@ -63,7 +58,7 @@ func TestScenarioReplayMatchesCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab := NewLab(scenarioLabConfig("", 1))
+	lab := NewLab(scenarioLabConfig(""))
 	direct, err := lab.Scenario(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +71,7 @@ func TestScenarioReplayMatchesCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := NewLab(scenarioLabConfig("", 1)).ScenarioTrace(tr)
+	replay, err := NewLab(scenarioLabConfig("")).ScenarioTrace(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +81,7 @@ func TestScenarioReplayMatchesCompose(t *testing.T) {
 }
 
 func TestScenarioRowsPopulated(t *testing.T) {
-	lab := NewLab(scenarioLabConfig("", 1))
+	lab := NewLab(scenarioLabConfig(""))
 	spec, err := traffic.ParseSpec(goldenSpec)
 	if err != nil {
 		t.Fatal(err)

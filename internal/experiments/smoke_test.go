@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -67,16 +68,21 @@ func TestSmokeFig5(t *testing.T)  { smokeRun(t, "fig5") }
 func TestSmokeFig11(t *testing.T) { smokeRun(t, "fig11") }
 func TestSmokeFig13(t *testing.T) { smokeRun(t, "fig13") }
 
+// TestSmokeFig14 pins EXPERIMENTS.md's Fig. 14 finding: coalescing keeps
+// I-SPY's static code-footprint increase below AsmDB's on every app.
 func TestSmokeFig14(t *testing.T) {
 	res := smokeRun(t, "fig14")
-	// AsmDB's static footprint must exceed I-SPY's (coalescing).
+	pct := func(cell string) float64 {
+		t.Helper()
+		v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+		if err != nil {
+			t.Fatalf("footprint cell %q: %v", cell, err)
+		}
+		return v
+	}
 	for _, row := range res.Table.Rows {
-		if len(row) >= 3 && row[1] <= row[2] {
-			// String compare of "xx.x%" works only same-width; parse-free
-			// sanity: both non-empty.
-			if row[1] == "" || row[2] == "" {
-				t.Error("empty footprint cells")
-			}
+		if adb, ispy := pct(row[1]), pct(row[2]); adb <= ispy {
+			t.Errorf("%s: AsmDB static increase %.1f%% <= I-SPY %.1f%%", row[0], adb, ispy)
 		}
 	}
 }

@@ -446,10 +446,10 @@ func (s *Server) analyzeProfile(ctx context.Context, prof *profile.Profile, inst
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
-	base := sim.RunSharded(prof.Workload.Prog, workload.NewExecutor(prof.Workload, prof.Input), scfg, nil, 1)
+	base := sim.Run(prof.Workload.Prog, workload.NewExecutor(prof.Workload, prof.Input), scfg, nil)
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
-	ispy := sim.RunSharded(b.Prog, workload.NewExecutor(prof.Workload, prof.Input), scfg, nil, 1)
+	ispy := sim.Run(b.Prog, workload.NewExecutor(prof.Workload, prof.Input), scfg, nil)
 	return newAnalyzeResponse(prof.Workload.Name, scfg.MaxInstrs, base, ispy, b.Plan), nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"ispy/internal/cache"
 	"ispy/internal/workload"
 )
 
@@ -31,53 +30,5 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state kernel allocates: %v allocs per 100k-instruction run, want 0", avg)
-	}
-}
-
-// TestShardedSteadyStateZeroAllocs is the sharded pipeline's counterpart:
-// once chunks, logs, banks and the timing pass exist, processing a chunk —
-// the entire per-block work of the banked kernel — allocates nothing, in
-// either the bank workers or the sequential timing replay. The pipeline's
-// channels only recycle these preallocated buffers, so this is the whole
-// steady state.
-func TestShardedSteadyStateZeroAllocs(t *testing.T) {
-	w := workload.Preset("wordpress")
-	cfg := Default().WithWorkloadCPI(w.Params.BackendCPI)
-	cfg.setDefaults()
-	plans := buildPlans(w.Prog, &cfg)
-	const nbanks = 4
-	bp, err := cache.NewBankPlan(cfg.Hier, nbanks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay := planLayout(plans)
-
-	src := workload.NewExecutor(w, workload.DefaultInput(w))
-	c := &shardChunk{
-		ids:   make([]int32, shardChunkBlocks),
-		taken: make([]bool, shardChunkBlocks),
-	}
-	c.n = src.NextN(c.ids, c.taken)
-
-	kernels := make([]bankKernel, nbanks)
-	logs := make([]*bankLog, nbanks)
-	for i := 0; i < nbanks; i++ {
-		kernels[i] = bankKernel{plans: plans, bank: bp.NewBank(i)}
-		logs[i] = &bankLog{rec: make([]uint8, shardChunkBlocks*int(lay.maxLines))}
-	}
-	tk := newTimingKernel(cfg, nil, plans, bp, lay)
-
-	processOnce := func() {
-		for i := 0; i < nbanks; i++ {
-			logs[i].pos = 0
-			kernels[i].processChunk(c, logs[i])
-		}
-		tk.processChunk(c, logs)
-	}
-	processOnce() // warm the executor-independent state
-
-	avg := testing.AllocsPerRun(10, processOnce)
-	if avg != 0 {
-		t.Fatalf("steady-state sharded kernel allocates: %v allocs per chunk, want 0", avg)
 	}
 }

@@ -12,11 +12,10 @@ import (
 type TenantRow = traceio.ScenarioRow
 
 // Collector attributes a simulation run's activity to tenants through the
-// simulator's hook events. Hooks fire only inside the measured window and
-// are pinned bit-identical between sequential and banked (sharded) runs,
-// so rows built here are reproducible across -shards values — unlike
-// executor-side counters, which can differ by how far batching over-reads
-// the source.
+// simulator's hook events. Hooks fire only inside the measured window, on
+// exactly the blocks the kernel executes, so rows built here agree with the
+// run's Stats — unlike executor-side counters, which can differ by how far
+// batching over-reads the source.
 //
 // The same collector tables serve baseline and prefetch-injected runs:
 // injection never alters block structure, so merged block IDs coincide.

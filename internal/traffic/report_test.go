@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"reflect"
 	"testing"
 
 	"ispy/internal/sim"
@@ -9,41 +8,27 @@ import (
 
 // TestCollectorAttributesRun drives a real baseline simulation of a
 // two-tenant world and checks that hook-attributed rows are internally
-// consistent and reproducible across shard counts (the hook streams are
-// pinned bit-identical between sequential and banked runs).
+// consistent with the run's Stats.
 func TestCollectorAttributesRun(t *testing.T) {
 	spec := mustSpec(t, "seed=12;requests=64;arrival=gamma:0.6;tenants=wordpress:slo=interactive,kafka:slo=batch")
 	w, err := BuildWorld(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := Compose(spec)
+	ex, err := NewExecutor(w, Compose(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := sim.Default().WithWorkloadCPI(w.BackendCPI())
 	cfg.MaxInstrs = 200_000
 	cfg.WarmupInstrs = 50_000
-
-	run := func(shards int) ([]TenantRow, *sim.Stats) {
-		ex, err := NewExecutor(w, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewCollector(w)
-		st := sim.RunSharded(w.Prog, ex, cfg, c.Hooks(), shards)
-		return c.Rows(), st
-	}
-
-	rows1, st := run(1)
-	rows4, st4 := run(4)
-	if !reflect.DeepEqual(rows1, rows4) {
-		t.Fatalf("rows differ across shard counts:\n1: %+v\n4: %+v", rows1, rows4)
-	}
-	if *st != *st4 {
-		t.Fatalf("stats differ across shard counts")
-	}
+	c := NewCollector(w)
+	st := sim.Run(w.Prog, ex, cfg, c.Hooks())
+	rows := c.Rows()
 
 	var blocks, instrs, misses, reqs uint64
-	for i := range rows1 {
-		r := &rows1[i]
+	for i := range rows {
+		r := &rows[i]
 		if r.Blocks == 0 || r.Instrs == 0 {
 			t.Fatalf("tenant %q saw no measured activity: %+v", r.Name, r)
 		}
@@ -65,14 +50,14 @@ func TestCollectorAttributesRun(t *testing.T) {
 		t.Fatal("no requests attributed")
 	}
 
-	slo := SLORows(rows1)
+	slo := SLORows(rows)
 	if len(slo) != 2 || slo[0].Name != "interactive" || slo[1].Name != "batch" {
 		t.Fatalf("SLO rows wrong: %+v", slo)
 	}
 	if slo[0].Misses+slo[1].Misses != misses {
 		t.Fatal("SLO aggregation lost misses")
 	}
-	if m := MPKI(&rows1[0]); m <= 0 {
+	if m := MPKI(&rows[0]); m <= 0 {
 		t.Fatalf("MPKI not positive: %v", m)
 	}
 }

@@ -26,7 +26,7 @@
 // Everything is a pure function of the spec and its seed: the same
 // (seed, spec) yields a byte-identical trace v2 artifact
 // (traceio.ScenarioTrace) and byte-identical simulation reports across
-// shard counts and cache states.
+// cache states.
 package traffic
 
 import (

@@ -140,9 +140,15 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
+// skipDir reports whether a module walk ignores the directory called name:
+// testdata, hidden and underscore directories, as the go tool does.
+func skipDir(name string) bool {
+	return name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
+}
+
 // LoadModule registers modRoot as a root and loads every non-test package
-// under it (skipping testdata, hidden, and underscore directories), in
-// sorted import-path order.
+// under it (skipping the directories skipDir names), in sorted import-path
+// order.
 func (l *Loader) LoadModule(modRoot string) ([]*Package, error) {
 	modPath, err := ModulePath(modRoot)
 	if err != nil {
@@ -157,8 +163,7 @@ func (l *Loader) LoadModule(modRoot string) ([]*Package, error) {
 		if !d.IsDir() {
 			return nil
 		}
-		name := d.Name()
-		if p != modRoot && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+		if p != modRoot && skipDir(d.Name()) {
 			return fs.SkipDir
 		}
 		ok, err := hasGoFiles(p)

@@ -160,7 +160,31 @@ func zzRegressDetach(work func()) {
 	})
 }
 
-// copyModule clones the module source tree (minus .git) into a temp dir.
+// TestCopyModuleSkipsIgnoredDirs: the module copies the grafts vet must
+// leave out what the loader never reads, such as a hidden build directory
+// in the module root.
+func TestCopyModuleSkipsIgnoredDirs(t *testing.T) {
+	root := t.TempDir()
+	write(t, filepath.Join(root, "go.mod"), "module m\n")
+	for _, d := range []string{".bench_build", "p"} {
+		if err := os.MkdirAll(filepath.Join(root, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(t, filepath.Join(root, ".bench_build", "big.bin"), "x")
+	write(t, filepath.Join(root, "p", "p.go"), "package p\n")
+
+	dst := copyModule(t, root)
+	if _, err := os.Stat(filepath.Join(dst, "p", "p.go")); err != nil {
+		t.Errorf("package file not copied: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dst, ".bench_build")); !os.IsNotExist(err) {
+		t.Errorf("hidden directory copied (stat err %v)", err)
+	}
+}
+
+// copyModule clones the module source tree into a temp dir, leaving out the
+// directories the loader skips (skipDir).
 func copyModule(t *testing.T, root string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -176,7 +200,7 @@ func copyModule(t *testing.T, root string) string {
 			return nil
 		}
 		if d.IsDir() {
-			if d.Name() == ".git" {
+			if skipDir(d.Name()) {
 				return filepath.SkipDir
 			}
 			return os.MkdirAll(filepath.Join(dst, rel), 0o755)

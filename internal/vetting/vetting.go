@@ -253,11 +253,8 @@ func DefaultConfig() Config {
 		HotPathRoots: []string{
 			"ispy/internal/sim.Run",
 			"ispy/internal/sim.BatchSource.NextN",
-			"ispy/internal/sim.bankKernel.processChunk",
-			"ispy/internal/sim.timingKernel.processChunk",
 			"ispy/internal/cache.Hierarchy.FetchI",
 			"ispy/internal/cache.Hierarchy.PrefetchI",
-			"ispy/internal/cache.Bank.Fetch",
 		},
 		PureExternal: []string{"math", "math/bits"},
 		SinkPkgs: []string{
@@ -285,7 +282,6 @@ func DefaultConfig() Config {
 		},
 		ComputeRoots: []string{
 			"ispy/internal/sim.Run",
-			"ispy/internal/sim.RunSharded",
 			"ispy/internal/sim.BatchSource.NextN",
 			"ispy/internal/core.BuildISPY",
 			"ispy/internal/traffic.Compose",

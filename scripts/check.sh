@@ -4,11 +4,10 @@
 # stale-key and impure-response regressions must fail the analyzer),
 # build, race-enabled tests, a short fuzz pass over the
 # trace decoders, a CLI-level fault-injection smoke, the ispyd chaos soak
-# (graceful degradation under injected faults), and the bench-script
-# smoke — which both validates the JSON and gates throughput against the
-# newest committed BENCH_PR*.json (>10% loss fails; see scripts/bench.sh
-# -no-gate for noisy machines). `make check` runs the same steps; this
-# script exists for environments without make.
+# (graceful degradation under injected faults), the multi-tenant scenario
+# smoke, and the repository benchmark's toy-scale self-test (bench/ is its
+# own module, so `go test ./...` above skips it). `make check` runs the same
+# steps; this script exists for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -60,6 +59,6 @@ go run ./cmd/ispyd soak -apps wordpress -workers 2 -requests 2 \
     echo "scenario smoke: ispyd soak with -scenario failed" >&2
     exit 1
 }
-echo "== bench-script smoke (JSON schema + perf regression gate)"
-ISPY_BENCH_SMOKE=1 go test -run TestBenchScriptEmitsJSON .
+echo "== benchmark self-test (bench/ at toy scale)"
+go -C bench test ./...
 echo "== all checks passed"
