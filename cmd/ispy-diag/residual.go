@@ -75,7 +75,14 @@ func residual(name string) {
 	for k := range byCat {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return byCat[keys[i]] > byCat[keys[j]] })
+	// Ties break by key: keys come from a map, so equal counts (and the cut
+	// at 12) would otherwise print in a run-dependent order.
+	sort.Slice(keys, func(i, j int) bool {
+		if byCat[keys[i]] != byCat[keys[j]] {
+			return byCat[keys[i]] > byCat[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
 	for i, k := range keys {
 		if i >= 12 {
 			break

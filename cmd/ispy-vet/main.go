@@ -5,13 +5,12 @@
 //
 // Usage:
 //
-//	ispy-vet [-waivers] [-json] [-strict] [-v] [-only pass,...] [./...]
+//	ispy-vet [-waivers] [-json] [-strict] [-v] [./...]
 //
 // The package pattern is accepted for familiarity but the analyzer always
 // vets the whole module containing the working directory — the passes are
-// module-global (stats exhaustiveness needs every reader, freeze rules
-// name specific packages, the hot-path proof walks the whole call graph),
-// so partial loads would under-report.
+// module-global (stats exhaustiveness needs every reader, the hot-path
+// proof walks the whole call graph), so partial loads would under-report.
 //
 // -waivers lists every //ispy: waiver in effect instead of vetting, for
 // periodic review (`make vet-waivers`).
@@ -30,13 +29,6 @@
 //
 // -v prints per-pass wall times to stderr after the run.
 //
-// -only restricts vetting to a comma-separated subset of passes (see
-// vetting.PassNames), for iterating on one class of finding. Unknown names
-// are a usage error. Stale-waiver accounting narrows with the subset: a
-// waiver for a de-selected pass is not stale, but an unused waiver of a
-// pass that did run is still reported — so -only composes with -strict
-// instead of weakening it.
-//
 // Under GitHub Actions (GITHUB_ACTIONS=true) findings are additionally
 // emitted as ::error/::warning workflow annotations so they appear inline
 // on the PR diff.
@@ -50,7 +42,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"ispy/internal/vetting"
@@ -61,31 +52,11 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit one JSON object per finding (live and waived)")
 	strict := flag.Bool("strict", false, "treat advisory findings (stale waivers) as failures")
 	verbose := flag.Bool("v", false, "print per-pass wall times to stderr")
-	only := flag.String("only", "", "comma-separated pass subset to run (default: all)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ispy-vet [-waivers] [-json] [-strict] [-v] [-only pass,...] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ispy-vet [-waivers] [-json] [-strict] [-v] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	var onlyPasses []string
-	if *only != "" {
-		known := make(map[string]bool, len(vetting.PassNames))
-		for _, name := range vetting.PassNames {
-			known[name] = true
-		}
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !known[name] {
-				fmt.Fprintf(os.Stderr, "ispy-vet: unknown pass %q (known: %s)\n",
-					name, strings.Join(vetting.PassNames, ", "))
-				os.Exit(2)
-			}
-			onlyPasses = append(onlyPasses, name)
-		}
-	}
 	for _, arg := range flag.Args() {
 		if arg != "./..." && arg != "." {
 			fmt.Fprintf(os.Stderr, "ispy-vet: unsupported pattern %q (the module is always vetted whole)\n", arg)
@@ -107,9 +78,7 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := vetting.DefaultConfig()
-	cfg.Only = onlyPasses
-	res := vetting.Run(pkgs, cfg)
+	res := vetting.Run(pkgs, vetting.DefaultConfig())
 
 	if *listWaivers {
 		for _, w := range res.Waivers {

@@ -9,7 +9,7 @@
 // require them to produce bit-identical statistics on the same access
 // stream. Keeping the reference on its own storage makes that a comparison
 // between two independent implementations, and makes the benchmark ratio
-// (fastpath_speedup in BENCH_*.json) an honest fast-vs-baseline number.
+// (the bench's sim.fastpath_ratio) an honest fast-vs-baseline number.
 // Do not "optimize" this file: its point is to stay what the code was.
 package cache
 

@@ -2,8 +2,8 @@
 // outcomes. These live apart from the structure-of-arrays fast path in
 // cache.go because both hierarchies — the optimized one and the preserved
 // reference kernel in reference.go — speak them, and the reference-freeze
-// invariant (ispy-vet's freeze pass, DESIGN.md §10) forbids reference.go
-// from touching anything declared in cache.go.
+// invariant forbids reference.go from touching anything declared in
+// cache.go (sim/freeze_guard_test.go pins its bytes, DESIGN.md §9).
 package cache
 
 import (

@@ -93,14 +93,6 @@ func (g *Graph) AddEdge(from, to int32) {
 	m[to]++
 }
 
-// AvgCycles returns block b's average dwell cycles (0 if never executed).
-func (g *Graph) AvgCycles(b int32) float64 {
-	if g.Exec[b] == 0 {
-		return 0
-	}
-	return g.Cycles[b] / float64(g.Exec[b])
-}
-
 // Site returns (creating if needed) the aggregate for key.
 func (g *Graph) Site(key LineKey) *MissSite {
 	s := g.Sites[key]
@@ -128,27 +120,4 @@ func (g *Graph) SortedSites() []*MissSite {
 		return out[i].Key.Delta < out[j].Key.Delta
 	})
 	return out
-}
-
-// SuccProb returns the observed probability of the from → to transition.
-func (g *Graph) SuccProb(from, to int32) float64 {
-	if g.Exec[from] == 0 {
-		return 0
-	}
-	return float64(g.Edges[from][to]) / float64(g.Exec[from])
-}
-
-// CoverageOfTopSites returns how many sites cover frac of all misses
-// (diagnostic for analysis budgets).
-func (g *Graph) CoverageOfTopSites(frac float64) int {
-	sites := g.SortedSites()
-	var acc uint64
-	want := uint64(frac * float64(g.TotalMisses))
-	for i, s := range sites {
-		acc += s.Count
-		if acc >= want {
-			return i + 1
-		}
-	}
-	return len(sites)
 }

@@ -22,24 +22,6 @@ func TestEdgeAndExecAccounting(t *testing.T) {
 	if g.Edges[0][1] != 2 || g.Edges[0][2] != 1 {
 		t.Errorf("edges = %v", g.Edges[0])
 	}
-	if p := g.SuccProb(0, 1); p != 0.2 {
-		t.Errorf("SuccProb = %v", p)
-	}
-	if g.SuccProb(3, 0) != 0 {
-		t.Error("unexecuted block must have 0 successor probability")
-	}
-}
-
-func TestAvgCycles(t *testing.T) {
-	g := NewGraph(2)
-	g.Exec[0] = 4
-	g.Cycles[0] = 10
-	if g.AvgCycles(0) != 2.5 {
-		t.Errorf("AvgCycles = %v", g.AvgCycles(0))
-	}
-	if g.AvgCycles(1) != 0 {
-		t.Error("unexecuted block must average 0")
-	}
 }
 
 func TestSiteCreationAndLookup(t *testing.T) {
@@ -68,23 +50,6 @@ func TestSortedSitesOrder(t *testing.T) {
 	// Ties by (block, delta).
 	if got[1].Key.Block != 1 || got[2].Key.Block != 3 || got[2].Key.Delta != 0 || got[3].Key.Delta != 64 {
 		t.Errorf("tie order wrong: %v %v %v", got[1].Key, got[2].Key, got[3].Key)
-	}
-}
-
-func TestCoverageOfTopSites(t *testing.T) {
-	g := NewGraph(4)
-	g.Site(LineKey{Block: 0}).Count = 80
-	g.Site(LineKey{Block: 1}).Count = 15
-	g.Site(LineKey{Block: 2}).Count = 5
-	g.TotalMisses = 100
-	if got := g.CoverageOfTopSites(0.8); got != 1 {
-		t.Errorf("80%% coverage needs %d sites, want 1", got)
-	}
-	if got := g.CoverageOfTopSites(0.95); got != 2 {
-		t.Errorf("95%% coverage needs %d sites, want 2", got)
-	}
-	if got := g.CoverageOfTopSites(1.0); got != 3 {
-		t.Errorf("full coverage needs %d sites, want 3", got)
 	}
 }
 

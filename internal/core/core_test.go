@@ -154,17 +154,6 @@ func TestMinMissCountFilter(t *testing.T) {
 	}
 }
 
-func TestFanoutFilter(t *testing.T) {
-	choices := []SiteChoice{
-		{Fanout: 0.2, MissCount: 10},
-		{Fanout: 0.95, MissCount: 5},
-	}
-	kept, dropped := FanoutFilter(choices, 0.5)
-	if len(kept) != 1 || dropped != 5 {
-		t.Errorf("kept=%d dropped=%d", len(kept), dropped)
-	}
-}
-
 func TestGroupBySiteDeterministic(t *testing.T) {
 	choices := []SiteChoice{
 		{Site: 9, Target: cfg.LineKey{Block: 1}},

@@ -170,20 +170,6 @@ func fanout(g *cfg.Graph, site int32, missCount uint64, coverage float64) float6
 	return f
 }
 
-// FanoutFilter drops choices whose fan-out exceeds the threshold — AsmDB's
-// accuracy knob (§II-C, Fig. 3). It returns the surviving choices and the
-// miss count that became uncovered.
-func FanoutFilter(choices []SiteChoice, threshold float64) (kept []SiteChoice, dropped uint64) {
-	for _, c := range choices {
-		if c.Fanout <= threshold {
-			kept = append(kept, c)
-		} else {
-			dropped += c.MissCount
-		}
-	}
-	return kept, dropped
-}
-
 // GroupBySite buckets choices per injection site, preserving deterministic
 // order (sites sorted, targets in input order).
 func GroupBySite(choices []SiteChoice) (sites []int32, bySite map[int32][]SiteChoice) {

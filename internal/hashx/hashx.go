@@ -1,6 +1,7 @@
 // Package hashx implements the two hash functions I-SPY uses to compress
 // basic-block addresses into the n-bit context hash of Cprefetch/CLprefetch
-// instructions (§III-A): FNV-1 and MurmurHash3. Both are written from
+// instructions (§III-A): FNV-1 over an address's bytes (FNV1U64), mixed by
+// MurmurHash3's 64-bit finalizer (Murmur3Fmix64). Both are written from
 // scratch; the standard library's hash/fnv is deliberately not used so the
 // hardware-facing bit selection is fully explicit and testable.
 package hashx
@@ -56,52 +57,6 @@ func Murmur3Fmix64(v uint64) uint64 {
 	return v
 }
 
-// Murmur3_32 implements the full 32-bit MurmurHash3 (x86_32 variant) over a
-// byte slice with the given seed.
-func Murmur3_32(b []byte, seed uint32) uint32 {
-	const (
-		c1 = 0xcc9e2d51
-		c2 = 0x1b873593
-	)
-	h := seed
-	n := len(b)
-	// Body: 4-byte chunks.
-	for len(b) >= 4 {
-		k := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-		b = b[4:]
-		k *= c1
-		k = k<<15 | k>>17
-		k *= c2
-		h ^= k
-		h = h<<13 | h>>19
-		h = h*5 + 0xe6546b64
-	}
-	// Tail.
-	var k uint32
-	switch len(b) {
-	case 3:
-		k ^= uint32(b[2]) << 16
-		fallthrough
-	case 2:
-		k ^= uint32(b[1]) << 8
-		fallthrough
-	case 1:
-		k ^= uint32(b[0])
-		k *= c1
-		k = k<<15 | k>>17
-		k *= c2
-		h ^= k
-	}
-	// Finalizer.
-	h ^= uint32(n)
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return h
-}
-
 // BlockBits maps a basic-block address to its single set bit within an
 // nbits-wide context hash. Per the paper's Fig. 6/7 example ("assume the
 // 16-bit hashes of B and E are 0x2 and 0x10"), each block contributes one
@@ -122,12 +77,6 @@ func BlockBits(addr uint64, nbits int) uint64 {
 // BlockBitIndex returns the bit index BlockBits sets for addr.
 func BlockBitIndex(addr uint64, nbits int) int {
 	return int(Murmur3Fmix64(FNV1U64(addr)) & uint64(nbits-1))
-}
-
-// BlockBitIndices returns the bit indices BlockBits sets for addr (always
-// one element; kept as a slice for the counting filter's loop).
-func BlockBitIndices(addr uint64, nbits int) []int {
-	return []int{BlockBitIndex(addr, nbits)}
 }
 
 // ContextHash ORs the BlockBits signatures of every address in blocks,

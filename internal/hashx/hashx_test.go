@@ -71,36 +71,6 @@ func TestMurmur3Fmix64Zero(t *testing.T) {
 	}
 }
 
-// Published MurmurHash3 x86_32 vectors.
-func TestMurmur3_32KnownVectors(t *testing.T) {
-	cases := []struct {
-		in   string
-		seed uint32
-		want uint32
-	}{
-		{"", 0, 0},
-		{"", 1, 0x514E28B7},
-		{"hello", 0, 0x248bfa47},
-		{"hello, world", 0, 0x149bbb7f},
-		{"The quick brown fox jumps over the lazy dog", 0x9747b28c, 0x2FA826CD},
-	}
-	for _, c := range cases {
-		if got := Murmur3_32([]byte(c.in), c.seed); got != c.want {
-			t.Errorf("Murmur3_32(%q, %#x) = %#x, want %#x", c.in, c.seed, got, c.want)
-		}
-	}
-}
-
-func TestMurmur3_32TailHandling(t *testing.T) {
-	// 1-, 2-, 3-byte tails must differ from each other and be stable.
-	a := Murmur3_32([]byte{1}, 0)
-	b := Murmur3_32([]byte{1, 2}, 0)
-	c := Murmur3_32([]byte{1, 2, 3}, 0)
-	if a == b || b == c || a == c {
-		t.Errorf("tail lengths collide: %#x %#x %#x", a, b, c)
-	}
-}
-
 func TestBlockBitsSingleBit(t *testing.T) {
 	for _, nbits := range []int{2, 4, 8, 16, 32, 64} {
 		for addr := uint64(0x400000); addr < 0x400000+1000; addr += 13 {

@@ -394,9 +394,6 @@ func (p *Program) NumPrefetches() map[Kind]int {
 	return m
 }
 
-// BlockOf returns the block with the given ID.
-func (p *Program) BlockOf(id int) *Block { return &p.Blocks[id] }
-
 // Validate checks structural invariants: block IDs match indices, every
 // function block exists, terminators appear only in final position, and
 // prefetch targets reference valid blocks. It returns the first violation.

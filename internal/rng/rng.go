@@ -75,21 +75,6 @@ func (r *Rand) IntBetween(lo, hi int) int {
 	return lo + r.Intn(hi-lo+1)
 }
 
-// Geometric returns a sample from a geometric-ish distribution with the
-// given mean ≥ 1 (number of trials until success), capped at cap to bound
-// run time. Used for loop trip counts.
-func (r *Rand) Geometric(mean float64, cap int) int {
-	if mean <= 1 {
-		return 1
-	}
-	p := 1 / mean
-	n := 1
-	for n < cap && !r.Bool(p) {
-		n++
-	}
-	return n
-}
-
 // Categorical samples an index from the (unnormalized) weight vector w.
 // The cumulative table should be precomputed with NewCategorical when
 // sampling repeatedly.

@@ -121,24 +121,6 @@ func TestIntBetweenPanics(t *testing.T) {
 	New(1).IntBetween(2, 1)
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(13)
-	var s float64
-	n := 50000
-	for i := 0; i < n; i++ {
-		s += float64(r.Geometric(4, 1000))
-	}
-	if m := s / float64(n); m < 3.7 || m > 4.3 {
-		t.Errorf("Geometric(4) mean = %v", m)
-	}
-	if New(1).Geometric(0.5, 10) != 1 {
-		t.Error("mean ≤ 1 must return 1")
-	}
-	if v := New(1).Geometric(1000, 5); v > 5 {
-		t.Error("cap not honored")
-	}
-}
-
 func TestCategoricalDistribution(t *testing.T) {
 	r := New(17)
 	c := NewCategorical([]float64{1, 2, 1})

@@ -10,7 +10,7 @@
 // every stall accounting, per-level cache counters) on seeded workloads;
 // see DESIGN.md §9 for why the invariant is load-bearing. Do not "optimize"
 // this file: its slowness is its purpose — it is both the correctness
-// oracle and the baseline that fastpath_speedup in BENCH_*.json is
+// oracle and the baseline that the bench's sim.fastpath_ratio is
 // measured against.
 package sim
 
@@ -68,7 +68,7 @@ func newRefMachine(prog *isa.Program, cfg Config, hooks *Hooks) *refMachine {
 	}
 	// The original kernel consulted the window mask as a map per missed
 	// line; rebuild that form so the hot path pays the same lookup.
-	//ispy:xref AsMap is the one sanctioned adapter from the fast-path mask representation
+	// AsMap is the one sanctioned adapter from the fast-path mask representation.
 	m.hwMask = cfg.HWPrefetchMask.AsMap()
 	if hooks != nil {
 		m.hooks = *hooks

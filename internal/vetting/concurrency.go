@@ -1,17 +1,19 @@
-// The concurrency-hygiene pass, module-wide. Three checks:
+// The concurrency-hygiene pass, module-wide. Two checks:
 //
-//  1. Pool-task context discipline: a func literal passed to a Pool/Group
-//     Go method that names its context parameter but never uses it almost
-//     always means cancellation was forgotten — the task will run to
-//     completion after the run is cancelled. Literals with an unnamed or
-//     underscore parameter are an explicit opt-out and stay silent.
-//  2. Lock-by-value: assigning, passing, or ranging a value whose type
-//     contains a sync.Mutex/RWMutex/WaitGroup/Once copies lock state.
-//  3. Locks held across blocking points: a linear scan of each statement
+//  1. Pool-task context discipline: a pool task (resolved through the
+//     shared spawn inventory, spawn.go) that names its context parameter
+//     but never uses it almost always means cancellation was forgotten —
+//     the task will run to completion after the run is cancelled. Tasks
+//     with an unnamed or underscore parameter are an explicit opt-out and
+//     stay silent.
+//  2. Locks held across blocking points: a linear scan of each statement
 //     list tracks mu.Lock()/mu.Unlock() pairs (keyed by receiver
 //     expression) and reports WaitGroup.Wait calls and channel operations
 //     made while a lock is held — the standing deadlock shape the
 //     fault-tolerant run engine must never reintroduce.
+//
+// Lock values copied by assignment, argument or range are go vet's
+// copylocks check, which `make check` already runs.
 package vetting
 
 import (
@@ -22,12 +24,9 @@ import (
 	"strings"
 )
 
-func checkConcurrency(pkgs []*Package) []Diagnostic {
-	var diags []Diagnostic
-	decls := declIndex(pkgs)
+func checkConcurrency(pkgs []*Package, sa *spawnAnalysis) []Diagnostic {
+	diags := concPoolCtx(sa)
 	for _, p := range pkgs {
-		diags = append(diags, concPoolCtx(p, decls)...)
-		diags = append(diags, concLockCopies(p)...)
 		diags = append(diags, concHeldLocks(p)...)
 	}
 	return diags
@@ -35,127 +34,29 @@ func checkConcurrency(pkgs []*Package) []Diagnostic {
 
 // --- check 1: Pool tasks ignoring their ctx parameter ---
 
-// declFuncs maps every module function object to its declaring package and
-// declaration, so a named task passed to a pool resolves across packages.
-type declFuncs map[*types.Func]struct {
-	p    *Package
-	decl *ast.FuncDecl
-}
-
-func declIndex(pkgs []*Package) declFuncs {
-	idx := make(declFuncs)
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-						idx[fn] = struct {
-							p    *Package
-							decl *ast.FuncDecl
-						}{p, fd}
-					}
-				}
-			}
-		}
-	}
-	return idx
-}
-
 // concPoolCtx flags pool tasks that name a context parameter but never use
-// it. The task may be a func literal, a named function (identifier or
-// selector), or a function-valued variable whose initializer literal is
-// visible in the same package.
-func concPoolCtx(p *Package, decls declFuncs) []Diagnostic {
+// it. The spawn inventory resolves each task to its body: a func literal, a
+// named function (identifier or selector), or a function-valued variable
+// bound to a literal in the same package.
+func concPoolCtx(sa *spawnAnalysis) []Diagnostic {
 	var diags []Diagnostic
-	checkLit := func(lp *Package, ft *ast.FuncType, body *ast.BlockStmt, pos ast.Node, what string) {
-		ctx := namedCtxParam(lp, ft)
-		if ctx == nil {
-			return
+	for _, s := range sa.sites {
+		if !s.pool || s.body == nil {
+			continue
 		}
-		if !identUsed(lp, body, ctx) {
-			diags = append(diags, Diagnostic{Pos: p.Fset.Position(pos.Pos()), Pass: PassConcurrency,
-				Message: fmt.Sprintf("%s names its context parameter %q but never uses it; honor cancellation or use an unnamed parameter", what, ctx.Name())})
+		var ft *ast.FuncType
+		switch span := s.span.(type) {
+		case *ast.FuncLit:
+			ft = span.Type
+		case *ast.FuncDecl:
+			ft = span.Type
 		}
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isPoolGo(p, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				switch arg := ast.Unparen(arg).(type) {
-				case *ast.FuncLit:
-					checkLit(p, arg.Type, arg.Body, arg, "pool task")
-				case *ast.Ident:
-					concCheckNamedTask(p, decls, arg, p.Info.Uses[arg], checkLit)
-				case *ast.SelectorExpr:
-					concCheckNamedTask(p, decls, arg, p.Info.Uses[arg.Sel], checkLit)
-				}
-			}
-			return true
-		})
+		if ctx := namedCtxParam(s.bodyPkg, ft); ctx != nil && !identUsed(s.bodyPkg, s.body, ctx) {
+			diags = append(diags, Diagnostic{Pos: s.pos, Pass: PassConcurrency,
+				Message: fmt.Sprintf("%s names its context parameter %q but never uses it; honor cancellation or use an unnamed parameter", s.desc, ctx.Name())})
+		}
 	}
 	return diags
-}
-
-// concCheckNamedTask applies the ctx-usage rule to a non-literal task
-// argument: a named function's declaration, or the initializer literal of a
-// function-valued variable.
-func concCheckNamedTask(p *Package, decls declFuncs, arg ast.Expr, obj types.Object,
-	checkLit func(*Package, *ast.FuncType, *ast.BlockStmt, ast.Node, string)) {
-	switch obj := obj.(type) {
-	case *types.Func:
-		if di, ok := decls[obj]; ok {
-			checkLit(di.p, di.decl.Type, di.decl.Body, arg, fmt.Sprintf("pool task %s", obj.Name()))
-		}
-	case *types.Var:
-		if lit := initializerLit(p, obj); lit != nil {
-			checkLit(p, lit.Type, lit.Body, arg, fmt.Sprintf("pool task %s", obj.Name()))
-		}
-	}
-}
-
-// initializerLit finds the function literal a variable is bound to (via :=,
-// =, or a var declaration) within the same package.
-func initializerLit(p *Package, v *types.Var) *ast.FuncLit {
-	var found *ast.FuncLit
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if found != nil {
-				return false
-			}
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if i >= len(n.Rhs) {
-						break
-					}
-					if id, ok := lhs.(*ast.Ident); ok && (p.Info.Defs[id] == v || p.Info.Uses[id] == v) {
-						if lit, ok := ast.Unparen(n.Rhs[i]).(*ast.FuncLit); ok {
-							found = lit
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				for i, name := range n.Names {
-					if i >= len(n.Values) {
-						break
-					}
-					if p.Info.Defs[name] == v {
-						if lit, ok := ast.Unparen(n.Values[i]).(*ast.FuncLit); ok {
-							found = lit
-						}
-					}
-				}
-			}
-			return found == nil
-		})
-		if found != nil {
-			break
-		}
-	}
-	return found
 }
 
 // isPoolGo reports whether call is a Go method on a type from
@@ -217,130 +118,7 @@ func identUsed(p *Package, body ast.Node, obj types.Object) bool {
 	return used
 }
 
-// --- check 2: lock values copied ---
-
-func concLockCopies(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	report := func(pos token.Pos, what string, t types.Type) {
-		diags = append(diags, Diagnostic{Pos: p.Fset.Position(pos), Pass: PassConcurrency,
-			Message: fmt.Sprintf("%s copies %s, which contains a lock", what, types.TypeString(t, nil))})
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if i >= len(n.Lhs) {
-						break
-					}
-					if isBlank(n.Lhs[i]) {
-						continue
-					}
-					// Copying out of a dereference or a composite value;
-					// taking a pointer or building a composite literal is
-					// fine.
-					if t := valueCopyType(p, rhs); t != nil && containsLock(t) {
-						report(rhs.Pos(), "assignment", t)
-					}
-				}
-			case *ast.RangeStmt:
-				if t := p.Info.TypeOf(rs(n)); t != nil {
-					if elem := rangeElemType(t); elem != nil && containsLock(elem) {
-						if n.Value != nil && !isBlank(n.Value) {
-							report(n.Value.Pos(), "range value", elem)
-						}
-					}
-				}
-			case *ast.CallExpr:
-				if tv, ok := p.Info.Types[n.Fun]; ok && tv.IsType() {
-					return true
-				}
-				for _, arg := range n.Args {
-					if t := valueCopyType(p, arg); t != nil && containsLock(t) {
-						report(arg.Pos(), "argument", t)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return diags
-}
-
-func rs(n *ast.RangeStmt) ast.Expr { return n.X }
-
-func isBlank(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "_"
-}
-
-// valueCopyType returns the type of rhs when evaluating it copies a value
-// (a dereference, a variable read, a field read), or nil for expressions
-// that create or reference rather than copy (literals, calls, &x, index of
-// a map — which is already a copy the compiler rejects for locks).
-func valueCopyType(p *Package, e ast.Expr) types.Type {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		t := p.Info.TypeOf(e.(ast.Expr))
-		if t == nil {
-			return nil
-		}
-		if _, ok := t.(*types.Pointer); ok {
-			return nil
-		}
-		// Only struct (or array-of-struct) values can embed locks.
-		return t
-	default:
-		return nil
-	}
-}
-
-func rangeElemType(t types.Type) types.Type {
-	switch t := t.Underlying().(type) {
-	case *types.Slice:
-		return t.Elem()
-	case *types.Array:
-		return t.Elem()
-	case *types.Map:
-		return t.Elem()
-	}
-	return nil
-}
-
-// containsLock reports whether t (by value) transitively contains a sync
-// lock type.
-func containsLock(t types.Type) bool {
-	return lockIn(t, make(map[types.Type]bool))
-}
-
-func lockIn(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lockIn(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return lockIn(u.Elem(), seen)
-	}
-	return false
-}
-
-// --- check 3: locks held across Wait / channel operations ---
+// --- check 2: locks held across Wait / channel operations ---
 
 func concHeldLocks(p *Package) []Diagnostic {
 	var diags []Diagnostic

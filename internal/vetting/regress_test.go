@@ -14,7 +14,9 @@ import (
 // concurrency regression, grafted onto a pristine copy of the module, must
 // fail `ispy-vet -strict` with exit 1 and name the pass that caught it. The
 // baseline copy must pass with exit 0, so each failure is attributable to
-// the injected change alone.
+// the injected change alone. The grafts run in parallel: each is a fresh
+// process that spends most of its time type-checking the standard library
+// from source, so they overlap well.
 func TestInjectedRegressions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the analyzer and vets whole module copies")
@@ -63,6 +65,7 @@ func TestInjectedRegressions(t *testing.T) {
 	}
 
 	t.Run("gshare", func(t *testing.T) {
+		t.Parallel()
 		dir := copyModule(t, modRoot)
 		write(t, filepath.Join(dir, "internal/experiments/zz_regress.go"), `package experiments
 
@@ -87,6 +90,7 @@ func zzRegressCounter(p *Pool, items []int) (int, error) {
 	})
 
 	t.Run("goleak", func(t *testing.T) {
+		t.Parallel()
 		dir := copyModule(t, modRoot)
 		write(t, filepath.Join(dir, "internal/server/zz_regress.go"), `package server
 
@@ -100,6 +104,7 @@ func zzRegressDetach(work func()) {
 	})
 
 	t.Run("ctxflow", func(t *testing.T) {
+		t.Parallel()
 		dir := copyModule(t, modRoot)
 		path := filepath.Join(dir, "internal/server/server.go")
 		src, err := os.ReadFile(path)
@@ -121,6 +126,7 @@ func zzRegressDetach(work func()) {
 	// feeding another config field would count as a derived fold (the pass
 	// is order-blind; see keysound.go).
 	t.Run("keysound", func(t *testing.T) {
+		t.Parallel()
 		dir := copyModule(t, modRoot)
 		path := filepath.Join(dir, "internal/sim/sim.go")
 		src, err := os.ReadFile(path)
@@ -143,6 +149,7 @@ func zzRegressDetach(work func()) {
 	// A wall-clock reading folded into an analyze response body: the
 	// canonical impure-response regression.
 	t.Run("purity", func(t *testing.T) {
+		t.Parallel()
 		dir := copyModule(t, modRoot)
 		path := filepath.Join(dir, "internal/server/handlers.go")
 		src, err := os.ReadFile(path)

@@ -1,9 +1,10 @@
-// Spawn-site enumeration shared by the gshare and goleak passes. A spawn
-// site is a point where a new goroutine is created: a `go` statement, or a
-// task submitted to an experiments Pool/Group via its Go method (which runs
-// the task on a pooled goroutine). Each site resolves the launched function
-// to a body where possible — a literal's own body, or the declaration of a
-// named function — and records the joins visible around it:
+// Spawn-site enumeration shared by the gshare, goleak and concurrency
+// passes. A spawn site is a point where a new goroutine is created: a `go`
+// statement, or a task submitted to an experiments Pool/Group via its Go
+// method (which runs the task on a pooled goroutine). Each site resolves the
+// launched function to a body where possible — a literal's own body, the
+// declaration of a named function, or the literal a function-valued
+// variable is bound to — and records the joins visible around it:
 //
 //   - a sync.WaitGroup the task Done()s whose Wait() the spawner (or, for a
 //     WaitGroup held in a struct field, any method of the module) calls;
@@ -159,27 +160,74 @@ func (sa *spawnAnalysis) addPool(a *Analysis, p *Package, owner *Node, call *ast
 	sa.add(s)
 }
 
-// resolveTask resolves the launched function expression to a body.
+// resolveTask resolves the launched function expression to a body: a
+// literal's own, a named function's declaration, or the literal a
+// function-valued variable is bound to in the spawning package.
 func (sa *spawnAnalysis) resolveTask(a *Analysis, s *spawnSite, fun ast.Expr) {
+	var obj types.Object
 	switch fun := ast.Unparen(fun).(type) {
 	case *ast.FuncLit:
 		s.body, s.span, s.bodyPkg = fun.Body, fun, s.p
 		return
 	case *ast.Ident:
-		if fn, ok := s.p.Info.Uses[fun].(*types.Func); ok {
-			if n := a.graph.NodeOf(fn); n != nil && !n.External() {
-				s.body, s.span, s.bodyPkg = n.Body(), n.Decl, n.Pkg
-				s.desc += " " + fn.Name()
-			}
-		}
+		obj = s.p.Info.Uses[fun]
 	case *ast.SelectorExpr:
-		if fn, ok := s.p.Info.Uses[fun.Sel].(*types.Func); ok {
-			if n := a.graph.NodeOf(fn); n != nil && !n.External() {
-				s.body, s.span, s.bodyPkg = n.Body(), n.Decl, n.Pkg
-				s.desc += " " + fn.Name()
-			}
+		obj = s.p.Info.Uses[fun.Sel]
+	}
+	switch obj := obj.(type) {
+	case *types.Func:
+		if n := a.graph.NodeOf(obj); n != nil && !n.External() {
+			s.body, s.span, s.bodyPkg = n.Body(), n.Decl, n.Pkg
+			s.desc += " " + obj.Name()
+		}
+	case *types.Var:
+		if lit := initializerLit(s.p, obj); lit != nil {
+			s.body, s.span, s.bodyPkg = lit.Body, lit, s.p
+			s.desc += " " + obj.Name()
 		}
 	}
+}
+
+// initializerLit finds the function literal a variable is bound to (via :=,
+// =, or a var declaration) within the same package.
+func initializerLit(p *Package, v *types.Var) *ast.FuncLit {
+	var found *ast.FuncLit
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if found != nil {
+				return false
+			}
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if i >= len(n.Rhs) {
+						break
+					}
+					if id, ok := lhs.(*ast.Ident); ok && (p.Info.Defs[id] == v || p.Info.Uses[id] == v) {
+						if lit, ok := ast.Unparen(n.Rhs[i]).(*ast.FuncLit); ok {
+							found = lit
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if i >= len(n.Values) {
+						break
+					}
+					if p.Info.Defs[name] == v {
+						if lit, ok := ast.Unparen(n.Values[i]).(*ast.FuncLit); ok {
+							found = lit
+						}
+					}
+				}
+			}
+			return found == nil
+		})
+		if found != nil {
+			break
+		}
+	}
+	return found
 }
 
 func (sa *spawnAnalysis) add(s *spawnSite) {

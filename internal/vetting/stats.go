@@ -100,3 +100,12 @@ func derefStruct(t types.Type) (*types.Struct, bool) {
 	st, ok := t.Underlying().(*types.Struct)
 	return st, ok
 }
+
+func findPackage(pkgs []*Package, path string) *Package {
+	for _, p := range pkgs {
+		if p.Path == path {
+			return p
+		}
+	}
+	return nil
+}

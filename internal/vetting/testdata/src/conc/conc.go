@@ -40,17 +40,6 @@ func Named(p *experiments.Pool, work func() error) {
 	p.Wait()
 }
 
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-// Snapshot copies the whole struct, lock included.
-func Snapshot(g *guarded) int {
-	cp := *g // want `contains a lock`
-	return cp.n
-}
-
 // WaitUnderLock blocks on a WaitGroup with the mutex held.
 func WaitUnderLock(mu *sync.Mutex, wg *sync.WaitGroup) {
 	mu.Lock()

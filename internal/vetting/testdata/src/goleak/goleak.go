@@ -54,6 +54,19 @@ func WaitGroupJoin(work func()) {
 	wg.Wait()
 }
 
+// BoundLiteralJoin is clean: the launched variable resolves to the literal
+// it is bound to, whose Done pairs with the spawner's Wait.
+func BoundLiteralJoin(work func()) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	task := func() {
+		defer wg.Done()
+		work()
+	}
+	go task()
+	wg.Wait()
+}
+
 // ChannelJoin is clean: the receive is unconditional.
 func ChannelJoin(work func() error) error {
 	done := make(chan error, 1)

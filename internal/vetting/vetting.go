@@ -8,7 +8,7 @@
 // workload generation → profiling → analysis → simulation → reporting —
 // stays free of Go's classic nondeterminism traps.
 //
-// Twelve passes run over the type-checked module (DESIGN.md §10). The five
+// Eleven passes run over the type-checked module (DESIGN.md §10). The four
 // local ones:
 //
 //   - determinism: in the deterministic packages, flag `range` over
@@ -16,18 +16,13 @@
 //     without an adjacent sort, calls with unknown effects, float
 //     accumulation, early exits) plus any call to time.Now, math/rand, or
 //     environment reads.
-//   - freeze: the golden reference kernels (internal/sim/reference.go,
-//     internal/cache/reference.go) must not reference fast-path symbols
-//     (plan.go, mask.go, the SoA cache internals), checked on the
-//     types-resolved reference graph.
 //   - stats: every exported field of sim.Stats must be read somewhere
 //     outside package sim, so a new counter cannot silently escape the
 //     golden comparison and the artifact serializer.
-//   - concurrency: experiments.Pool task literals with a named-but-unused
-//     ctx parameter, lock-by-value copies, and locks held across Wait calls
-//     or channel operations.
+//   - concurrency: experiments.Pool tasks with a named-but-unused ctx
+//     parameter, and locks held across Wait calls or channel operations.
 //   - errors: unchecked or blank-assigned error returns in the I/O-handling
-//     packages (traceio, artifacts, faults).
+//     packages (traceio, artifacts, faults, resilience).
 //
 // Seven more run on a shared inter-procedural engine (CHA call graph,
 // per-function SSA-lite IR, module-wide flow propagation): hotpath (the
@@ -64,7 +59,6 @@ import (
 // Pass names, as printed in diagnostics (file:line: pass: message).
 const (
 	PassDeterminism = "determinism"
-	PassFreeze      = "freeze"
 	PassStats       = "stats"
 	PassConcurrency = "concurrency"
 	PassErrors      = "errors"
@@ -77,13 +71,6 @@ const (
 	PassPurity      = "purity"
 	PassWaiver      = "waiver"
 )
-
-// PassNames lists every selectable pass, for -only validation and docs.
-var PassNames = []string{
-	PassDeterminism, PassFreeze, PassStats, PassConcurrency, PassErrors,
-	PassHotPath, PassDTaint, PassGShare, PassGoLeak, PassCtxFlow,
-	PassKeySound, PassPurity,
-}
 
 // Diagnostic is one analyzer finding.
 type Diagnostic struct {
@@ -98,18 +85,6 @@ type Diagnostic struct {
 // `file:line: pass: message` form.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pass, d.Message)
-}
-
-// FreezeRule pins one file of a package: the frozen file must not reference
-// any symbol declared in the forbidden files of the same package.
-type FreezeRule struct {
-	// PkgPath is the import path of the package the rule applies to.
-	PkgPath string
-	// File is the base name of the frozen file.
-	File string
-	// Forbidden are base names of sibling files whose declarations the
-	// frozen file must not use.
-	Forbidden []string
 }
 
 // StatsRule requires every exported field of one struct type to be
@@ -128,14 +103,13 @@ type KeyRule struct {
 }
 
 // Config selects what the passes enforce. The zero value runs only the
-// module-wide passes (concurrency) and whatever rules are listed.
+// module-wide passes (concurrency, gshare, goleak) and whatever rules are
+// listed.
 type Config struct {
 	// DeterministicPkgs are the import paths the determinism pass covers.
 	DeterministicPkgs []string
 	// ErrorPkgs are the import paths the discarded-errors pass covers.
 	ErrorPkgs []string
-	// FreezeRules are the reference-freeze rules.
-	FreezeRules []FreezeRule
 	// StatsRules are the exhaustiveness rules.
 	StatsRules []StatsRule
 	// HotPathRoots are the entry points (pkgpath.Func, pkgpath.Type.Method;
@@ -184,29 +158,12 @@ type Config struct {
 	// (the /statusz handler); impurity arriving at a sink inside their
 	// bodies is not a finding.
 	PuritySanctioned []string
-	// Only restricts the run to the named passes (empty = all). Stale-waiver
-	// accounting narrows with it: only waivers belonging to the selected
-	// passes are reported when unused, so -only composes with -strict.
-	Only []string
-}
-
-// enabled reports whether a pass is selected under cfg.Only.
-func (cfg Config) enabled(pass string) bool {
-	if len(cfg.Only) == 0 {
-		return true
-	}
-	for _, p := range cfg.Only {
-		if p == pass {
-			return true
-		}
-	}
-	return false
 }
 
 // DefaultConfig returns the repository's rules: the deterministic layers
-// from ISA to trace serialization, the two golden reference kernels frozen
-// against their fast-path siblings, sim.Stats exhaustiveness, and error
-// hygiene in the packages that touch the filesystem.
+// from ISA to trace serialization, sim.Stats exhaustiveness, error hygiene
+// in the packages that touch the filesystem, and the roots, sinks and
+// sources of the inter-procedural passes.
 func DefaultConfig() Config {
 	return Config{
 		DeterministicPkgs: []string{
@@ -230,18 +187,6 @@ func DefaultConfig() Config {
 			"ispy/internal/artifacts",
 			"ispy/internal/faults",
 			"ispy/internal/resilience",
-		},
-		FreezeRules: []FreezeRule{
-			{
-				PkgPath:   "ispy/internal/sim",
-				File:      "reference.go",
-				Forbidden: []string{"plan.go", "mask.go"},
-			},
-			{
-				PkgPath:   "ispy/internal/cache",
-				File:      "reference.go",
-				Forbidden: []string{"cache.go"},
-			},
 		},
 		StatsRules: []StatsRule{
 			{PkgPath: "ispy/internal/sim", Type: "Stats"},
@@ -349,36 +294,19 @@ type passResult struct {
 
 // Run executes every pass over the loaded packages and returns the sorted
 // findings. Waivers are collected from all packages first so each pass can
-// consult them; unused and malformed waivers become diagnostics themselves
-// (narrowed to the enabled passes under -only). The inter-procedural passes
-// (hotpath, dtaint, gshare, goleak, ctxflow, keysound, purity) share one
-// Analysis — the call graph and IR are built once, single-threaded, before
-// the passes fan out over a bounded worker group. The fan-out is read-only:
-// the loaded module, call graph, and IR are immutable by then, and the
-// waiver set locks its use-marking internally. Findings are concatenated in
-// canonical pass order and then position-sorted, so concurrency never
-// changes the output.
+// consult them; unused and malformed waivers become diagnostics themselves.
+// The inter-procedural passes (hotpath, dtaint, gshare, goleak, ctxflow,
+// keysound, purity) and the concurrency pass share one Analysis and one
+// spawn inventory — the call graph, IR and spawn sites are built once,
+// single-threaded, before the passes fan out over a bounded worker group.
+// The fan-out is read-only: the loaded module, call graph, and IR are
+// immutable by then, and the waiver set locks its use-marking internally.
+// Findings are concatenated in canonical pass order and then
+// position-sorted, so concurrency never changes the output.
 func Run(pkgs []*Package, cfg Config) *Result {
 	ws := collectWaivers(pkgs)
-	ws.reportFor = cfg.enabled
-
-	needHot := cfg.enabled(PassHotPath) && len(cfg.HotPathRoots) > 0
-	needTaint := cfg.enabled(PassDTaint) && (len(cfg.StatsRules) > 0 || len(cfg.SinkPkgs) > 0)
-	needCtx := cfg.enabled(PassCtxFlow) && len(cfg.CtxRoots) > 0
-	needSpawn := cfg.enabled(PassGShare) || cfg.enabled(PassGoLeak)
-	needKey := cfg.enabled(PassKeySound) && len(cfg.KeyRules) > 0 &&
-		len(cfg.KeyFoldRoots) > 0 && len(cfg.ComputeRoots) > 0
-	needPure := cfg.enabled(PassPurity) &&
-		(len(cfg.PuritySinkTypes) > 0 || len(cfg.PurityRenderers) > 0)
-
-	var a *Analysis
-	var sa *spawnAnalysis
-	if needHot || needTaint || needCtx || needSpawn || needKey || needPure {
-		a = NewAnalysis(pkgs, ws)
-		if needSpawn {
-			sa = buildSpawnAnalysis(a)
-		}
-	}
+	a := NewAnalysis(pkgs, ws)
+	sa := buildSpawnAnalysis(a)
 
 	type passRun struct {
 		name string
@@ -386,7 +314,7 @@ func Run(pkgs []*Package, cfg Config) *Result {
 	}
 	var runs []passRun
 	add := func(name string, cond bool, fn func(slot *passResult)) {
-		if cond && cfg.enabled(name) {
+		if cond {
 			runs = append(runs, passRun{name, fn})
 		}
 	}
@@ -394,19 +322,19 @@ func Run(pkgs []*Package, cfg Config) *Result {
 		return func(slot *passResult) { slot.diags = fn() }
 	}
 	add(PassDeterminism, true, diagsOnly(func() []Diagnostic { return checkDeterminism(pkgs, cfg, ws) }))
-	add(PassFreeze, true, diagsOnly(func() []Diagnostic { return checkFreeze(pkgs, cfg, ws) }))
 	add(PassStats, true, diagsOnly(func() []Diagnostic { return checkStats(pkgs, cfg) }))
-	add(PassConcurrency, true, diagsOnly(func() []Diagnostic { return checkConcurrency(pkgs) }))
+	add(PassConcurrency, true, diagsOnly(func() []Diagnostic { return checkConcurrency(pkgs, sa) }))
 	add(PassErrors, true, diagsOnly(func() []Diagnostic { return checkErrors(pkgs, cfg, ws) }))
-	add(PassHotPath, needHot, diagsOnly(func() []Diagnostic { return checkHotPath(a, cfg, ws) }))
-	add(PassDTaint, needTaint, diagsOnly(func() []Diagnostic { return checkDTaint(a, cfg, ws) }))
-	add(PassGShare, needSpawn, diagsOnly(func() []Diagnostic { return checkGShare(a, sa, ws) }))
-	add(PassGoLeak, needSpawn, diagsOnly(func() []Diagnostic { return checkGoLeak(sa, ws) }))
-	add(PassCtxFlow, needCtx, diagsOnly(func() []Diagnostic { return checkCtxFlow(a, cfg, ws) }))
-	add(PassKeySound, needKey, func(slot *passResult) {
-		slot.diags, slot.cov = checkKeySound(a, cfg, ws)
-	})
-	add(PassPurity, needPure, diagsOnly(func() []Diagnostic { return checkPurity(a, cfg, ws) }))
+	add(PassHotPath, len(cfg.HotPathRoots) > 0, diagsOnly(func() []Diagnostic { return checkHotPath(a, cfg, ws) }))
+	add(PassDTaint, len(cfg.StatsRules) > 0 || len(cfg.SinkPkgs) > 0,
+		diagsOnly(func() []Diagnostic { return checkDTaint(a, cfg, ws) }))
+	add(PassGShare, true, diagsOnly(func() []Diagnostic { return checkGShare(a, sa, ws) }))
+	add(PassGoLeak, true, diagsOnly(func() []Diagnostic { return checkGoLeak(sa, ws) }))
+	add(PassCtxFlow, len(cfg.CtxRoots) > 0, diagsOnly(func() []Diagnostic { return checkCtxFlow(a, cfg, ws) }))
+	add(PassKeySound, len(cfg.KeyRules) > 0 && len(cfg.KeyFoldRoots) > 0 && len(cfg.ComputeRoots) > 0,
+		func(slot *passResult) { slot.diags, slot.cov = checkKeySound(a, cfg, ws) })
+	add(PassPurity, len(cfg.PuritySinkTypes) > 0 || len(cfg.PurityRenderers) > 0,
+		diagsOnly(func() []Diagnostic { return checkPurity(a, cfg, ws) }))
 
 	// Bounded fan-out into per-pass slots. Workers only read the shared
 	// analysis; ordering is restored below, so scheduling cannot leak into

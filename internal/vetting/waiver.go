@@ -18,7 +18,6 @@ import (
 // Directives, by pass they waive.
 const (
 	DirectiveOrdered = "ordered" // determinism: map range is order-free
-	DirectiveXref    = "xref"    // freeze: sanctioned fast-path reference
 	DirectiveErrOK   = "errok"   // errors: dropped error is intentional
 	DirectiveAlloc   = "alloc"   // hotpath: deliberate warmup/setup allocation
 	DirectiveDTaint  = "dtaint"  // dtaint: order-dependence at this sink is benign
@@ -31,7 +30,6 @@ const (
 
 var directivePass = map[string]string{
 	DirectiveOrdered: PassDeterminism,
-	DirectiveXref:    PassFreeze,
 	DirectiveErrOK:   PassErrors,
 	DirectiveAlloc:   PassHotPath,
 	DirectiveDTaint:  PassDTaint,
@@ -60,12 +58,6 @@ type waiverSet struct {
 	// the set concurrently. Collection itself is single-threaded, so the
 	// byLine index is immutable by the time any pass runs.
 	mu sync.Mutex
-	// reportFor gates stale-waiver advisories per pass. A partial run
-	// (-only) leaves waivers of the de-selected passes legitimately
-	// unused, but an unused waiver of a pass that did run is still stale
-	// — so -only narrows the accounting instead of suspending it. Nil
-	// means report all.
-	reportFor func(pass string) bool
 }
 
 func collectWaivers(pkgs []*Package) *waiverSet {
@@ -98,8 +90,13 @@ func (ws *waiverSet) add(pos token.Position, text string) {
 	}
 	pass, known := directivePass[fields[0]]
 	if !known {
+		names := make([]string, 0, len(directivePass))
+		for d := range directivePass {
+			names = append(names, d)
+		}
+		sort.Strings(names)
 		ws.bad = append(ws.bad, Diagnostic{Pos: pos, Pass: PassWaiver,
-			Message: fmt.Sprintf("unknown directive //ispy:%s (known: ordered, xref, errok, alloc, dtaint, race, detach, ctx, keyfold, pure)", fields[0])})
+			Message: fmt.Sprintf("unknown directive //ispy:%s (known: %s)", fields[0], strings.Join(names, ", "))})
 		return
 	}
 	if len(fields) == 1 {
@@ -134,18 +131,6 @@ func (ws *waiverSet) lookup(pass string, pos token.Position) *Waiver {
 	return nil
 }
 
-// waived reports (and records use of) a waiver for pass at pos: on the same
-// line, or on the line directly above.
-func (ws *waiverSet) waived(pass string, pos token.Position) bool {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if w := ws.lookup(pass, pos); w != nil {
-		w.Used = true
-		return true
-	}
-	return false
-}
-
 // hasWaiver peeks for a waiver without marking it used — for passes that
 // need to know a site is annotated (e.g. a waived //ispy:ordered range is
 // still a taint source) without claiming the waiver themselves.
@@ -155,9 +140,9 @@ func (ws *waiverSet) hasWaiver(pass string, pos token.Position) bool {
 	return ws.lookup(pass, pos) != nil
 }
 
-// waive is the diagnostic-level form of waived: when a waiver covers the
-// finding it is recorded as suppressed (so -json can report it with
-// waived:true) and true is returned; otherwise the caller should emit it.
+// waive records use of a waiver covering d's pass and position: the finding
+// is recorded as suppressed (so -json can report it with waived:true) and
+// true is returned; otherwise the caller should emit it.
 func (ws *waiverSet) waive(d Diagnostic) bool {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
@@ -174,7 +159,7 @@ func (ws *waiverSet) waive(d Diagnostic) bool {
 func (ws *waiverSet) diags() []Diagnostic {
 	out := append([]Diagnostic(nil), ws.bad...)
 	for _, w := range ws.all {
-		if !w.Used && (ws.reportFor == nil || ws.reportFor(w.Pass)) {
+		if !w.Used {
 			out = append(out, Diagnostic{Pos: w.Pos, Pass: PassWaiver, Advisory: true,
 				Message: fmt.Sprintf("unused //ispy:%s waiver: nothing to waive on this line", w.Directive)})
 		}

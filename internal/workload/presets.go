@@ -54,15 +54,6 @@ func LookupParams(name string) (Params, error) {
 // Preset generates the named application's workload.
 func Preset(name string) *Workload { return Generate(PresetParams(name)) }
 
-// AllPresets generates all nine applications, in AppNames order.
-func AllPresets() []*Workload {
-	ws := make([]*Workload, len(AppNames))
-	for i, n := range AppNames {
-		ws[i] = Preset(n)
-	}
-	return ws
-}
-
 var presets = map[string]Params{
 	// Cassandra: NoSQL storage; JVM service with a moderate request mix and
 	// heavy data-side work (higher backend CPI).
