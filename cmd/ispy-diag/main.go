@@ -33,18 +33,20 @@ func main() {
 	if len(args) > 0 {
 		apps = args
 	}
-	switch cmd {
-	case "compare":
-		for _, name := range apps {
-			compare(name)
+	run := map[string]func(string){"compare": compare, "residual": residual}[cmd]
+	for _, name := range apps {
+		if _, err := workload.LookupParams(name); err != nil {
+			fmt.Fprintf(os.Stderr, "ispy-diag: %v\n", err)
+			run = nil
+			break
 		}
-	case "residual":
-		for _, name := range apps {
-			residual(name)
-		}
-	default:
+	}
+	if run == nil {
 		fmt.Fprintf(os.Stderr, "usage: ispy-diag {compare|residual} [app...]\n")
 		os.Exit(2)
+	}
+	for _, name := range apps {
+		run(name)
 	}
 }
 

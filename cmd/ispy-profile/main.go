@@ -85,26 +85,17 @@ func collect(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("collect: -o is required")
 	}
-	w := workload.Preset(*app)
-	in := workload.DefaultInput(w)
-	prof := profile.Collect(w, in, simCfgFor(w, *instrs))
-	pd := &traceio.ProfileData{
-		WorkloadName:   w.Name,
-		WorkloadSeed:   w.Params.Seed,
-		InputName:      in.Name,
-		InputSeed:      in.Seed,
-		TotalMisses:    prof.Graph.TotalMisses,
-		AvgHashDensity: prof.AvgHashDensity,
-		BaseCycles:     prof.Stats.Cycles,
-		BaseInstrs:     prof.Stats.BaseInstrs,
-		Graph:          prof.Graph,
+	if _, err := workload.LookupParams(*app); err != nil {
+		return err
 	}
+	w := workload.Preset(*app)
+	prof := profile.Collect(w, workload.DefaultInput(w), simCfgFor(w, *instrs))
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := traceio.WriteProfile(f, pd); err != nil {
+	if err := traceio.WriteProfile(f, traceio.ProfileDataOf(prof)); err != nil {
 		return err
 	}
 	fmt.Printf("profiled %s: %d misses over %d lines → %s\n",
@@ -124,19 +115,8 @@ func loadProfile(path string) (*profile.Profile, *traceio.ProfileData, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	w := workload.Preset(pd.WorkloadName)
-	if w.Params.Seed != pd.WorkloadSeed {
-		return nil, nil, fmt.Errorf("profile was collected on %s with seed %#x; preset now uses %#x",
-			pd.WorkloadName, pd.WorkloadSeed, w.Params.Seed)
-	}
-	prof := &profile.Profile{
-		Graph:          pd.Graph,
-		AvgHashDensity: pd.AvgHashDensity,
-		Stats:          &sim.Stats{Cycles: pd.BaseCycles, BaseInstrs: pd.BaseInstrs, L1IMisses: pd.TotalMisses},
-		Workload:       w,
-		Input:          workload.Input{Name: pd.InputName, Seed: pd.InputSeed},
-	}
-	return prof, pd, nil
+	prof, err := pd.Rebind()
+	return prof, pd, err
 }
 
 func build(args []string) error {
@@ -181,6 +161,9 @@ func eval(args []string) error {
 	fs.Parse(args)
 	if *app == "" || *progPath == "" {
 		return fmt.Errorf("eval: -app and -prog are required")
+	}
+	if _, err := workload.LookupParams(*app); err != nil {
+		return err
 	}
 	w := workload.Preset(*app)
 	f, err := os.Open(*progPath)

@@ -1,7 +1,7 @@
 // ispy-vet runs the repository's determinism & invariant analyzer
 // (internal/vetting) over the module and prints findings in the canonical
 // `file:line: pass: message` form. It is part of the gate (`make check`,
-// scripts/check.sh, CI): any finding is a non-zero exit.
+// which CI runs): any finding is a non-zero exit.
 //
 // Usage:
 //

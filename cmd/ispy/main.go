@@ -20,7 +20,6 @@
 //	-jobs N       worker-pool size shared by all parallel work
 //	-timeout D    cancel the run after D (e.g. 10m); partial results still print
 //	-v            live progress lines and an end-of-run telemetry summary
-//	-seq          disable parallelism (deterministic ordering of log lines)
 //	-faults S     deterministic fault-injection spec (testing; see internal/faults)
 //	-fault-seed N seed for -faults decisions
 //	-cpuprofile F write a pprof CPU profile of the run to F
@@ -86,7 +85,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 0, "worker-pool size (default: GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "cancel the run after this duration (partial results, exit 1)")
 	verbose := fs.Bool("v", false, "print per-artifact progress and a telemetry summary")
-	seq := fs.Bool("seq", false, "disable parallel work")
 	faultSpec := fs.String("faults", "", "fault-injection spec: pattern=kind[:prob],... (testing)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for -faults firing decisions")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -126,14 +124,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		// Rescale the warmup and sweep budgets with the measured budget;
 		// keeping them fixed would let the warmup swallow short runs.
 		cfg = cfg.WithMeasureInstrs(*instrs)
-	}
-	if *seq {
-		cfg.Parallel = false
-		if *jobs > 1 {
-			// NewLabContext forces the pool to one worker when Parallel is
-			// off; say so instead of silently ignoring the flag.
-			fmt.Fprintf(stderr, "ispy: warning: -seq overrides -jobs %d; running with a single worker\n", *jobs)
-		}
 	}
 	cfg.Jobs = *jobs
 	cfg.CacheDir = *cacheDir

@@ -29,11 +29,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"ispy/internal/cfg"
 	"ispy/internal/core"
 	"ispy/internal/faults"
 	"ispy/internal/hashx"
-	"ispy/internal/isa"
 	"ispy/internal/profile"
 	"ispy/internal/sim"
 	"ispy/internal/traceio"
@@ -367,19 +365,8 @@ func (c *Cache) StoreProfile(ctx context.Context, k *Key, p *profile.Profile) {
 	if c == nil || p == nil {
 		return
 	}
-	pd := &traceio.ProfileData{
-		WorkloadName:   p.Workload.Name,
-		WorkloadSeed:   p.Workload.Params.Seed,
-		InputName:      p.Input.Name,
-		InputSeed:      p.Input.Seed,
-		TotalMisses:    p.Graph.TotalMisses,
-		AvgHashDensity: p.AvgHashDensity,
-		BaseCycles:     p.Stats.Cycles,
-		BaseInstrs:     p.Stats.BaseInstrs,
-		Graph:          p.Graph,
-	}
 	var pbuf, sbuf bytes.Buffer
-	if err := traceio.WriteProfile(&pbuf, pd); err != nil {
+	if err := traceio.WriteProfile(&pbuf, traceio.ProfileDataOf(p)); err != nil {
 		return
 	}
 	if err := traceio.WriteStats(&sbuf, p.Stats); err != nil {
@@ -417,40 +404,45 @@ func (c *Cache) LoadProfile(ctx context.Context, k *Key, w *workload.Workload, i
 	}, true
 }
 
-// StoreScenario persists one scenario run's statistics plus its per-tenant
-// report rows as a two-section entry. Rows are persisted — not recomputed —
+// ScenarioRun is one scenario run as the cache holds it: the statistics
+// plus the per-tenant report rows. Rows are persisted — not recomputed —
 // because they are attributed from simulator hook events, which do not fire
 // on a cache hit; storing them keeps cold and warm replays byte-identical.
-func (c *Cache) StoreScenario(ctx context.Context, k *Key, s *sim.Stats, rows []traceio.ScenarioRow) {
-	if c == nil || s == nil {
+type ScenarioRun struct {
+	St   *sim.Stats
+	Rows []traceio.ScenarioRow
+}
+
+// StoreScenario persists a scenario run as a two-section entry.
+func (c *Cache) StoreScenario(ctx context.Context, k *Key, r ScenarioRun) {
+	if c == nil || r.St == nil {
 		return
 	}
 	var sbuf, rbuf bytes.Buffer
-	if err := traceio.WriteStats(&sbuf, s); err != nil {
+	if err := traceio.WriteStats(&sbuf, r.St); err != nil {
 		return
 	}
-	if err := traceio.WriteScenarioRows(&rbuf, rows); err != nil {
+	if err := traceio.WriteScenarioRows(&rbuf, r.Rows); err != nil {
 		return
 	}
 	c.writeEntry(ctx, k, [][]byte{sbuf.Bytes(), rbuf.Bytes()})
 }
 
-// LoadScenario returns the cached scenario statistics and rows for k, if
-// valid.
-func (c *Cache) LoadScenario(ctx context.Context, k *Key) (*sim.Stats, []traceio.ScenarioRow, bool) {
+// LoadScenario returns the cached scenario run for k, if valid.
+func (c *Cache) LoadScenario(ctx context.Context, k *Key) (ScenarioRun, bool) {
 	sections := c.readEntry(ctx, k)
 	if len(sections) != 2 {
-		return nil, nil, false
+		return ScenarioRun{}, false
 	}
 	s, err := traceio.ReadStats(bytes.NewReader(sections[0]))
 	if err != nil {
-		return nil, nil, false
+		return ScenarioRun{}, false
 	}
 	rows, err := traceio.ReadScenarioRows(bytes.NewReader(sections[1]))
 	if err != nil {
-		return nil, nil, false
+		return ScenarioRun{}, false
 	}
-	return s, rows, true
+	return ScenarioRun{St: s, Rows: rows}, true
 }
 
 // StoreBuild persists an analysis build: the injected program, the plan's
@@ -463,41 +455,14 @@ func (c *Cache) StoreBuild(ctx context.Context, k *Key, b *core.Build) {
 	if c == nil || b == nil {
 		return
 	}
-	var pbuf bytes.Buffer
+	var pbuf, plan bytes.Buffer
 	if err := traceio.WriteProgram(&pbuf, b.Prog); err != nil {
 		return
 	}
-	var plan []byte
-	put := func(v uint64) { plan = binary.AppendUvarint(plan, v) }
-	puti := func(v int64) { plan = binary.AppendVarint(plan, v) }
-	put(b.Plan.MissesTotal)
-	put(b.Plan.MissesPlanned)
-	put(b.Plan.MissesUncovered)
-	put(uint64(b.Plan.DroppedCoalesceTargets))
-	put(uint64(len(b.Plan.CoalescedLineCounts)))
-	for _, n := range b.Plan.CoalescedLineCounts {
-		put(uint64(n))
+	if err := traceio.WritePlan(&plan, b.Plan); err != nil {
+		return
 	}
-	put(uint64(len(b.Plan.CoalesceDistances)))
-	for _, d := range b.Plan.CoalesceDistances {
-		put(uint64(d))
-	}
-	put(uint64(len(b.Plan.Prefetches)))
-	for _, p := range b.Plan.Prefetches {
-		puti(int64(p.Site))
-		put(uint64(p.Kind))
-		put(p.MissCount)
-		put(uint64(len(p.Targets)))
-		for _, t := range p.Targets {
-			puti(int64(t.Block))
-			puti(int64(t.Delta))
-		}
-		put(uint64(len(p.CtxBlocks)))
-		for _, cb := range p.CtxBlocks {
-			puti(int64(cb))
-		}
-	}
-	c.writeEntry(ctx, k, [][]byte{pbuf.Bytes(), plan})
+	c.writeEntry(ctx, k, [][]byte{pbuf.Bytes(), plan.Bytes()})
 }
 
 // LoadBuild returns the cached build for k, if valid. The returned Build
@@ -512,120 +477,8 @@ func (c *Cache) LoadBuild(ctx context.Context, k *Key) (*core.Build, bool) {
 	if err != nil {
 		return nil, false
 	}
-	rest := sections[1]
-	take := func() (uint64, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return v, true
-	}
-	taki := func() (int64, bool) {
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return v, true
-	}
-	plan := &core.Plan{}
-	var ok bool
-	if plan.MissesTotal, ok = take(); !ok {
-		return nil, false
-	}
-	if plan.MissesPlanned, ok = take(); !ok {
-		return nil, false
-	}
-	if plan.MissesUncovered, ok = take(); !ok {
-		return nil, false
-	}
-	dropped, ok := take()
-	if !ok {
-		return nil, false
-	}
-	plan.DroppedCoalesceTargets = int(dropped)
-	ncl, ok := take()
-	if !ok || ncl > 1<<24 {
-		return nil, false
-	}
-	plan.CoalescedLineCounts = make([]int, 0, ncl)
-	for i := uint64(0); i < ncl; i++ {
-		v, ok := take()
-		if !ok {
-			return nil, false
-		}
-		plan.CoalescedLineCounts = append(plan.CoalescedLineCounts, int(v))
-	}
-	ncd, ok := take()
-	if !ok || ncd > 1<<24 {
-		return nil, false
-	}
-	plan.CoalesceDistances = make([]int, 0, ncd)
-	for i := uint64(0); i < ncd; i++ {
-		v, ok := take()
-		if !ok {
-			return nil, false
-		}
-		plan.CoalesceDistances = append(plan.CoalesceDistances, int(v))
-	}
-	npf, ok := take()
-	if !ok || npf > 1<<24 {
-		return nil, false
-	}
-	if npf > 0 {
-		plan.Prefetches = make([]core.PlannedPrefetch, 0, npf)
-	}
-	for i := uint64(0); i < npf; i++ {
-		var p core.PlannedPrefetch
-		site, ok := taki()
-		if !ok {
-			return nil, false
-		}
-		p.Site = int32(site)
-		kind, ok := take()
-		if !ok {
-			return nil, false
-		}
-		p.Kind = isa.Kind(kind)
-		if p.MissCount, ok = take(); !ok {
-			return nil, false
-		}
-		nt, ok := take()
-		if !ok || nt > 1<<20 {
-			return nil, false
-		}
-		if nt > 0 {
-			p.Targets = make([]cfg.LineKey, 0, nt)
-		}
-		for j := uint64(0); j < nt; j++ {
-			block, ok := taki()
-			if !ok {
-				return nil, false
-			}
-			delta, ok := taki()
-			if !ok {
-				return nil, false
-			}
-			p.Targets = append(p.Targets, cfg.LineKey{Block: int32(block), Delta: int32(delta)})
-		}
-		nc, ok := take()
-		if !ok || nc > 1<<20 {
-			return nil, false
-		}
-		if nc > 0 {
-			p.CtxBlocks = make([]int32, 0, nc)
-		}
-		for j := uint64(0); j < nc; j++ {
-			cb, ok := taki()
-			if !ok {
-				return nil, false
-			}
-			p.CtxBlocks = append(p.CtxBlocks, int32(cb))
-		}
-		plan.Prefetches = append(plan.Prefetches, p)
-	}
-	if len(rest) != 0 {
+	plan, err := traceio.ReadPlan(bytes.NewReader(sections[1]))
+	if err != nil {
 		return nil, false
 	}
 	return &core.Build{Prog: prog, Plan: plan}, true

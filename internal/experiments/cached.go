@@ -1,18 +1,18 @@
 // The bridge between the Lab and the on-disk artifact cache: every artifact
-// the harness computes flows through one of the load-or-compute helpers
-// below, which consult the cache (when configured), maintain the hit/miss/
-// bypass telemetry, and time every recomputation. The helpers never fail —
-// a broken cache entry degrades to a recompute, exactly like a cold cache.
+// the harness computes flows through cached, which consults the cache (when
+// configured), maintains the hit/miss/bypass telemetry, and times every
+// recomputation. It never fails — a broken cache entry degrades to a
+// recompute, exactly like a cold cache.
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"ispy/internal/artifacts"
 	"ispy/internal/asmdb"
 	"ispy/internal/core"
 	"ispy/internal/isa"
-	"ispy/internal/profile"
 	"ispy/internal/sim"
 	"ispy/internal/workload"
 )
@@ -25,64 +25,39 @@ func (a *App) key(kind string) *artifacts.Key {
 		Input(workload.DefaultInput(a.W))
 }
 
-// stats loads the run statistics for k or computes (and stores) them.
-func (l *Lab) stats(k *artifacts.Key, compute func() *sim.Stats) *sim.Stats {
+// cached is the one artifact lookup: bypass the cache when it is off, else
+// serve a hit through load, or compute the artifact (timed) and store it.
+// load and store take the lab's context, so a cancelled run stops waiting
+// on cache I/O.
+func cached[T any](l *Lab, k *artifacts.Key, load func(context.Context, *artifacts.Key) (T, bool),
+	store func(context.Context, *artifacts.Key, T), compute func() T) T {
 	kind := k.Kind()
 	compute = faulted(l, k, compute)
 	if !l.cache.Enabled() {
 		l.tel.CacheBypass(kind)
 		return timed(l, kind, compute)
 	}
-	if s, ok := l.cache.LoadStats(l.ctx, k); ok {
+	if v, ok := load(l.ctx, k); ok {
 		l.tel.CacheHit(kind)
 		l.tel.Progressf("hit      %s", k.Filename())
-		return s
+		return v
 	}
 	l.tel.CacheMiss(kind)
-	s := timed(l, kind, compute)
-	l.cache.StoreStats(l.ctx, k, s)
-	return s
+	v := timed(l, kind, compute)
+	store(l.ctx, k, v)
+	return v
 }
 
-// profile loads the profile for k (rebinding it to the live workload and
-// input) or computes and stores it.
-func (l *Lab) profile(k *artifacts.Key, w *workload.Workload, in workload.Input, compute func() *profile.Profile) *profile.Profile {
-	kind := k.Kind()
-	compute = faulted(l, k, compute)
-	if !l.cache.Enabled() {
-		l.tel.CacheBypass(kind)
-		return timed(l, kind, compute)
-	}
-	if p, ok := l.cache.LoadProfile(l.ctx, k, w, in); ok {
-		l.tel.CacheHit(kind)
-		l.tel.Progressf("hit      %s", k.Filename())
-		return p
-	}
-	l.tel.CacheMiss(kind)
-	p := timed(l, kind, compute)
-	l.cache.StoreProfile(l.ctx, k, p)
-	return p
+// stats loads the run statistics for k or computes (and stores) them.
+func (l *Lab) stats(k *artifacts.Key, compute func() *sim.Stats) *sim.Stats {
+	return cached(l, k, l.cache.LoadStats, l.cache.StoreStats, compute)
 }
 
 // build loads the analysis build for k or computes and stores it. Cached
 // builds carry the injected program and plan counters only (no analysis
 // working state); every experiment consumes exactly that subset.
 func (l *Lab) build(k *artifacts.Key, compute func() *core.Build) *core.Build {
-	kind := k.Kind()
-	compute = faulted(l, k, compute)
-	if !l.cache.Enabled() {
-		l.tel.CacheBypass(kind)
-		return timed(l, kind, compute)
-	}
-	if b, ok := l.cache.LoadBuild(l.ctx, k); ok {
-		l.tel.CacheHit(kind)
-		l.tel.Progressf("hit      %s", k.Filename())
-		return b
-	}
-	l.tel.CacheMiss(kind)
-	b := timed(l, kind, compute)
-	l.cache.StoreBuild(l.ctx, k, b)
-	return b
+	return cached(l, k, l.cache.LoadBuild, l.cache.StoreBuild, compute)
 }
 
 // faulted interposes the lab's fault injector (when configured) at the

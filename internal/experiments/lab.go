@@ -15,7 +15,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
@@ -421,7 +420,11 @@ func (a *App) Profile() *profile.Profile {
 	return a.prof.get(func() *profile.Profile {
 		cfg := a.SimCfg()
 		in := workload.DefaultInput(a.W)
-		return a.lab.profile(a.key("profile").SimConfig(cfg), a.W, in, func() *profile.Profile {
+		// A cached profile is rebound to the live workload and input.
+		load := func(ctx context.Context, k *artifacts.Key) (*profile.Profile, bool) {
+			return a.lab.cache.LoadProfile(ctx, k, a.W, in)
+		}
+		return cached(a.lab, a.key("profile").SimConfig(cfg), load, a.lab.cache.StoreProfile, func() *profile.Profile {
 			return profile.Collect(a.W, in, cfg)
 		})
 	})
@@ -510,24 +513,6 @@ func (l *Lab) Warm() {
 	l.wait(g, "warm")
 }
 
-// appCheck verifies the lab config references known apps early.
-func (l *Lab) appCheck() error {
-	for _, n := range l.Cfg.Apps {
-		found := false
-		for _, k := range workload.AppNames {
-			if k == n {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("experiments: unknown app %q (valid apps: %s)",
-				n, strings.Join(workload.AppNames, ", "))
-		}
-	}
-	return nil
-}
-
 // Validate checks the configuration: known apps, a warmup that leaves room
 // to measure, and a usable cache directory when one was requested.
 func (l *Lab) Validate() error {
@@ -542,5 +527,10 @@ func (l *Lab) Validate() error {
 		return fmt.Errorf("experiments: sweep warmup (%d instrs) must be below the sweep budget (%d instrs)",
 			l.Cfg.SweepWarmup, l.Cfg.SweepInstrs)
 	}
-	return l.appCheck()
+	for _, n := range l.Cfg.Apps {
+		if _, err := workload.LookupParams(n); err != nil {
+			return fmt.Errorf("experiments: %w", err)
+		}
+	}
+	return nil
 }

@@ -28,7 +28,7 @@ import (
 
 // Pool is a bounded set of execution slots. Size ≤ 1 degenerates to strict
 // sequential inline execution (deterministic ordering, no goroutines) — the
-// behavior of the -seq flag.
+// behavior of `ispy -jobs 1`.
 type Pool struct {
 	sem chan struct{} // nil for sequential pools
 }

@@ -229,7 +229,7 @@ func TestCancelSkipsQueuedTasks(t *testing.T) {
 	}
 }
 
-// TestSequentialCancelSkips: the -seq (inline) pool honors cancellation the
+// TestSequentialCancelSkips: the one-slot (inline) pool honors cancellation the
 // same way.
 func TestSequentialCancelSkips(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

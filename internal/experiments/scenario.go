@@ -73,21 +73,21 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 	cfg.MaxInstrs = l.Cfg.MeasureInstrs
 	cfg.WarmupInstrs = l.Cfg.WarmupInstrs
 
-	run := func(prog *isa.Program) scenarioRun {
+	run := func(prog *isa.Program) artifacts.ScenarioRun {
 		ex, xerr := traffic.NewExecutor(world, tr)
 		if xerr != nil {
 			panic(xerr) // unreachable: the trace was validated above
 		}
 		col := traffic.NewCollector(world)
 		st := sim.Run(prog, ex, cfg, col.Hooks())
-		return scenarioRun{St: st, Rows: col.Rows()}
+		return artifacts.ScenarioRun{St: st, Rows: col.Rows()}
 	}
 
 	res := &ScenarioResult{Spec: spec, Trace: tr}
 
 	baseKey := artifacts.NewKey("scenario-base", spec.Name).
 		Str(spec.Material()).Uint(traceHash).SimConfig(cfg)
-	base := l.scenario(baseKey, func() scenarioRun { return run(world.Prog) })
+	base := l.scenario(baseKey, func() artifacts.ScenarioRun { return run(world.Prog) })
 	res.Base, res.BaseRows = base.St, base.Rows
 
 	// The I-SPY variant: per-app injected programs (cached single-tenant
@@ -102,7 +102,7 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 		ispyKey = ispyKey.Str(name).Params(a.W.Params).Input(workload.DefaultInput(a.W)).
 			SimConfig(a.SimCfg()).Options(core.DefaultOptions())
 	}
-	ispy := l.scenario(ispyKey, func() scenarioRun {
+	ispy := l.scenario(ispyKey, func() artifacts.ScenarioRun {
 		progByApp := make(map[string]*isa.Program, len(apps))
 		for _, name := range apps {
 			progByApp[name] = l.App(name).ISPY().Prog
@@ -121,31 +121,9 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 	return res, nil
 }
 
-// scenarioRun pairs a scenario run's statistics with its attributed rows —
-// the unit the cache stores, because rows come from hook events that do
-// not fire on a cache hit.
-type scenarioRun struct {
-	St   *sim.Stats
-	Rows []traffic.TenantRow
-}
-
 // scenario loads the scenario run for k or computes (and stores) it.
-func (l *Lab) scenario(k *artifacts.Key, compute func() scenarioRun) scenarioRun {
-	kind := k.Kind()
-	compute = faulted(l, k, compute)
-	if !l.cache.Enabled() {
-		l.tel.CacheBypass(kind)
-		return timed(l, kind, compute)
-	}
-	if s, rows, ok := l.cache.LoadScenario(l.ctx, k); ok {
-		l.tel.CacheHit(kind)
-		l.tel.Progressf("hit      %s", k.Filename())
-		return scenarioRun{St: s, Rows: rows}
-	}
-	l.tel.CacheMiss(kind)
-	v := timed(l, kind, compute)
-	l.cache.StoreScenario(l.ctx, k, v.St, v.Rows)
-	return v
+func (l *Lab) scenario(k *artifacts.Key, compute func() artifacts.ScenarioRun) artifacts.ScenarioRun {
+	return cached(l, k, l.cache.LoadScenario, l.cache.StoreScenario, compute)
 }
 
 // Render formats the scenario report: per-tenant rows, per-SLO-class

@@ -409,25 +409,17 @@ func writeError(w http.ResponseWriter, status int, code, msg string) int {
 }
 
 // rebindProfile reconstructs a live profile from an uploaded one by
-// regenerating the deterministic workload it names (cmd/ispy-profile uses
-// the same convention for on-disk profiles).
+// regenerating the deterministic workload it names (traceio's Rebind, which
+// cmd/ispy-profile uses for on-disk profiles too).
 func rebindProfile(pd *traceio.ProfileData) (*profile.Profile, error) {
 	if err := knownApp(pd.WorkloadName); err != nil {
 		return nil, err
 	}
-	w := workload.Preset(pd.WorkloadName)
-	if w.Params.Seed != pd.WorkloadSeed {
-		return nil, &apiError{status: http.StatusUnprocessableEntity, code: "stale_profile",
-			msg: fmt.Sprintf("profile was collected on %s with seed %#x; preset now uses %#x",
-				pd.WorkloadName, pd.WorkloadSeed, w.Params.Seed)}
+	prof, err := pd.Rebind()
+	if err != nil {
+		return nil, &apiError{status: http.StatusUnprocessableEntity, code: "stale_profile", msg: err.Error()}
 	}
-	return &profile.Profile{
-		Graph:          pd.Graph,
-		AvgHashDensity: pd.AvgHashDensity,
-		Stats:          &sim.Stats{Cycles: pd.BaseCycles, BaseInstrs: pd.BaseInstrs, L1IMisses: pd.TotalMisses},
-		Workload:       w,
-		Input:          workload.Input{Name: pd.InputName, Seed: pd.InputSeed},
-	}, nil
+	return prof, nil
 }
 
 // analyzeProfile serves an uploaded profile: the analysis runs over the

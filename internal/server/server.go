@@ -34,12 +34,10 @@ import (
 	"time"
 
 	"ispy/internal/artifacts"
-	"ispy/internal/core"
 	"ispy/internal/experiments"
 	"ispy/internal/faults"
 	"ispy/internal/metrics"
 	"ispy/internal/resilience"
-	"ispy/internal/sim"
 	"ispy/internal/traffic"
 	"ispy/internal/workload"
 )
@@ -221,73 +219,49 @@ func (s *Server) labConfig(apps []string, instrs uint64) experiments.Config {
 }
 
 // analyzeApp runs the full pipeline (baseline run, I-SPY analysis +
-// coalescing + injection, evaluation run) for one app under ctx, retrying
-// transient failures. Each attempt gets a fresh lab; the artifact cache is
-// bypassed while the circuit is open.
+// coalescing + injection, evaluation run) for one app under ctx.
 func (s *Server) analyzeApp(ctx context.Context, app string, instrs uint64) (*AnalyzeResponse, error) {
 	if err := knownApp(app); err != nil {
 		return nil, err
 	}
 	lcfg := s.labConfig([]string{app}, instrs)
-
-	var resp *AnalyzeResponse
-	op := func(ctx context.Context) error {
-		cache := s.cache
-		if cache != nil && !s.breaker.Allow() {
-			cache = nil
-			s.reqs.Degraded()
-			s.logf("circuit open: serving %s without the artifact cache", app)
-		}
-		lab := experiments.NewLabShared(ctx, lcfg, experiments.Shared{
-			Pool: s.pool, Cache: cache, Telemetry: s.tel,
-		})
-		if err := lab.Validate(); err != nil {
-			return resilience.Permanent(&apiError{status: http.StatusBadRequest, code: "bad_config", msg: err.Error()})
-		}
+	return s.analyze(ctx, lcfg, "serve/"+app, func(lab *experiments.Lab) (*AnalyzeResponse, error) {
 		a := lab.App(app)
-		var base, ispy *sim.Stats
-		var build *core.Build
-		err := lab.Attempt(app, "serve/analyze", func() error {
-			base = a.Base()
-			build = a.ISPY()
-			ispy = a.ISPYStats()
-			return nil
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				// The deadline, not the fault, is what the client should
-				// see; retrying against a dead context cannot succeed.
-				return resilience.Permanent(context.Cause(ctx))
-			}
-			return err
-		}
-		resp = newAnalyzeResponse(app, lcfg.MeasureInstrs, base, ispy, build.Plan)
-		return nil
-	}
-	err := resilience.Retry(ctx, s.cfg.Retry, "serve/"+app, op, func(attempt int, delay time.Duration) {
-		s.reqs.Retry()
-		s.logf("retrying %s (attempt %d failed; backing off %v)", app, attempt, delay)
+		base, build, ispy := a.Base(), a.ISPY(), a.ISPYStats()
+		return newAnalyzeResponse(app, lcfg.MeasureInstrs, base, ispy, build.Plan), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
-// analyzeScenario evaluates a multi-tenant traffic scenario under ctx with
-// the same retry and circuit-breaker treatment as analyzeApp. The scenario
-// composition is seeded by the spec, so the response is a pure function of
-// (scenario, instrs) and chaos-degraded responses stay byte-identical.
+// analyzeScenario evaluates a multi-tenant traffic scenario under ctx. The
+// scenario composition is seeded by the spec, so the response is a pure
+// function of (scenario, instrs) and chaos-degraded responses stay
+// byte-identical.
 func (s *Server) analyzeScenario(ctx context.Context, spec *traffic.Spec, instrs uint64) (*AnalyzeResponse, error) {
 	lcfg := s.labConfig(spec.Apps(), instrs)
+	return s.analyze(ctx, lcfg, "serve/scenario/"+spec.Name, func(lab *experiments.Lab) (*AnalyzeResponse, error) {
+		res, err := lab.Scenario(spec)
+		if err != nil {
+			return nil, err
+		}
+		return newScenarioResponse(lcfg.MeasureInstrs, res), nil
+	})
+}
 
+// analyze runs body under ctx with the retry and circuit-breaker treatment
+// every analysis gets. Each attempt builds a fresh lab over lcfg — the
+// artifact cache bypassed while the circuit is open — and runs body under
+// lab.Attempt, so a panic is contained and memoized panic replays cannot
+// leak across attempts. site names the request in logs and seeds its retry
+// schedule.
+func (s *Server) analyze(ctx context.Context, lcfg experiments.Config, site string,
+	body func(*experiments.Lab) (*AnalyzeResponse, error)) (*AnalyzeResponse, error) {
 	var resp *AnalyzeResponse
 	op := func(ctx context.Context) error {
 		cache := s.cache
 		if cache != nil && !s.breaker.Allow() {
 			cache = nil
 			s.reqs.Degraded()
-			s.logf("circuit open: serving scenario %q without the artifact cache", spec.Name)
+			s.logf("circuit open: serving %s without the artifact cache", site)
 		}
 		lab := experiments.NewLabShared(ctx, lcfg, experiments.Shared{
 			Pool: s.pool, Cache: cache, Telemetry: s.tel,
@@ -295,27 +269,20 @@ func (s *Server) analyzeScenario(ctx context.Context, spec *traffic.Spec, instrs
 		if err := lab.Validate(); err != nil {
 			return resilience.Permanent(&apiError{status: http.StatusBadRequest, code: "bad_config", msg: err.Error()})
 		}
-		var res *experiments.ScenarioResult
-		err := lab.Attempt(spec.Name, "serve/scenario", func() error {
-			r, rerr := lab.Scenario(spec)
-			if rerr != nil {
-				return rerr
-			}
-			res = r
-			return nil
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return resilience.Permanent(context.Cause(ctx))
-			}
+		err := lab.Attempt(site, "serve/analyze", func() (err error) {
+			resp, err = body(lab)
 			return err
+		})
+		if err != nil && ctx.Err() != nil {
+			// The deadline, not the fault, is what the client should see;
+			// retrying against a dead context cannot succeed.
+			return resilience.Permanent(context.Cause(ctx))
 		}
-		resp = newScenarioResponse(lcfg.MeasureInstrs, res)
-		return nil
+		return err
 	}
-	err := resilience.Retry(ctx, s.cfg.Retry, "serve/scenario/"+spec.Name, op, func(attempt int, delay time.Duration) {
+	err := resilience.Retry(ctx, s.cfg.Retry, site, op, func(attempt int, delay time.Duration) {
 		s.reqs.Retry()
-		s.logf("retrying scenario %q (attempt %d failed; backing off %v)", spec.Name, attempt, delay)
+		s.logf("retrying %s (attempt %d failed; backing off %v)", site, attempt, delay)
 	})
 	if err != nil {
 		return nil, err
@@ -328,11 +295,8 @@ func knownApp(app string) error {
 	if app == "" {
 		return &apiError{status: http.StatusBadRequest, code: "bad_request", msg: "missing app name"}
 	}
-	for _, n := range workload.AppNames {
-		if n == app {
-			return nil
-		}
+	if _, err := workload.LookupParams(app); err != nil {
+		return &apiError{status: http.StatusNotFound, code: "unknown_app", msg: err.Error()}
 	}
-	return &apiError{status: http.StatusNotFound, code: "unknown_app",
-		msg: fmt.Sprintf("unknown app %q (valid: cassandra…wordpress; see /statusz)", app)}
+	return nil
 }

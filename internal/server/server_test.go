@@ -380,31 +380,19 @@ func TestProfileUploadMatchesCollectedProfile(t *testing.T) {
 	scfg.WarmupInstrs = 20_000
 	prof := profile.Collect(w, in, scfg)
 
-	var buf bytes.Buffer
-	pd := &traceio.ProfileData{
-		WorkloadName:   w.Name,
-		WorkloadSeed:   w.Params.Seed,
-		InputName:      in.Name,
-		InputSeed:      in.Seed,
-		TotalMisses:    prof.Graph.TotalMisses,
-		AvgHashDensity: prof.AvgHashDensity,
-		BaseCycles:     prof.Stats.Cycles,
-		BaseInstrs:     prof.Stats.BaseInstrs,
-		Graph:          prof.Graph,
-	}
-	if err := traceio.WriteProfile(&buf, pd); err != nil {
-		t.Fatal(err)
-	}
-
 	s := newTestServer(t, testConfig(t))
-	post := func() *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, "/v1/profile/analyze?instrs=60000",
-			bytes.NewReader(buf.Bytes()))
+	post := func(pd *traceio.ProfileData) *httptest.ResponseRecorder {
+		var buf bytes.Buffer
+		if err := traceio.WriteProfile(&buf, pd); err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/profile/analyze?instrs=60000", &buf)
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)
 		return rec
 	}
-	r1 := post()
+	pd := traceio.ProfileDataOf(prof)
+	r1 := post(pd)
 	if r1.Code != http.StatusOK {
 		t.Fatalf("profile analyze = %d: %s", r1.Code, r1.Body)
 	}
@@ -415,9 +403,25 @@ func TestProfileUploadMatchesCollectedProfile(t *testing.T) {
 	if resp.App != "verilator" || resp.ISPY.Cycles == 0 || resp.Plan.Prefetches == 0 {
 		t.Fatalf("profile response = %+v", resp)
 	}
-	r2 := post()
+	r2 := post(pd)
 	if !bytes.Equal(r1.Body.Bytes(), r2.Body.Bytes()) {
 		t.Fatal("identical profile uploads produced different bytes")
+	}
+
+	// A moved preset seed and an unknown preset are the client's errors.
+	stale, unknown := *pd, *pd
+	stale.WorkloadSeed++
+	unknown.WorkloadName = "bogus"
+	for _, c := range []struct {
+		pd     *traceio.ProfileData
+		status int
+		code   string
+	}{{&stale, http.StatusUnprocessableEntity, "stale_profile"}, {&unknown, http.StatusNotFound, "unknown_app"}} {
+		rec := post(c.pd)
+		if msg, ok := structuredError(rec.Body.Bytes()); rec.Code != c.status || !ok || !strings.HasPrefix(msg, c.code) {
+			t.Errorf("profile naming %s seed %#x = %d %s, want %d %s",
+				c.pd.WorkloadName, c.pd.WorkloadSeed, rec.Code, rec.Body, c.status, c.code)
+		}
 	}
 
 	// Garbage bytes are a structured 400, not a panic.

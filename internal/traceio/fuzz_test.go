@@ -71,6 +71,7 @@ func decodeAll(t *testing.T, data []byte) {
 	_, _ = ReadStats(bytes.NewReader(data))
 	_, _ = ReadScenario(bytes.NewReader(data))
 	_, _ = ReadScenarioRows(bytes.NewReader(data))
+	_, _ = ReadPlan(bytes.NewReader(data))
 }
 
 // tinyScenario builds a small two-tenant scenario trace.
@@ -88,7 +89,7 @@ func tinyScenario() *ScenarioTrace {
 
 // encodings returns one valid byte stream per format.
 func encodings(t testing.TB) map[string][]byte {
-	var pbuf, prbuf, sbuf, scbuf, sc1buf, rbuf bytes.Buffer
+	var pbuf, prbuf, sbuf, scbuf, rbuf, plbuf bytes.Buffer
 	if err := WriteProgram(&pbuf, tinyProgram(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +102,17 @@ func encodings(t testing.TB) map[string][]byte {
 	if err := WriteScenario(&scbuf, tinyScenario()); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeScenarioV1(&sc1buf, tinyScenario()); err != nil {
-		t.Fatal(err)
-	}
 	if err := WriteScenarioRows(&rbuf, []ScenarioRow{
 		{Name: "a", App: "wordpress", SLO: "interactive", Weight: 2, Requests: 9, Blocks: 40, Instrs: 500, Misses: 6},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := WritePlan(&plbuf, tinyPlan()); err != nil {
+		t.Fatal(err)
+	}
 	return map[string][]byte{
 		"program": pbuf.Bytes(), "profile": prbuf.Bytes(), "stats": sbuf.Bytes(),
-		"scenario": scbuf.Bytes(), "scenario-v1": sc1buf.Bytes(), "scenario-rows": rbuf.Bytes(),
+		"scenario": scbuf.Bytes(), "scenario-rows": rbuf.Bytes(), "plan": plbuf.Bytes(),
 	}
 }
 
@@ -163,7 +164,7 @@ func TestDecodeHugeCountHeaders(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds arbitrary bytes to all three decoders. Run continuously
+// FuzzDecode feeds arbitrary bytes to every decoder. Run continuously
 // with `go test -fuzz=FuzzDecode ./internal/traceio`; `make check` runs a
 // short smoke pass.
 func FuzzDecode(f *testing.F) {

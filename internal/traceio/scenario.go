@@ -10,13 +10,7 @@
 // arrival. Gaps and phases are recorded for analysis and reproducibility;
 // the cycle-level simulator consumes only the tenant order.
 //
-// Version history. v1 is the legacy framing: header of (name, seed) and
-// tenants of (name, app) only, records of a bare tenant index. v2 — the
-// only version written — adds SLO class, weight, and per-tenant seed to
-// the tenant table, the arrival/diurnal parameters to the header, and
-// phase+gap to each record. ReadScenario decodes both; v1 fields missing
-// from the wire get neutral defaults (SLO "std", weight 1, poisson
-// arrivals, a flat day).
+// Version 2 is the only framing ever written; ReadScenario rejects any other.
 package traceio
 
 import (
@@ -28,7 +22,6 @@ import (
 const (
 	scenarioMagic     = 0x49535452 // "ISTR" — composed trace
 	scenarioRowsMagic = 0x49535257 // "ISRW" — per-tenant report rows
-	scenarioV1        = 1
 	scenarioV2        = 2
 )
 
@@ -113,72 +106,32 @@ func WriteScenario(w io.Writer, t *ScenarioTrace) error {
 	return e.flush()
 }
 
-// writeScenarioV1 emits the legacy framing. Only the backward-compat tests
-// use it — production code always writes v2.
-func writeScenarioV1(w io.Writer, t *ScenarioTrace) error {
-	e := newWriter(w)
-	e.uvarint(scenarioMagic)
-	e.uvarint(scenarioV1)
-	e.str(t.Name)
-	e.uvarint(t.Seed)
-	e.uvarint(uint64(len(t.Tenants)))
-	for i := range t.Tenants {
-		e.str(t.Tenants[i].Name)
-		e.str(t.Tenants[i].App)
-	}
-	e.uvarint(uint64(len(t.Recs)))
-	for i := range t.Recs {
-		e.uvarint(uint64(t.Recs[i].Tenant))
-	}
-	return e.flush()
-}
-
-// ReadScenario deserializes a scenario trace, accepting both the current
-// v2 framing and the legacy v1 framing (missing fields default: SLO "std",
-// weight 1, seed 0, poisson arrivals, a flat single-phase day, zero gaps).
+// ReadScenario deserializes a scenario trace written by WriteScenario.
 func ReadScenario(r io.Reader) (*ScenarioTrace, error) {
 	d := newReader(r)
 	if m := d.uvarint(); d.err == nil && m != scenarioMagic {
 		return nil, fmt.Errorf("traceio: bad scenario magic %#x", m)
 	}
-	v := d.uvarint()
-	if d.err == nil && v != scenarioV1 && v != scenarioV2 {
+	if v := d.uvarint(); d.err == nil && v != scenarioV2 {
 		return nil, fmt.Errorf("traceio: unsupported scenario version %d", v)
 	}
-	t := &ScenarioTrace{Name: d.str(), Seed: d.uvarint()}
-	if v == scenarioV2 {
-		t.Arrival = d.str()
-		t.ArrivalShape = d.float()
-		np := d.count(1<<12, "scenario phase")
-		t.Phases = make([]float64, 0, capHint(np, 256))
-		for i := 0; i < np && d.err == nil; i++ {
-			t.Phases = append(t.Phases, d.float())
-		}
-	} else {
-		t.Arrival = "poisson"
-		t.Phases = []float64{1}
+	t := &ScenarioTrace{Name: d.str(), Seed: d.uvarint(), Arrival: d.str(), ArrivalShape: d.float()}
+	np := d.count(1<<12, "scenario phase")
+	t.Phases = make([]float64, 0, capHint(np, 256))
+	for i := 0; i < np && d.err == nil; i++ {
+		t.Phases = append(t.Phases, d.float())
 	}
 	nt := d.count(1<<12, "scenario tenant")
 	t.Tenants = make([]ScenarioTenant, 0, capHint(nt, 256))
 	for i := 0; i < nt && d.err == nil; i++ {
-		tn := ScenarioTenant{SLO: "std", Weight: 1}
-		tn.Name = d.str()
-		tn.App = d.str()
-		if v == scenarioV2 {
-			tn.SLO = d.str()
-			tn.Weight = d.float()
-			tn.Seed = d.uvarint()
-		}
-		t.Tenants = append(t.Tenants, tn)
+		t.Tenants = append(t.Tenants, ScenarioTenant{
+			Name: d.str(), App: d.str(), SLO: d.str(), Weight: d.float(), Seed: d.uvarint(),
+		})
 	}
 	nr := d.count(1<<26, "scenario record")
 	t.Recs = make([]ScenarioRec, 0, capHint(nr, 1<<16))
 	for i := 0; i < nr && d.err == nil; i++ {
-		rec := ScenarioRec{Tenant: uint32(d.uvarint())}
-		if v == scenarioV2 {
-			rec.Phase = uint32(d.uvarint())
-			rec.Gap = d.uvarint()
-		}
+		rec := ScenarioRec{Tenant: uint32(d.uvarint()), Phase: uint32(d.uvarint()), Gap: d.uvarint()}
 		if d.err == nil && int(rec.Tenant) >= len(t.Tenants) {
 			return nil, fmt.Errorf("traceio: scenario record %d names tenant %d of %d",
 				i, rec.Tenant, len(t.Tenants))

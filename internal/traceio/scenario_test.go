@@ -3,6 +3,7 @@ package traceio
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -21,42 +22,19 @@ func TestScenarioRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScenarioV1Compat: the legacy v1 framing must still decode, with the
-// fields v1 never carried filled in with neutral defaults.
-func TestScenarioV1Compat(t *testing.T) {
-	src := tinyScenario()
+// TestScenarioRejectsV1: WriteScenario has only ever written v2, so a
+// version-1 stream must fail to decode.
+func TestScenarioRejectsV1(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeScenarioV1(&buf, src); err != nil {
+	e := newWriter(&buf)
+	e.uvarint(scenarioMagic)
+	e.uvarint(1)
+	if err := e.flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadScenario(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != src.Name || got.Seed != src.Seed {
-		t.Fatalf("v1 header mismatch: %+v", got)
-	}
-	if got.Arrival != "poisson" || got.ArrivalShape != 0 || !reflect.DeepEqual(got.Phases, []float64{1}) {
-		t.Fatalf("v1 defaults wrong: arrival=%q shape=%v phases=%v", got.Arrival, got.ArrivalShape, got.Phases)
-	}
-	if len(got.Tenants) != len(src.Tenants) {
-		t.Fatalf("tenant count %d, want %d", len(got.Tenants), len(src.Tenants))
-	}
-	for i, tn := range got.Tenants {
-		if tn.Name != src.Tenants[i].Name || tn.App != src.Tenants[i].App {
-			t.Fatalf("tenant %d identity mismatch: %+v", i, tn)
-		}
-		if tn.SLO != "std" || tn.Weight != 1 || tn.Seed != 0 {
-			t.Fatalf("tenant %d defaults wrong: %+v", i, tn)
-		}
-	}
-	if len(got.Recs) != len(src.Recs) {
-		t.Fatalf("rec count %d, want %d", len(got.Recs), len(src.Recs))
-	}
-	for i, r := range got.Recs {
-		if r.Tenant != src.Recs[i].Tenant || r.Phase != 0 || r.Gap != 0 {
-			t.Fatalf("rec %d mismatch: %+v", i, r)
-		}
+	_, err := ReadScenario(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "unsupported scenario version 1") {
+		t.Fatalf("v1 stream: err = %v, want unsupported scenario version 1", err)
 	}
 }
 

@@ -1,5 +1,6 @@
-// Package traceio persists the reproduction's artifacts — programs and
-// profiles — in a compact, deterministic binary format.
+// Package traceio persists the reproduction's artifacts — programs,
+// profiles, injection plans, run statistics and scenario traces — in a
+// compact, deterministic binary format.
 //
 // The paper's deployment model (Fig. 9) separates profile collection (in
 // production) from the offline analysis (at build time); the two sides
@@ -24,7 +25,9 @@ import (
 	"ispy/internal/cache"
 	"ispy/internal/cfg"
 	"ispy/internal/isa"
+	"ispy/internal/profile"
 	"ispy/internal/sim"
+	"ispy/internal/workload"
 )
 
 // Magic numbers and version for the container format.
@@ -275,6 +278,44 @@ type ProfileData struct {
 	BaseInstrs     uint64
 
 	Graph *cfg.Graph
+}
+
+// ProfileDataOf flattens a live profile into its serializable subset.
+func ProfileDataOf(p *profile.Profile) *ProfileData {
+	return &ProfileData{
+		WorkloadName:   p.Workload.Name,
+		WorkloadSeed:   p.Workload.Params.Seed,
+		InputName:      p.Input.Name,
+		InputSeed:      p.Input.Seed,
+		TotalMisses:    p.Graph.TotalMisses,
+		AvgHashDensity: p.AvgHashDensity,
+		BaseCycles:     p.Stats.Cycles,
+		BaseInstrs:     p.Stats.BaseInstrs,
+		Graph:          p.Graph,
+	}
+}
+
+// Rebind reconstructs a live profile from pd by regenerating the
+// deterministic workload preset it names. It fails with
+// workload.LookupParams's error on an unknown preset, and with a stale-seed
+// error when the preset's seed has changed since collection. Of the
+// profiling run's statistics only the summary pd carries survives.
+func (pd *ProfileData) Rebind() (*profile.Profile, error) {
+	params, err := workload.LookupParams(pd.WorkloadName)
+	if err != nil {
+		return nil, err
+	}
+	if params.Seed != pd.WorkloadSeed {
+		return nil, fmt.Errorf("traceio: profile was collected on %s with seed %#x; preset now uses %#x",
+			pd.WorkloadName, pd.WorkloadSeed, params.Seed)
+	}
+	return &profile.Profile{
+		Graph:          pd.Graph,
+		AvgHashDensity: pd.AvgHashDensity,
+		Stats:          &sim.Stats{Cycles: pd.BaseCycles, BaseInstrs: pd.BaseInstrs, L1IMisses: pd.TotalMisses},
+		Workload:       workload.Generate(params),
+		Input:          workload.Input{Name: pd.InputName, Seed: pd.InputSeed},
+	}, nil
 }
 
 // WriteProfile serializes a profile.

@@ -82,17 +82,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	scfg.MaxInstrs = 150_000
 	scfg.WarmupInstrs = 40_000
 	prof := profile.Collect(w, workload.DefaultInput(w), scfg)
-	pd := &ProfileData{
-		WorkloadName:   w.Name,
-		WorkloadSeed:   w.Params.Seed,
-		InputName:      prof.Input.Name,
-		InputSeed:      prof.Input.Seed,
-		TotalMisses:    prof.Graph.TotalMisses,
-		AvgHashDensity: prof.AvgHashDensity,
-		BaseCycles:     prof.Stats.Cycles,
-		BaseInstrs:     prof.Stats.BaseInstrs,
-		Graph:          prof.Graph,
-	}
+	pd := ProfileDataOf(prof)
 	var buf bytes.Buffer
 	if err := WriteProfile(&buf, pd); err != nil {
 		t.Fatal(err)
