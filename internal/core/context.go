@@ -5,6 +5,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"ispy/internal/profile"
@@ -27,7 +28,12 @@ type ContextResult struct {
 func (c ContextResult) Conditional() bool { return len(c.Blocks) > 0 }
 
 // DiscoverContext runs predictor ranking plus combination search over the
-// labeled evidence. site excludes itself from candidate predictors.
+// labeled evidence. site excludes itself from candidate predictors. It only
+// reads ls: concurrent variant builds share one labeled set.
+//
+// The search works on pool masks: bit i of a snapshot's mask says it holds
+// the i-th candidate predictor, so "the history contains every block of the
+// context" is one mask&set == set test per snapshot.
 func DiscoverContext(ls *profile.LabeledSet, site int32, opt Options) ContextResult {
 	opt = opt.withDefaults()
 	total := ls.PosTotal + ls.NegTotal
@@ -37,37 +43,11 @@ func DiscoverContext(ls *profile.LabeledSet, site int32, opt Options) ContextRes
 	}
 	res.Baseline = float64(ls.PosTotal) / float64(total)
 
-	// Rank candidate predictor blocks by how much more often they appear in
-	// positive than negative histories.
-	posFreq := presenceFreq(ls.Pos)
-	negFreq := presenceFreq(ls.Neg)
-	type scored struct {
-		block int32
-		score float64
-	}
-	var cands []scored
-	for b, pf := range posFreq {
-		if b == site || pf < opt.MinRecall {
-			continue
-		}
-		cands = append(cands, scored{b, pf - negFreq[b]})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].block < cands[j].block
-	})
-	if len(cands) > opt.CandidatePool {
-		cands = cands[:opt.CandidatePool]
-	}
-	if len(cands) == 0 {
+	pool := rankPredictors(ls, site, opt)
+	if len(pool) == 0 {
 		return res
 	}
-	pool := make([]int32, len(cands))
-	for i, c := range cands {
-		pool[i] = c.block
-	}
+	posMasks, negMasks := poolMasks(ls.Pos, pool), poolMasks(ls.Neg, pool)
 
 	// Aliasing model: a k-block context false-fires with probability ≈
 	// density^k when its blocks are absent (the runtime hash's set bits
@@ -78,163 +58,198 @@ func DiscoverContext(ls *profile.LabeledSet, site int32, opt Options) ContextRes
 	if density <= 0 || density >= 1 {
 		density = 0.85 // conservative default when unmeasured
 	}
-	aliasP := func(k int) float64 {
-		p := 1.0
-		for i := 0; i < k; i++ {
-			p *= density
-		}
-		return p
+	var aliasP [65]float64 // aliasP[k] = density^k; a pool holds at most 64 blocks
+	aliasP[0] = 1
+	for k := 1; k <= len(pool); k++ {
+		aliasP[k] = aliasP[k-1] * density
 	}
 
-	var best ContextResult
-	best.Baseline = res.Baseline
-	eval := func(set []int32) (ContextResult, bool) {
-		alias := aliasP(len(set))
-		posFrac := fracContainingAll(ls.Pos, set)
+	// A candidate context: a pool mask and its effective precision/recall.
+	type candidate struct {
+		set               uint64
+		precision, recall float64
+	}
+	eval := func(set uint64) (candidate, bool) {
+		alias := aliasP[bits.OnesCount64(set)]
+		posFrac := fracMatching(posMasks, set)
 		effRecall := posFrac + (1-posFrac)*alias
 		if effRecall < opt.MinRecall {
-			return ContextResult{}, false
+			return candidate{}, false
 		}
-		negFrac := fracContainingAll(ls.Neg, set)
+		negFrac := fracMatching(negMasks, set)
 		effNegFire := negFrac + (1-negFrac)*alias
 		posMass := float64(ls.PosTotal) * effRecall
 		negMass := float64(ls.NegTotal) * effNegFire
 		if posMass+negMass == 0 {
-			return ContextResult{}, false
+			return candidate{}, false
 		}
-		return ContextResult{
-			Blocks:    append([]int32(nil), set...),
-			Precision: posMass / (posMass + negMass),
-			Recall:    effRecall,
-			Baseline:  res.Baseline,
-		}, true
+		return candidate{set, posMass / (posMass + negMass), effRecall}, true
 	}
-	better := func(a, b ContextResult) bool {
-		if a.Precision != b.Precision {
-			return a.Precision > b.Precision
+	better := func(a, b candidate) bool {
+		if a.precision != b.precision {
+			return a.precision > b.precision
 		}
-		if a.Recall != b.Recall {
-			return a.Recall > b.Recall
+		if a.recall != b.recall {
+			return a.recall > b.recall
 		}
-		return len(a.Blocks) < len(b.Blocks)
+		return bits.OnesCount64(a.set) < bits.OnesCount64(b.set)
 	}
 
+	var best candidate
+	found := false
 	if opt.MaxPreds <= 4 {
 		// Exhaustive combination search (the paper notes this is what makes
 		// >4 predecessors cost tens of minutes at scale; ≤4 over a pool of
-		// 8 is ≤ 162 subsets).
-		subsets(pool, opt.MaxPreds, func(set []int32) {
-			if r, ok := eval(set); ok && (best.Blocks == nil || better(r, best)) {
-				best = r
+		// 8 is ≤ 162 subsets), in lexicographic order of pool indices so
+		// the first of equally good contexts wins.
+		var walk func(start, size int, set uint64)
+		walk = func(start, size int, set uint64) {
+			for i := start; i < len(pool); i++ {
+				s := set | 1<<i
+				if c, ok := eval(s); ok && (!found || better(c, best)) {
+					best, found = c, true
+				}
+				if size+1 < opt.MaxPreds {
+					walk(i+1, size+1, s)
+				}
 			}
-		})
+		}
+		walk(0, 0, 0)
 	} else {
 		// Greedy forward selection for large contexts (Fig. 17's tail);
 		// documented substitution for the paper's increasingly expensive
 		// exhaustive search.
-		var cur []int32
-		curRes := ContextResult{Baseline: res.Baseline}
-		for len(cur) < opt.MaxPreds {
-			improved := false
-			var bestNext ContextResult
-			var bestBlock int32
-			for _, b := range pool {
-				if contains(cur, b) {
+		for bits.OnesCount64(best.set) < opt.MaxPreds {
+			var next candidate
+			nextFound := false
+			for i := range pool {
+				if best.set&(1<<i) != 0 {
 					continue
 				}
-				if r, ok := eval(append(append([]int32{}, cur...), b)); ok {
-					if bestNext.Blocks == nil || better(r, bestNext) {
-						bestNext, bestBlock = r, b
-					}
+				if c, ok := eval(best.set | 1<<i); ok && (!nextFound || better(c, next)) {
+					next, nextFound = c, true
 				}
 			}
-			if bestNext.Blocks != nil && (curRes.Blocks == nil || bestNext.Precision > curRes.Precision) {
-				cur = append(cur, bestBlock)
-				curRes = bestNext
-				improved = true
-			}
-			if !improved {
+			if !nextFound || (found && next.precision <= best.precision) {
 				break
 			}
+			best, found = next, true
 		}
-		best = curRes
 	}
 
-	if best.Blocks == nil || best.Precision-res.Baseline < opt.MinPrecisionGain {
+	if !found || best.precision-res.Baseline < opt.MinPrecisionGain {
 		// The context doesn't beat the unconditional baseline enough; §IV:
 		// fall back to an unconditional (possibly coalesced) prefetch.
 		return res
 	}
-	sort.Slice(best.Blocks, func(i, j int) bool { return best.Blocks[i] < best.Blocks[j] })
-	return best
+	res.Precision, res.Recall = best.precision, best.recall
+	res.Blocks = make([]int32, 0, bits.OnesCount64(best.set))
+	for i, b := range pool {
+		if best.set&(1<<i) != 0 {
+			res.Blocks = append(res.Blocks, b)
+		}
+	}
+	sort.Slice(res.Blocks, func(i, j int) bool { return res.Blocks[i] < res.Blocks[j] })
+	return res
 }
 
-// presenceFreq returns, per block, the fraction of snapshots containing it.
-func presenceFreq(snaps [][]int32) map[int32]float64 {
-	if len(snaps) == 0 {
-		return nil
+// rankPredictors returns the candidate pool: the blocks other than site that
+// appear in at least MinRecall of the positive snapshots, ranked by how much
+// more often they appear in positive than negative snapshots (ties by block
+// ID) and cut to CandidatePool.
+func rankPredictors(ls *profile.LabeledSet, site int32, opt Options) []int32 {
+	// One record per block of a positive snapshot. last stamps the snapshot
+	// that last counted the block (positives 1.., negatives after them), so
+	// a block repeated within one history counts once.
+	type record struct {
+		block, pos, neg, last int32
 	}
-	counts := make(map[int32]int)
-	for _, s := range snaps {
-		seen := make(map[int32]bool, len(s))
+	index := make(map[int32]int32, 64)
+	recs := make([]record, 0, 64)
+	for i, s := range ls.Pos {
+		stamp := int32(i + 1)
 		for _, b := range s {
-			if !seen[b] {
-				seen[b] = true
-				counts[b]++
+			j, ok := index[b]
+			if !ok {
+				j = int32(len(recs))
+				index[b] = j
+				recs = append(recs, record{block: b})
+			}
+			if r := &recs[j]; r.last != stamp {
+				r.last = stamp
+				r.pos++
 			}
 		}
 	}
-	out := make(map[int32]float64, len(counts))
-	for b, c := range counts {
-		out[b] = float64(c) / float64(len(snaps))
+	// Only a block seen in a positive snapshot can become a candidate.
+	for i, s := range ls.Neg {
+		stamp := int32(len(ls.Pos) + i + 1)
+		for _, b := range s {
+			if j, ok := index[b]; ok && recs[j].last != stamp {
+				recs[j].last = stamp
+				recs[j].neg++
+			}
+		}
 	}
-	return out
+
+	type scored struct {
+		block int32
+		score float64
+	}
+	var cands []scored
+	for _, r := range recs {
+		pf := float64(r.pos) / float64(len(ls.Pos))
+		if r.block == site || pf < opt.MinRecall {
+			continue
+		}
+		nf := 0.0
+		if len(ls.Neg) > 0 {
+			nf = float64(r.neg) / float64(len(ls.Neg))
+		}
+		cands = append(cands, scored{r.block, pf - nf})
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].score != cands[j].score {
+			return cands[i].score > cands[j].score
+		}
+		return cands[i].block < cands[j].block
+	})
+	if len(cands) > opt.CandidatePool {
+		cands = cands[:opt.CandidatePool]
+	}
+	pool := make([]int32, len(cands))
+	for i, c := range cands {
+		pool[i] = c.block
+	}
+	return pool
 }
 
-// fracContainingAll returns the fraction of snapshots containing every
-// block of set.
-func fracContainingAll(snaps [][]int32, set []int32) float64 {
-	if len(snaps) == 0 {
+// poolMasks returns, per snapshot, the mask of the pool blocks it holds.
+func poolMasks(snaps [][]int32, pool []int32) []uint64 {
+	masks := make([]uint64, len(snaps))
+	for i, s := range snaps {
+		for _, b := range s {
+			for j, p := range pool {
+				if b == p {
+					masks[i] |= 1 << j
+					break
+				}
+			}
+		}
+	}
+	return masks
+}
+
+// fracMatching returns the fraction of masks holding every bit of set.
+func fracMatching(masks []uint64, set uint64) float64 {
+	if len(masks) == 0 {
 		return 0
 	}
 	n := 0
-snapLoop:
-	for _, s := range snaps {
-		for _, want := range set {
-			if !containsVal(s, want) {
-				continue snapLoop
-			}
-		}
-		n++
-	}
-	return float64(n) / float64(len(snaps))
-}
-
-func containsVal(s []int32, v int32) bool {
-	for _, x := range s {
-		if x == v {
-			return true
+	for _, m := range masks {
+		if m&set == set {
+			n++
 		}
 	}
-	return false
-}
-
-func contains(s []int32, v int32) bool { return containsVal(s, v) }
-
-// subsets enumerates all non-empty subsets of pool of size ≤ k, calling fn
-// with a reused buffer (fn must copy if it keeps the set).
-func subsets(pool []int32, k int, fn func([]int32)) {
-	var buf []int32
-	var rec func(start int)
-	rec = func(start int) {
-		for i := start; i < len(pool); i++ {
-			buf = append(buf, pool[i])
-			fn(buf)
-			if len(buf) < k {
-				rec(i + 1)
-			}
-			buf = buf[:len(buf)-1]
-		}
-	}
-	rec(0)
+	return float64(n) / float64(len(masks))
 }

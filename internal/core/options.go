@@ -18,7 +18,11 @@ type Options struct {
 	// context (default 4, §VI-B/Fig. 17).
 	MaxPreds int
 	// CandidatePool is how many top-ranked predictor blocks the combination
-	// search draws from.
+	// search draws from, at most 64: discovery keeps one bit per pool block
+	// in a uint64. The cap changes nothing in practice. A snapshot holds at
+	// most lbr.Depth = 32 blocks and a candidate must appear in MinRecall of
+	// the positive snapshots, so at most 32/MinRecall blocks qualify: 35 at
+	// the default 0.9, and 64 for any MinRecall ≥ 0.5.
 	CandidatePool int
 
 	// CoalesceBits is the coalescing bit-vector width: lines within
@@ -121,6 +125,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CandidatePool < o.MaxPreds {
 		o.CandidatePool = o.MaxPreds
+	}
+	if o.CandidatePool > 64 {
+		o.CandidatePool = 64
 	}
 	if o.CoalesceBits == 0 {
 		o.CoalesceBits = d.CoalesceBits

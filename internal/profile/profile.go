@@ -132,7 +132,8 @@ type LabeledSet struct {
 	PosTotal uint64
 	NegTotal uint64
 	// Pos / Neg are bounded reservoirs of LBR block-ID sets observed at the
-	// site execution (the context evidence).
+	// site execution (the context evidence). The snapshots are read-only:
+	// every target of a site execution holds the same slice.
 	Pos [][]int32
 	Neg [][]int32
 }
@@ -160,11 +161,14 @@ func (c *ContextProfile) Get(site int32, target cfg.LineKey) *LabeledSet {
 
 // pending is one not-yet-expired site execution awaiting its label.
 type pending struct {
-	site     int32
+	site     int32 // index into the instrumented sites
 	cycle    uint64
 	snapshot []int32
-	hits     map[cfg.LineKey]bool
+	hits     []bool // per target of the site: missed within the window
 }
+
+// label names target j of instrumented site i.
+type label struct{ site, target int32 }
 
 // CollectContexts runs the labeling pass: for every execution of an
 // instrumented site it snapshots the LBR and, windowCycles later, labels the
@@ -177,20 +181,29 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 		Sets:     make(map[siteTarget]*LabeledSet),
 		SiteExec: make(map[int32]uint64),
 	}
-	siteTargets := make(map[int32][]cfg.LineKey, len(sites))
-	for _, t := range sites {
-		siteTargets[t.Site] = t.Lines
-		for _, ln := range t.Lines {
-			cp.Sets[siteTarget{t.Site, ln}] = &LabeledSet{}
+	// siteOf[b] is 1 + the index in sites of block b, or 0; sets[i][j] is
+	// the evidence for target j of site i; wanted lists, per target line,
+	// every (site, target) that labels it.
+	siteOf := make([]int32, len(w.Prog.Blocks))
+	sets := make([][]*LabeledSet, len(sites))
+	wanted := make(map[cfg.LineKey][]label)
+	for i, t := range sites {
+		siteOf[t.Site] = int32(i) + 1
+		sets[i] = make([]*LabeledSet, len(t.Lines))
+		for j, ln := range t.Lines {
+			sets[i][j] = &LabeledSet{}
+			cp.Sets[siteTarget{t.Site, ln}] = sets[i][j]
+			wanted[ln] = append(wanted[ln], label{int32(i), int32(j)})
 		}
 	}
 	r := rng.New(w.Params.Seed ^ 0x51caffe)
 
+	// The queue is in cycle order (cycles never decrease), so the expired
+	// executions are a prefix of it.
 	var queue []pending
 	finalize := func(p *pending) {
-		for _, target := range siteTargets[p.site] {
-			ls := cp.Sets[siteTarget{p.site, target}]
-			if p.hits[target] {
+		for j, ls := range sets[p.site] {
+			if p.hits[j] {
 				ls.PosTotal++
 				reservoirAdd(&ls.Pos, p.snapshot, ls.PosTotal, r)
 			} else {
@@ -199,45 +212,45 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 			}
 		}
 	}
-	expire := func(now uint64) {
-		keep := queue[:0]
-		for i := range queue {
-			if now-queue[i].cycle > windowCycles {
-				finalize(&queue[i])
-			} else {
-				keep = append(keep, queue[i])
-			}
-		}
-		queue = keep
-	}
 
 	hooks := &sim.Hooks{
 		OnBlock: func(block int, cycle uint64, l *lbr.LBR) {
-			expire(cycle)
-			if _, ok := siteTargets[int32(block)]; !ok {
+			n := 0
+			for n < len(queue) && cycle-queue[n].cycle > windowCycles {
+				finalize(&queue[n])
+				n++
+			}
+			queue = queue[n:]
+			i := siteOf[block] - 1
+			if i < 0 {
 				return
 			}
 			cp.SiteExec[int32(block)]++
-			snap := make([]int32, 0, l.Len())
-			for i := 0; i < l.Len(); i++ {
-				snap = append(snap, l.At(i).Block)
+			snap := make([]int32, l.Len())
+			for k := range snap {
+				snap[k] = l.At(k).Block
 			}
 			queue = append(queue, pending{
-				site:     int32(block),
+				site:     i,
 				cycle:    cycle,
 				snapshot: snap,
-				hits:     make(map[cfg.LineKey]bool, 2),
+				hits:     make([]bool, len(sets[i])),
 			})
 		},
 		OnMiss: func(block int, delta int32, cycle uint64, _ *lbr.LBR) {
-			key := cfg.LineKey{Block: int32(block), Delta: delta}
+			labels := wanted[cfg.LineKey{Block: int32(block), Delta: delta}]
+			if len(labels) == 0 {
+				return
+			}
 			for i := range queue {
 				p := &queue[i]
 				if cycle-p.cycle > windowCycles {
 					continue
 				}
-				if _, want := cp.Sets[siteTarget{p.site, key}]; want {
-					p.hits[key] = true
+				for _, lb := range labels {
+					if lb.site == p.site {
+						p.hits[lb.target] = true
+					}
 				}
 			}
 		},
@@ -251,14 +264,15 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 	return cp
 }
 
-// reservoirAdd keeps a bounded uniform sample of snapshots.
+// reservoirAdd keeps a bounded uniform sample of snapshots. A kept snapshot
+// is shared, never written: a replaced slot gets the new slice.
 func reservoirAdd(dst *[][]int32, snap []int32, total uint64, r *rng.Rand) {
 	if len(*dst) < MaxLabeledSamples {
-		*dst = append(*dst, append([]int32(nil), snap...))
+		*dst = append(*dst, snap)
 		return
 	}
 	if j := r.Intn(int(total)); j < MaxLabeledSamples {
-		(*dst)[j] = append((*dst)[j][:0], snap...)
+		(*dst)[j] = snap
 	}
 }
 
