@@ -11,6 +11,9 @@
 package ispy_test
 
 import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +22,7 @@ import (
 	"ispy/internal/experiments"
 	"ispy/internal/isa"
 	"ispy/internal/metrics"
+	"ispy/internal/server"
 	"ispy/internal/sim"
 	"ispy/internal/workload"
 )
@@ -175,6 +179,38 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 		build := core.BuildFromPrepared(prof, prep, core.DefaultOptions())
 		if build.Prog.TextSize == 0 {
 			b.Fatal("empty build")
+		}
+	}
+}
+
+// BenchmarkServeWarm times a warm ispyd round in process: one op is nine
+// analyze requests, one per app, through server.Handler() at the server's
+// default budget, over an artifact cache the untimed first round filled.
+// Every warm response must equal the cold one.
+func BenchmarkServeWarm(b *testing.B) {
+	s, err := server.New(server.Config{CacheDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	analyze := func(app string) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(`{"app":"`+app+`"}`)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: status %d: %s", app, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	cold := make(map[string][]byte, len(workload.AppNames))
+	for _, app := range workload.AppNames {
+		cold[app] = analyze(app)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, app := range workload.AppNames {
+			if !bytes.Equal(analyze(app), cold[app]) {
+				b.Fatalf("%s: warm response differs from the cold one", app)
+			}
 		}
 	}
 }

@@ -483,3 +483,22 @@ func (c *Cache) LoadBuild(ctx context.Context, k *Key) (*core.Build, bool) {
 	}
 	return &core.Build{Prog: prog, Plan: plan}, true
 }
+
+// LoadPlan returns the plan of the cached build for k, if valid: the entry
+// LoadBuild reads, minus the program. Only the program section's header is
+// read, so a stale format version still misses, but the injected program is
+// never decoded.
+func (c *Cache) LoadPlan(ctx context.Context, k *Key) (*core.Plan, bool) {
+	sections := c.readEntry(ctx, k)
+	if len(sections) != 2 {
+		return nil, false
+	}
+	if err := traceio.ReadProgramHeader(bytes.NewReader(sections[0])); err != nil {
+		return nil, false
+	}
+	plan, err := traceio.ReadPlan(bytes.NewReader(sections[1]))
+	if err != nil {
+		return nil, false
+	}
+	return plan, true
+}

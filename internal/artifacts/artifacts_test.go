@@ -1,15 +1,18 @@
 package artifacts
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ispy/internal/core"
 	"ispy/internal/isa"
 	"ispy/internal/profile"
 	"ispy/internal/sim"
+	"ispy/internal/traceio"
 	"ispy/internal/workload"
 )
 
@@ -141,6 +144,10 @@ func TestBuildRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("stored build not found")
 	}
+	// The plan-only read serves the plan LoadBuild does.
+	if plan, ok := c.LoadPlan(context.Background(), k); !ok || !reflect.DeepEqual(plan, got.Plan) {
+		t.Errorf("LoadPlan = %+v (ok=%v), want LoadBuild's plan %+v", plan, ok, got.Plan)
+	}
 	if len(got.Prog.Blocks) != len(b.Prog.Blocks) || got.Prog.TextSize != b.Prog.TextSize {
 		t.Error("program round trip mismatch")
 	}
@@ -186,37 +193,87 @@ func TestBuildRoundTrip(t *testing.T) {
 }
 
 // TestCorruptEntriesFallBackToMiss exercises the recovery path: truncated,
-// bit-flipped, and garbage entries must all read as misses, never errors.
+// bit-flipped, and garbage entries must all read as misses, never errors, and
+// a damaged build entry is a miss and an eviction on the plan-only read too.
+// A program section of a stale traceio version, under a valid container,
+// misses on both build reads.
 func TestCorruptEntriesFallBackToMiss(t *testing.T) {
+	ctx := context.Background()
 	c := testCache(t)
 	k := statsKey("base")
-	c.StoreStats(context.Background(), k, &sim.Stats{Cycles: 999, BaseInstrs: 10})
-	path := filepath.Join(c.Dir(), k.Filename())
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := map[string][]byte{
-		"truncated":  orig[:len(orig)/2],
-		"empty":      {},
-		"garbage":    {0xde, 0xad, 0xbe, 0xef},
-		"bitflipped": flipByte(orig, len(orig)/2),
-		"badmagic":   flipByte(orig, 0),
-	}
-	for name, data := range cases {
+	c.StoreStats(ctx, k, &sim.Stats{Cycles: 999, BaseInstrs: 10})
+	path, orig := entryFile(t, c, k)
+	for name, data := range corruptions(orig) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.LoadStats(context.Background(), k); ok {
+		if _, ok := c.LoadStats(ctx, k); ok {
 			t.Errorf("%s entry served as a hit", name)
 		}
 	}
 
 	// After corruption, a store must repair the entry.
-	c.StoreStats(context.Background(), k, &sim.Stats{Cycles: 999, BaseInstrs: 10})
-	if got, ok := c.LoadStats(context.Background(), k); !ok || got.Cycles != 999 {
+	c.StoreStats(ctx, k, &sim.Stats{Cycles: 999, BaseInstrs: 10})
+	if got, ok := c.LoadStats(ctx, k); !ok || got.Cycles != 999 {
 		t.Error("store after corruption did not repair the entry")
+	}
+
+	bk := statsKey("ispy-build")
+	b := &core.Build{Prog: workload.Preset("tomcat").Prog, Plan: &core.Plan{MissesTotal: 9, CoalescedLineCounts: []int{2}}}
+	c.StoreBuild(ctx, bk, b)
+	bpath, borig := entryFile(t, c, bk)
+	for name, data := range corruptions(borig) {
+		if err := os.WriteFile(bpath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.LoadPlan(ctx, bk); ok {
+			t.Errorf("%s build entry served a plan", name)
+		}
+		if _, err := os.Stat(bpath); !os.IsNotExist(err) {
+			t.Errorf("%s build entry not evicted by LoadPlan (stat err=%v)", name, err)
+		}
+	}
+
+	var prog, plan bytes.Buffer
+	if err := traceio.WriteProgram(&prog, b.Prog); err != nil {
+		t.Fatal(err)
+	}
+	if err := traceio.WritePlan(&plan, b.Plan); err != nil {
+		t.Fatal(err)
+	}
+	stale := append([]byte(nil), prog.Bytes()...)
+	stale[5]++ // the traceio version is a one-byte varint after the 5-byte program magic
+	c.writeEntry(ctx, bk, [][]byte{stale, plan.Bytes()})
+	if c.readEntry(ctx, bk) == nil {
+		t.Fatal("the container rejected the stale-version entry; the case tests nothing")
+	}
+	if _, ok := c.LoadBuild(ctx, bk); ok {
+		t.Error("LoadBuild served a program of a stale traceio version")
+	}
+	if _, ok := c.LoadPlan(ctx, bk); ok {
+		t.Error("LoadPlan served the plan of a build whose program has a stale traceio version")
+	}
+}
+
+// entryFile returns the on-disk path and bytes of k's entry.
+func entryFile(t *testing.T, c *Cache, k *Key) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(c.Dir(), k.Filename())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// corruptions returns damaged variants of a valid entry, by name.
+func corruptions(orig []byte) map[string][]byte {
+	return map[string][]byte{
+		"truncated":  orig[:len(orig)/2],
+		"empty":      {},
+		"garbage":    {0xde, 0xad, 0xbe, 0xef},
+		"bitflipped": flipByte(orig, len(orig)/2),
+		"badmagic":   flipByte(orig, 0),
 	}
 }
 
@@ -234,6 +291,9 @@ func TestNilCacheIsBypass(t *testing.T) {
 		t.Error("nil cache hit")
 	}
 	if _, ok := c.LoadBuild(context.Background(), k); ok {
+		t.Error("nil cache hit")
+	}
+	if _, ok := c.LoadPlan(context.Background(), k); ok {
 		t.Error("nil cache hit")
 	}
 	if c.Enabled() || c.Dir() != "" {

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"ispy/internal/core"
+	"ispy/internal/traceio"
+	"ispy/internal/workload"
 )
 
 // cacheCfg is a tiny lab configuration pointed at dir.
@@ -56,6 +59,96 @@ func TestWarmCacheServesEveryArtifact(t *testing.T) {
 	}
 	if warm.Telemetry().Misses() != 0 {
 		t.Errorf("warm run recomputed %d artifacts", warm.Telemetry().Misses())
+	}
+}
+
+// TestWarmAnalyzePathOnlyReadsEntries: over a cache a cold lab filled, the
+// artifacts an analyze request reads (Base, ISPYPlan, ISPYStats) are three
+// hits that return the cold values without generating the workload or
+// decoding the injected program.
+func TestWarmAnalyzePathOnlyReadsEntries(t *testing.T) {
+	dir := t.TempDir()
+	cold := NewLab(cacheCfg(dir))
+	c := cold.App("tomcat")
+	base, plan, ispy := c.Base(), c.ISPYPlan(), c.ISPYStats()
+	if plan != c.ISPY().Plan {
+		t.Error("cold ISPYPlan is not ISPY().Plan")
+	}
+
+	warm := NewLab(cacheCfg(dir))
+	w := warm.App("tomcat")
+	if got := w.Base(); *got != *base {
+		t.Errorf("warm base = %+v, want %+v", got, base)
+	}
+	if got, want := planBytes(t, w.ISPYPlan()), planBytes(t, plan); !bytes.Equal(got, want) {
+		t.Error("warm plan differs from the cold plan")
+	}
+	if got := w.ISPYStats(); *got != *ispy {
+		t.Errorf("warm ISPY run = %+v, want %+v", got, ispy)
+	}
+	if h, m := warm.Telemetry().Hits(), warm.Telemetry().Misses(); h != 3 || m != 0 {
+		t.Errorf("warm analyze path: %d hits, %d misses; want 3 hits, 0 misses", h, m)
+	}
+	if _, ok := w.wl.peek(); ok {
+		t.Error("warm analyze path generated the workload")
+	}
+	if _, ok := w.ispyB.peek(); ok {
+		t.Error("warm analyze path decoded the build")
+	}
+
+	// A build already in memory serves the plan without a second read.
+	again := NewLab(cacheCfg(dir))
+	x := again.App("tomcat")
+	if x.ISPY().Plan != x.ISPYPlan() || again.Telemetry().Hits() != 1 {
+		t.Errorf("ISPYPlan after ISPY: %d hits, want the build's one", again.Telemetry().Hits())
+	}
+}
+
+func planBytes(t *testing.T, p *core.Plan) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := traceio.WritePlan(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestArtifactKeysPinned pins the file names of the entries an analyze
+// request looks up at QuickConfig, as the cache written by earlier releases
+// names them: anything that changes what a key folds turns every existing
+// cache into misses. Keys fold the preset's parameters with Generate's
+// defaults applied, exactly those of the generated workload.
+func TestArtifactKeysPinned(t *testing.T) {
+	l := NewLab(QuickConfig())
+	for app, want := range map[string][4]string{
+		"tomcat": {
+			"base-tomcat-bffd5b42a6c02c2a.art",
+			"profile-tomcat-fb1a5fa21e2619c5.art",
+			"ispy-build-tomcat-a2869806038446a2.art",
+			"ispy-run-tomcat-ff8c73a9c052e94b.art",
+		},
+		"verilator": {
+			"base-verilator-dc8dda28031746f0.art",
+			"profile-verilator-f49f9c7e21b6d0ff.art",
+			"ispy-build-verilator-2169e9d771237a54.art",
+			"ispy-run-verilator-0ecfa9873048203d.art",
+		},
+	} {
+		a := l.App(app)
+		got := [4]string{
+			a.simKey("base").Filename(),
+			a.simKey("profile").Filename(),
+			a.optKey("ispy-build").Filename(),
+			a.optKey("ispy-run").Filename(),
+		}
+		if got != want {
+			t.Errorf("%s keys = %q, want %q", app, got, want)
+		}
+	}
+	for _, name := range workload.AppNames {
+		if got, want := l.App(name).Params, workload.Preset(name).Params; got != want {
+			t.Errorf("%s: App folds %+v, the generated workload has %+v", name, got, want)
+		}
 	}
 }
 

@@ -21,8 +21,16 @@ import (
 // shares: the workload generation parameters and the profiled input.
 func (a *App) key(kind string) *artifacts.Key {
 	return artifacts.NewKey(kind, a.Name).
-		Params(a.W.Params).
-		Input(workload.DefaultInput(a.W))
+		Params(a.Params).
+		Input(workload.DefaultInputFor(a.Params))
+}
+
+// simKey is the key of an artifact of the headline simulator configuration.
+func (a *App) simKey(kind string) *artifacts.Key { return a.key(kind).SimConfig(a.SimCfg()) }
+
+// optKey is simKey for an artifact of the default analysis options.
+func (a *App) optKey(kind string) *artifacts.Key {
+	return a.simKey(kind).Options(core.DefaultOptions())
 }
 
 // cached is the one artifact lookup: bypass the cache when it is off, else
@@ -38,14 +46,19 @@ func cached[T any](l *Lab, k *artifacts.Key, load func(context.Context, *artifac
 		return timed(l, kind, compute)
 	}
 	if v, ok := load(l.ctx, k); ok {
-		l.tel.CacheHit(kind)
-		l.tel.Progressf("hit      %s", k.Filename())
+		l.hit(k)
 		return v
 	}
 	l.tel.CacheMiss(kind)
 	v := timed(l, kind, compute)
 	store(l.ctx, k, v)
 	return v
+}
+
+// hit records a cache hit for k.
+func (l *Lab) hit(k *artifacts.Key) {
+	l.tel.CacheHit(k.Kind())
+	l.tel.Progressf("hit      %s", k.Filename())
 }
 
 // stats loads the run statistics for k or computes (and stores) them.
@@ -152,6 +165,6 @@ func (a *App) AsmDBAt(threshold float64) (*core.Build, *sim.Stats) {
 // for the default I-SPY build run on drifted inputs); cfg and in are folded
 // in full, including any profile-derived prefetch mask.
 func (a *App) RunCachedInput(kind string, prog *isa.Program, cfg sim.Config, in workload.Input) *sim.Stats {
-	k := artifacts.NewKey(kind, a.Name).Params(a.W.Params).SimConfig(cfg).Input(in)
+	k := artifacts.NewKey(kind, a.Name).Params(a.Params).SimConfig(cfg).Input(in)
 	return a.lab.stats(k, func() *sim.Stats { return a.RunInput(prog, cfg, in) })
 }

@@ -193,8 +193,8 @@ func runFig14(l *Lab) *Result {
 	for _, a := range l.Apps() {
 		a := a
 		if err := l.Attempt(a.Name, "fig14", func() error {
-			x := a.AsmDB().StaticIncrease(a.W.Prog) * 100
-			y := a.ISPY().StaticIncrease(a.W.Prog) * 100
+			x := a.AsmDB().StaticIncrease(a.Workload().Prog) * 100
+			y := a.ISPY().StaticIncrease(a.Workload().Prog) * 100
 			ad = append(ad, x)
 			is = append(is, y)
 			t.AddRow(a.Name, fmtPct(x), fmtPct(y))
@@ -259,7 +259,7 @@ func runFig16(l *Lab) *Result {
 	g := l.Group()
 	for ai, name := range fig16Apps {
 		a := l.App(name)
-		inputs := workload.DriftedInputs(a.W, 5)
+		inputs := workload.DriftedInputs(a.Workload(), 5)
 		cells[ai] = make([]cell, len(inputs))
 		for ii, in := range inputs {
 			ai, ii, in, a := ai, ii, in, a
@@ -268,10 +268,10 @@ func runFig16(l *Lab) *Result {
 			g.Go(func(context.Context) error {
 				cells[ai][ii].err = l.Attempt(a.Name, "fig16/"+in.Name, func() error {
 					cfg := a.SimCfg()
-					base := a.RunCachedInput("drift-base", a.W.Prog, cfg, in)
+					base := a.RunCachedInput("drift-base", a.Workload().Prog, cfg, in)
 					idealCfg := cfg
 					idealCfg.Ideal = true
-					ideal := a.RunCachedInput("drift-ideal", a.W.Prog, idealCfg, in)
+					ideal := a.RunCachedInput("drift-ideal", a.Workload().Prog, idealCfg, in)
 					adb := a.RunCachedInput("drift-asmdb", a.AsmDB().Prog, asmdbRunCfg(cfg), in)
 					isp := a.RunCachedInput("drift-ispy", a.ISPY().Prog, cfg, in)
 					cells[ai][ii].pa = metrics.PctOfIdeal(base.Cycles, adb.Cycles, ideal.Cycles)

@@ -137,7 +137,7 @@ func runFig4(l *Lab) *Result {
 	for _, a := range l.Apps() {
 		a := a
 		if err := l.Attempt(a.Name, "fig4", func() error {
-			s := a.AsmDB().StaticIncrease(a.W.Prog) * 100
+			s := a.AsmDB().StaticIncrease(a.Workload().Prog) * 100
 			d := a.AsmDBStats().DynFootprintIncrease() * 100
 			stat = append(stat, s)
 			dyn = append(dyn, d)
@@ -173,11 +173,11 @@ func runFig5(l *Lab) *Result {
 		g.Go(func(context.Context) error {
 			rows[i].err = l.Attempt(a.Name, "fig5", func() error {
 				base := a.Base()
-				in := workload.DefaultInput(a.W)
+				in := workload.DefaultInputFor(a.Params)
 				// The two window configurations differ in their prefetch masks,
 				// which the cache key folds in full, so one kind covers both.
-				contig := a.RunCachedInput("hwpf-run", a.W.Prog, asmdb.ContiguousConfig(a.SimCfg(), 8), in)
-				noncon := a.RunCachedInput("hwpf-run", a.W.Prog, asmdb.NonContiguousConfig(a.SimCfg(), a.Profile(), 8), in)
+				contig := a.RunCachedInput("hwpf-run", a.Workload().Prog, asmdb.ContiguousConfig(a.SimCfg(), 8), in)
+				noncon := a.RunCachedInput("hwpf-run", a.Workload().Prog, asmdb.NonContiguousConfig(a.SimCfg(), a.Profile(), 8), in)
 				rows[i].contig = metrics.SpeedupPct(base.Cycles, contig.Cycles)
 				rows[i].noncon = metrics.SpeedupPct(base.Cycles, noncon.Cycles)
 				return nil

@@ -213,13 +213,13 @@ func runFig20(l *Lab) *Result {
 	distCounts := make(map[int]int)
 	lineCounts := make(map[int]int)
 	totalInstr := 0
-	l.ForEachApp("fig20/warm", func(a *App) error { a.ISPY(); return nil })
+	l.ForEachApp("fig20/warm", func(a *App) error { a.ISPYPlan(); return nil })
 	for _, a := range l.Apps() {
 		a := a
 		// A failed app is excluded from the aggregate histograms; the run
 		// report names it.
 		l.Attempt(a.Name, "fig20", func() error {
-			plan := a.ISPY().Plan
+			plan := a.ISPYPlan()
 			for _, d := range plan.CoalesceDistances {
 				distCounts[d]++
 			}
@@ -287,7 +287,7 @@ func runFig21(l *Lab) *Result {
 				opt.HashBits = bits
 				b, st := a.ISPYVariant(opt, a.SweepCfg())
 				cells[i].fp = st.CondFalsePositiveRate() * 100
-				cells[i].static = b.StaticIncrease(a.W.Prog) * 100
+				cells[i].static = b.StaticIncrease(a.Workload().Prog) * 100
 				return nil
 			})
 			return nil

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ispy/internal/artifacts"
@@ -295,6 +296,7 @@ func (l *Lab) faultHit(site string) {
 // records the same root cause in the run report.
 type memo[T any] struct {
 	once     sync.Once
+	done     atomic.Bool
 	v        T
 	panicked any
 }
@@ -308,6 +310,7 @@ func (m *memo[T]) get(f func() T) T {
 			}
 		}()
 		m.v = f()
+		m.done.Store(true)
 	})
 	if r := m.panicked; r != nil {
 		panic(r)
@@ -315,19 +318,34 @@ func (m *memo[T]) get(f func() T) T {
 	return m.v
 }
 
+// peek returns the value without evaluating anything: ok is false until an
+// evaluation has returned.
+func (m *memo[T]) peek() (v T, ok bool) {
+	if m.done.Load() {
+		return m.v, true
+	}
+	return v, false
+}
+
 // App bundles one application's memoized artifacts. All getters are safe for
 // concurrent use; independent artifacts compute concurrently.
 type App struct {
 	Name string
-	W    *workload.Workload
-	lab  *Lab
+	// Params are the app's generation parameters, defaults applied: all that
+	// artifact keys and simulator configurations need. The workload itself
+	// is generated on first use (Workload), so a lab whose lookups all hit
+	// never generates it.
+	Params workload.Params
+	lab    *Lab
 
+	wl        memo[*workload.Workload]
 	base      memo[*sim.Stats]
 	ideal     memo[*sim.Stats]
 	prof      memo[*profile.Profile]
 	asmdbB    memo[*core.Build]
 	asmdbStat memo[*sim.Stats]
 	ispyB     memo[*core.Build]
+	ispyPlan  memo[*core.Plan]
 	ispyStat  memo[*sim.Stats]
 	prepared  memo[*core.Prepared]
 }
@@ -338,7 +356,7 @@ func (l *Lab) App(name string) *App {
 	defer l.mu.Unlock()
 	a := l.apps[name]
 	if a == nil {
-		a = &App{Name: name, W: workload.Preset(name), lab: l}
+		a = &App{Name: name, Params: workload.PresetParams(name), lab: l}
 		l.apps[name] = a
 	}
 	return a
@@ -368,9 +386,16 @@ func (l *Lab) ForEachApp(stage string, f func(*App) error) {
 	l.wait(g, stage)
 }
 
+// Workload returns the app's generated workload, generating it on first use.
+// Only computations, the profile rebind and figures that read the program
+// need it.
+func (a *App) Workload() *workload.Workload {
+	return a.wl.get(func() *workload.Workload { return workload.Generate(a.Params) })
+}
+
 // SimCfg returns the headline simulator configuration for this app.
 func (a *App) SimCfg() sim.Config {
-	c := sim.Default().WithWorkloadCPI(a.W.Params.BackendCPI)
+	c := sim.Default().WithWorkloadCPI(a.Params.BackendCPI)
 	c.MaxInstrs = a.lab.Cfg.MeasureInstrs
 	c.WarmupInstrs = a.lab.Cfg.WarmupInstrs
 	return c
@@ -386,20 +411,19 @@ func (a *App) SweepCfg() sim.Config {
 
 // Run simulates prog under cfg with the app's default (profiled) input.
 func (a *App) Run(prog *isa.Program, cfg sim.Config) *sim.Stats {
-	return a.RunInput(prog, cfg, workload.DefaultInput(a.W))
+	return a.RunInput(prog, cfg, workload.DefaultInputFor(a.Params))
 }
 
 // RunInput simulates prog under cfg with an explicit input.
 func (a *App) RunInput(prog *isa.Program, cfg sim.Config, in workload.Input) *sim.Stats {
-	return sim.Run(prog, workload.NewExecutor(a.W, in), cfg, nil)
+	return sim.Run(prog, workload.NewExecutor(a.Workload(), in), cfg, nil)
 }
 
 // Base returns the no-prefetching baseline run.
 func (a *App) Base() *sim.Stats {
 	return a.base.get(func() *sim.Stats {
-		cfg := a.SimCfg()
-		return a.lab.stats(a.key("base").SimConfig(cfg), func() *sim.Stats {
-			return a.Run(a.W.Prog, cfg)
+		return a.lab.stats(a.simKey("base"), func() *sim.Stats {
+			return a.Run(a.Workload().Prog, a.SimCfg())
 		})
 	})
 }
@@ -410,7 +434,7 @@ func (a *App) Ideal() *sim.Stats {
 		cfg := a.SimCfg()
 		cfg.Ideal = true
 		return a.lab.stats(a.key("ideal").SimConfig(cfg), func() *sim.Stats {
-			return a.Run(a.W.Prog, cfg)
+			return a.Run(a.Workload().Prog, cfg)
 		})
 	})
 }
@@ -418,14 +442,13 @@ func (a *App) Ideal() *sim.Stats {
 // Profile returns the baseline profiling pass.
 func (a *App) Profile() *profile.Profile {
 	return a.prof.get(func() *profile.Profile {
-		cfg := a.SimCfg()
-		in := workload.DefaultInput(a.W)
+		in := workload.DefaultInputFor(a.Params)
 		// A cached profile is rebound to the live workload and input.
 		load := func(ctx context.Context, k *artifacts.Key) (*profile.Profile, bool) {
-			return a.lab.cache.LoadProfile(ctx, k, a.W, in)
+			return a.lab.cache.LoadProfile(ctx, k, a.Workload(), in)
 		}
-		return cached(a.lab, a.key("profile").SimConfig(cfg), load, a.lab.cache.StoreProfile, func() *profile.Profile {
-			return profile.Collect(a.W, in, cfg)
+		return cached(a.lab, a.simKey("profile"), load, a.lab.cache.StoreProfile, func() *profile.Profile {
+			return profile.Collect(a.Workload(), in, a.SimCfg())
 		})
 	})
 }
@@ -433,8 +456,7 @@ func (a *App) Profile() *profile.Profile {
 // AsmDB returns the AsmDB build at its default threshold.
 func (a *App) AsmDB() *core.Build {
 	return a.asmdbB.get(func() *core.Build {
-		k := a.key("asmdb-build").SimConfig(a.SimCfg()).Options(core.DefaultOptions())
-		return a.lab.build(k, func() *core.Build {
+		return a.lab.build(a.optKey("asmdb-build"), func() *core.Build {
 			return asmdb.BuildDefault(a.Profile(), core.DefaultOptions())
 		})
 	})
@@ -445,8 +467,7 @@ func (a *App) AsmDB() *core.Build {
 func (a *App) AsmDBStats() *sim.Stats {
 	return a.asmdbStat.get(func() *sim.Stats {
 		runCfg := asmdb.RunConfig(a.SimCfg())
-		k := a.key("asmdb-run").SimConfig(a.SimCfg()).Options(core.DefaultOptions()).SimConfig(runCfg)
-		return a.lab.stats(k, func() *sim.Stats {
+		return a.lab.stats(a.optKey("asmdb-run").SimConfig(runCfg), func() *sim.Stats {
 			return a.Run(a.AsmDB().Prog, runCfg)
 		})
 	})
@@ -467,20 +488,35 @@ func (a *App) Prepared() *core.Prepared {
 // ISPY returns the full I-SPY build at default options.
 func (a *App) ISPY() *core.Build {
 	return a.ispyB.get(func() *core.Build {
-		k := a.key("ispy-build").SimConfig(a.SimCfg()).Options(core.DefaultOptions())
-		return a.lab.build(k, func() *core.Build {
+		return a.lab.build(a.optKey("ispy-build"), func() *core.Build {
 			return core.BuildFromPrepared(a.Profile(), a.Prepared(), core.DefaultOptions())
 		})
+	})
+}
+
+// ISPYPlan returns the default I-SPY build's plan, for consumers that read
+// nothing else. A build already in memory is reused; otherwise a cache hit
+// decodes only the entry's plan section, never the injected program. Every
+// other case is ISPY().Plan.
+func (a *App) ISPYPlan() *core.Plan {
+	return a.ispyPlan.get(func() *core.Plan {
+		if b, ok := a.ispyB.peek(); ok {
+			return b.Plan
+		}
+		k := a.optKey("ispy-build")
+		if p, ok := a.lab.cache.LoadPlan(a.lab.ctx, k); ok {
+			a.lab.hit(k)
+			return p
+		}
+		return a.ISPY().Plan
 	})
 }
 
 // ISPYStats returns the I-SPY evaluation run.
 func (a *App) ISPYStats() *sim.Stats {
 	return a.ispyStat.get(func() *sim.Stats {
-		cfg := a.SimCfg()
-		k := a.key("ispy-run").SimConfig(cfg).Options(core.DefaultOptions())
-		return a.lab.stats(k, func() *sim.Stats {
-			return a.Run(a.ISPY().Prog, cfg)
+		return a.lab.stats(a.optKey("ispy-run"), func() *sim.Stats {
+			return a.Run(a.ISPY().Prog, a.SimCfg())
 		})
 	})
 }

@@ -10,6 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ispy/internal/core"
+	"ispy/internal/workload"
 )
 
 // ok wraps an errorless task body in the pool's task signature.
@@ -263,10 +266,13 @@ func TestLabConcurrentGetters(t *testing.T) {
 	})
 	a := l.App("tomcat")
 	var wg sync.WaitGroup
+	workloads := make([]*workload.Workload, 16)
+	plans := make([]*core.Plan, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			workloads[i], plans[i] = a.Workload(), a.ISPYPlan()
 			if a.Base() != a.Base() || a.Ideal() != a.Ideal() {
 				t.Error("base/ideal not memoized under concurrency")
 			}
@@ -281,6 +287,14 @@ func TestLabConcurrentGetters(t *testing.T) {
 	// Pool-submitted work races against the direct getters above.
 	l.Warm()
 	wg.Wait()
+	for i := range workloads {
+		if workloads[i] != workloads[0] || plans[i] != plans[0] {
+			t.Fatalf("goroutine %d got a different workload or plan than goroutine 0", i)
+		}
+	}
+	if plans[0] != a.ISPY().Plan {
+		t.Error("cache-less ISPYPlan is not ISPY().Plan")
+	}
 	if l.Telemetry().Bypasses() == 0 {
 		t.Error("cache-less lab recorded no bypasses")
 	}

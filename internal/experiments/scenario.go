@@ -99,7 +99,7 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 	apps := spec.Apps()
 	for _, name := range apps {
 		a := l.App(name)
-		ispyKey = ispyKey.Str(name).Params(a.W.Params).Input(workload.DefaultInput(a.W)).
+		ispyKey = ispyKey.Str(name).Params(a.Params).Input(workload.DefaultInputFor(a.Params)).
 			SimConfig(a.SimCfg()).Options(core.DefaultOptions())
 	}
 	ispy := l.scenario(ispyKey, func() artifacts.ScenarioRun {

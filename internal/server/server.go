@@ -166,9 +166,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Requests returns the per-request telemetry counters.
 func (s *Server) Requests() *metrics.Requests { return s.reqs }
 
-// Breaker returns the artifact-layer circuit breaker (for tests and soak).
-func (s *Server) Breaker() *resilience.Breaker { return s.breaker }
-
 // Serve serves s on l until ctx is cancelled, then drains: readiness flips,
 // the listener closes, and in-flight requests get drainTimeout to finish.
 // A clean drain returns nil.
@@ -219,7 +216,9 @@ func (s *Server) labConfig(apps []string, instrs uint64) experiments.Config {
 }
 
 // analyzeApp runs the full pipeline (baseline run, I-SPY analysis +
-// coalescing + injection, evaluation run) for one app under ctx.
+// coalescing + injection, evaluation run) for one app under ctx. The
+// response reads only the build's plan, so a warm request is three cache
+// entry reads that never decode the injected program.
 func (s *Server) analyzeApp(ctx context.Context, app string, instrs uint64) (*AnalyzeResponse, error) {
 	if err := knownApp(app); err != nil {
 		return nil, err
@@ -227,8 +226,8 @@ func (s *Server) analyzeApp(ctx context.Context, app string, instrs uint64) (*An
 	lcfg := s.labConfig([]string{app}, instrs)
 	return s.analyze(ctx, lcfg, "serve/"+app, func(lab *experiments.Lab) (*AnalyzeResponse, error) {
 		a := lab.App(app)
-		base, build, ispy := a.Base(), a.ISPY(), a.ISPYStats()
-		return newAnalyzeResponse(app, lcfg.MeasureInstrs, base, ispy, build.Plan), nil
+		base, plan, ispy := a.Base(), a.ISPYPlan(), a.ISPYStats()
+		return newAnalyzeResponse(app, lcfg.MeasureInstrs, base, ispy, plan), nil
 	})
 }
 

@@ -248,7 +248,7 @@ func TestAnalyzeDeadline(t *testing.T) {
 	if w := analyze(t, s, `{"app":"wordpress"}`); w.Code != http.StatusOK {
 		t.Fatalf("analyze after timeout = %d: %s", w.Code, w.Body)
 	}
-	if trips := s.Breaker().Trips(); trips != 0 {
+	if trips := s.breaker.Trips(); trips != 0 {
 		t.Errorf("breaker tripped %d time(s) from deadline abandonment alone", trips)
 	}
 }
@@ -326,7 +326,7 @@ func TestBreakerDegradesToCacheBypass(t *testing.T) {
 	if w1.Code != http.StatusOK {
 		t.Fatalf("tripping analyze = %d: %s", w1.Code, w1.Body)
 	}
-	if got := s.Breaker().State().String(); got != "open" {
+	if got := s.breaker.State().String(); got != "open" {
 		t.Fatalf("breaker state = %s after sustained artifact failures", got)
 	}
 	// Second request must bypass the cache entirely and still serve the

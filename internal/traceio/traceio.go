@@ -197,14 +197,28 @@ func writeProgramBody(e *writer, p *isa.Program) {
 	}
 }
 
+// header reads a stream's magic and version and fails unless they are
+// magic and this package's version.
+func (d *reader) header(magic uint64, what string) error {
+	if m := d.uvarint(); d.err == nil && m != magic {
+		return fmt.Errorf("traceio: bad %s magic %#x", what, m)
+	}
+	if v := d.uvarint(); d.err == nil && v != version {
+		return fmt.Errorf("traceio: unsupported %s version %d", what, v)
+	}
+	return d.err
+}
+
+// ReadProgramHeader checks a program stream's magic and version and reads
+// nothing past them: the staleness check for a reader that skips the
+// program itself.
+func ReadProgramHeader(r io.Reader) error { return newReader(r).header(programMagic, "program") }
+
 // ReadProgram deserializes a program and lays it out.
 func ReadProgram(r io.Reader) (*isa.Program, error) {
 	d := newReader(r)
-	if m := d.uvarint(); d.err == nil && m != programMagic {
-		return nil, fmt.Errorf("traceio: bad program magic %#x", m)
-	}
-	if v := d.uvarint(); d.err == nil && v != version {
-		return nil, fmt.Errorf("traceio: unsupported program version %d", v)
+	if err := d.header(programMagic, "program"); err != nil {
+		return nil, err
 	}
 	p := readProgramBody(d)
 	if d.err != nil {
@@ -370,11 +384,8 @@ func WriteProfile(w io.Writer, pd *ProfileData) error {
 // ReadProfile deserializes a profile.
 func ReadProfile(r io.Reader) (*ProfileData, error) {
 	d := newReader(r)
-	if m := d.uvarint(); d.err == nil && m != profileMagic {
-		return nil, fmt.Errorf("traceio: bad profile magic %#x", m)
-	}
-	if v := d.uvarint(); d.err == nil && v != version {
-		return nil, fmt.Errorf("traceio: unsupported profile version %d", v)
+	if err := d.header(profileMagic, "profile"); err != nil {
+		return nil, err
 	}
 	pd := &ProfileData{
 		WorkloadName: d.str(),
@@ -484,11 +495,8 @@ func WriteStats(w io.Writer, s *sim.Stats) error {
 // ReadStats deserializes statistics written by WriteStats.
 func ReadStats(r io.Reader) (*sim.Stats, error) {
 	d := newReader(r)
-	if m := d.uvarint(); d.err == nil && m != statsMagic {
-		return nil, fmt.Errorf("traceio: bad stats magic %#x", m)
-	}
-	if v := d.uvarint(); d.err == nil && v != version {
-		return nil, fmt.Errorf("traceio: unsupported stats version %d", v)
+	if err := d.header(statsMagic, "stats"); err != nil {
+		return nil, err
 	}
 	s := &sim.Stats{
 		Instrs:              d.uvarint(),

@@ -22,8 +22,13 @@ type Input struct {
 }
 
 // DefaultInput returns the input the profiling run uses.
-func DefaultInput(w *Workload) Input {
-	return Input{Name: "profiled", Seed: w.Params.Seed ^ 0xdeadbeefcafe}
+func DefaultInput(w *Workload) Input { return DefaultInputFor(w.Params) }
+
+// DefaultInputFor is DefaultInput for the workload Generate(p) returns,
+// without generating it.
+func DefaultInputFor(p Params) Input {
+	p.setDefaults()
+	return Input{Name: "profiled", Seed: p.Seed ^ 0xdeadbeefcafe}
 }
 
 // DriftedInputs returns n test inputs that progressively diverge from the

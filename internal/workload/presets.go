@@ -27,10 +27,11 @@ var AppNames = []string{
 	"wordpress",
 }
 
-// PresetParams returns the generation parameters for a named application.
-// It panics on unknown names (programming error; use AppNames). Callers
-// handling externally supplied names — scenario specs, CLI flags, HTTP
-// request bodies — must use LookupParams instead.
+// PresetParams returns the generation parameters for a named application,
+// with Generate's defaults applied: exactly the Params of the workload
+// Preset(name) generates. It panics on unknown names (programming error; use
+// AppNames). Callers handling externally supplied names — scenario specs,
+// CLI flags, HTTP request bodies — must use LookupParams instead.
 func PresetParams(name string) Params {
 	p, err := LookupParams(name)
 	if err != nil {
@@ -40,14 +41,16 @@ func PresetParams(name string) Params {
 }
 
 // LookupParams returns the generation parameters for a named application,
-// or an error naming the valid presets when the name is unknown. This is
-// the boundary-safe variant of PresetParams for untrusted input.
+// defaults applied as in PresetParams, or an error naming the valid presets
+// when the name is unknown. This is the boundary-safe variant of
+// PresetParams for untrusted input.
 func LookupParams(name string) (Params, error) {
 	p, ok := presets[name]
 	if !ok {
 		return Params{}, fmt.Errorf("workload: unknown app preset %q (valid: %s)",
 			name, strings.Join(AppNames, ", "))
 	}
+	p.setDefaults()
 	return p, nil
 }
 

@@ -227,7 +227,8 @@ type Params struct {
 }
 
 // setDefaults fills zero fields with sane values so tests can build partial
-// Params.
+// Params. It is idempotent: Generate applies it to parameters LookupParams
+// already defaulted.
 func (p *Params) setDefaults() {
 	def := func(v *int, d int) {
 		if *v == 0 {
