@@ -11,8 +11,10 @@ fmtcheck:
 		echo "gofmt -l flagged:"; echo "$$unformatted"; exit 1; fi
 	@echo "fmtcheck: ok"
 
+# bench/ is its own module, so the root `go vet ./...` never enters it.
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # The repo's own determinism & invariant analyzer (see DESIGN.md §10).
 # Strict mode: stale waivers fail the gate. The -json invocation is a

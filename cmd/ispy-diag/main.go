@@ -14,12 +14,10 @@ import (
 	"os"
 	"time"
 
-	"ispy/internal/asmdb"
-	"ispy/internal/core"
+	"ispy/internal/experiments"
 	"ispy/internal/isa"
-	"ispy/internal/profile"
+	"ispy/internal/metrics"
 	"ispy/internal/sim"
-	"ispy/internal/workload"
 )
 
 func main() {
@@ -29,59 +27,40 @@ func main() {
 		cmd = args[0]
 		args = args[1:]
 	}
-	apps := workload.AppNames
-	if len(args) > 0 {
-		apps = args
-	}
-	run := map[string]func(string){"compare": compare, "residual": residual}[cmd]
-	for _, name := range apps {
-		if _, err := workload.LookupParams(name); err != nil {
-			fmt.Fprintf(os.Stderr, "ispy-diag: %v\n", err)
-			run = nil
-			break
-		}
+	run := map[string]func(*experiments.App){"compare": compare, "residual": residual}[cmd]
+	// The lab at its default budget (no apps named means all nine) computes
+	// every artifact exactly as the harness does.
+	lab := experiments.NewLab(experiments.Config{Apps: args})
+	if err := lab.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "ispy-diag: %v\n", err)
+		run = nil
 	}
 	if run == nil {
 		fmt.Fprintf(os.Stderr, "usage: ispy-diag {compare|residual} [app...]\n")
 		os.Exit(2)
 	}
-	for _, name := range apps {
-		run(name)
+	for _, a := range lab.Apps() {
+		run(a)
 	}
 }
 
-func runProg(w *workload.Workload, prog *isa.Program, cfg sim.Config) *sim.Stats {
-	return sim.Run(prog, workload.NewExecutor(w, workload.DefaultInput(w)), cfg, nil)
-}
-
-func compare(name string) {
-	w := workload.Preset(name)
-	cfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
-
+func compare(a *experiments.App) {
 	t0 := time.Now()
-	base := runProg(w, w.Prog, cfg)
-	idealCfg := cfg
-	idealCfg.Ideal = true
-	ideal := runProg(w, w.Prog, idealCfg)
+	base, ideal := a.Base(), a.Ideal()
+	adb, adbStats := a.AsmDB(), a.AsmDBStats()
+	ispy, ispyStats := a.ISPY(), a.ISPYStats()
+	prog := a.Workload().Prog
 
-	prof := profile.Collect(w, workload.DefaultInput(w), cfg)
-	adb := asmdb.BuildDefault(prof, core.DefaultOptions())
-	adbStats := runProg(w, adb.Prog, asmdb.RunConfig(cfg))
-	ispy := core.BuildISPY(prof, cfg, core.DefaultOptions())
-	ispyStats := runProg(w, ispy.Prog, cfg)
-
-	sp := func(s *sim.Stats) float64 { return (float64(base.Cycles)/float64(s.Cycles) - 1) * 100 }
-	pctIdeal := func(s *sim.Stats) float64 {
-		return (float64(base.Cycles)/float64(s.Cycles) - 1) / (float64(base.Cycles)/float64(ideal.Cycles) - 1) * 100
-	}
+	sp := func(s *sim.Stats) float64 { return metrics.SpeedupPct(base.Cycles, s.Cycles) }
+	pctIdeal := func(s *sim.Stats) float64 { return metrics.PctOfIdeal(base.Cycles, s.Cycles, ideal.Cycles) }
 	kc := ispy.Plan.KindCounts()
 	fmt.Printf("%-16s ideal=%5.1f%% asmdb=%5.1f%%(%4.0f%%id acc=%4.1f%% dyn=%4.1f%% mpki=%5.2f) ispy=%5.1f%%(%4.0f%%id acc=%4.1f%% dyn=%4.1f%% mpki=%5.2f fp=%4.1f%%) baseMPKI=%5.2f kinds=[P%d C%d L%d CL%d] stat=%.1f%%/%.1f%% [%.1fs]\n",
-		name, sp(ideal),
+		a.Name, sp(ideal),
 		sp(adbStats), pctIdeal(adbStats), adbStats.PrefetchAccuracy()*100, adbStats.DynFootprintIncrease()*100, adbStats.MPKI(),
 		sp(ispyStats), pctIdeal(ispyStats), ispyStats.PrefetchAccuracy()*100, ispyStats.DynFootprintIncrease()*100, ispyStats.MPKI(),
 		ispyStats.CondFalsePositiveRate()*100,
 		base.MPKI(),
 		kc[isa.KindPrefetch], kc[isa.KindCprefetch], kc[isa.KindLprefetch], kc[isa.KindCLprefetch],
-		adb.StaticIncrease(w.Prog)*100, ispy.StaticIncrease(w.Prog)*100,
+		adb.StaticIncrease(prog)*100, ispy.StaticIncrease(prog)*100,
 		time.Since(t0).Seconds())
 }

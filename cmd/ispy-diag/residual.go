@@ -10,19 +10,15 @@ import (
 	"strings"
 
 	"ispy/internal/cfg"
-	"ispy/internal/core"
+	"ispy/internal/experiments"
 	"ispy/internal/lbr"
-	"ispy/internal/profile"
 	"ispy/internal/sim"
 	"ispy/internal/workload"
 )
 
-func residual(name string) {
-	w := workload.Preset(name)
-	scfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
-	prof := profile.Collect(w, workload.DefaultInput(w), scfg)
-	ispy := core.BuildISPY(prof, scfg, core.DefaultOptions())
-	fmt.Printf("%s: hash density %.3f\n", name, prof.AvgHashDensity)
+func residual(a *experiments.App) {
+	w, prof, ispy := a.Workload(), a.Profile(), a.ISPY()
+	fmt.Printf("%s: hash density %.3f\n", a.Name, prof.AvgHashDensity)
 
 	planned := make(map[cfg.LineKey]bool)
 	for _, pf := range ispy.Plan.Prefetches {
@@ -67,7 +63,7 @@ func residual(name string) {
 		}
 		byCat[status+"/"+cat(funcName(block))]++
 	}}
-	st := sim.Run(ispy.Prog, workload.NewExecutor(w, workload.DefaultInput(w)), scfg, hooks)
+	st := sim.Run(ispy.Prog, workload.NewExecutor(w, prof.Input), a.SimCfg(), hooks)
 
 	fmt.Printf("  residual misses=%d mpki=%.2f (suppressed=%d lateWaits=%d condFired=%d/%d)\n",
 		total, st.MPKI(), st.CondSuppressed, st.LateWaits, st.CondFired, st.CondExecuted)

@@ -46,7 +46,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -58,9 +57,6 @@ import (
 	"ispy/internal/traffic"
 	"ispy/internal/workload"
 )
-
-// simStats aliases the simulator statistics for the sweep helper.
-type simStats = sim.Stats
 
 // Exit codes (documented in the package comment and README).
 const (
@@ -364,123 +360,63 @@ func runExperiments(lab *experiments.Lab, ids []string, stdout, stderr io.Writer
 	return exitOK
 }
 
-// sweepAcc accumulates one sweep setting's mean from concurrent pool tasks.
-// Apps without ideal headroom (idealGain ≤ 0) are excluded from the mean and
-// counted so the denominator reflects only accumulated apps; failed points
-// land in the run report and are likewise excluded.
-type sweepAcc struct {
-	mu      sync.Mutex
-	sum     float64
-	n       int
-	skipped int
-	failed  int
-}
-
-// runSweep exposes the sensitivity knobs generically: it reuses each app's
-// cached analysis intermediates and prints the mean %-of-ideal per setting.
-// Every (setting, app) point is one task on the lab's shared worker pool; a
-// failing point degrades to a smaller mean, not an aborted sweep.
+// runSweep exposes the sensitivity knobs generically through the figures'
+// sweep grid: it reuses each app's cached analysis intermediates and prints
+// the mean %-of-ideal per setting. A failing point degrades to a smaller
+// mean, not an aborted sweep.
 func runSweep(lab *experiments.Lab, knob string, stdout, stderr io.Writer) int {
-	type setting struct {
-		label string
-		opt   func() core.Options
-		fresh bool // window knobs invalidate the cached contexts
+	var labels []string
+	var sets []func(*core.Options)
+	add := func(label string, set func(*core.Options)) {
+		labels = append(labels, label)
+		sets = append(sets, set)
 	}
-	mk := func(f func(*core.Options)) func() core.Options {
-		return func() core.Options {
-			o := core.DefaultOptions()
-			f(&o)
-			return o
-		}
-	}
-	var settings []setting
+	fresh := false // window knobs invalidate the cached contexts
 	switch knob {
 	case "preds":
 		for _, k := range []int{1, 2, 4, 8, 16, 32} {
-			k := k
-			settings = append(settings, setting{fmt.Sprintf("preds=%d", k), mk(func(o *core.Options) { o.MaxPreds = k }), false})
+			add(fmt.Sprintf("preds=%d", k), func(o *core.Options) { o.MaxPreds = k })
 		}
 	case "coalesce":
 		for _, b := range []int{1, 2, 4, 8, 16, 32, 64} {
-			b := b
-			settings = append(settings, setting{fmt.Sprintf("bits=%d", b), mk(func(o *core.Options) { o.CoalesceBits = b }), false})
+			add(fmt.Sprintf("bits=%d", b), func(o *core.Options) { o.CoalesceBits = b })
 		}
 	case "hash":
 		for _, b := range []int{4, 8, 16, 32, 64} {
-			b := b
-			settings = append(settings, setting{fmt.Sprintf("hash=%d", b), mk(func(o *core.Options) { o.HashBits = b }), false})
+			add(fmt.Sprintf("hash=%d", b), func(o *core.Options) { o.HashBits = b })
 		}
 	case "mindist":
 		for _, d := range []uint64{5, 10, 20, 27, 50, 100} {
-			d := d
-			settings = append(settings, setting{fmt.Sprintf("min=%d", d), mk(func(o *core.Options) { o.MinDistCycles = d }), true})
+			add(fmt.Sprintf("min=%d", d), func(o *core.Options) { o.MinDistCycles = d })
 		}
+		fresh = true
 	case "maxdist":
 		for _, d := range []uint64{50, 100, 200, 300, 400} {
-			d := d
-			settings = append(settings, setting{fmt.Sprintf("max=%d", d), mk(func(o *core.Options) { o.MaxDistCycles = d }), true})
+			add(fmt.Sprintf("max=%d", d), func(o *core.Options) { o.MaxDistCycles = d })
 		}
+		fresh = true
 	default:
 		fmt.Fprintf(stderr, "ispy sweep: unknown knob %q\n", knob)
 		return exitUsage
 	}
-	accs := make([]sweepAcc, len(settings))
-	g := lab.Group()
-	for si, s := range settings {
-		si, s := si, s
-		for _, name := range lab.Cfg.Apps {
-			a := lab.App(name)
-			g.Go(func(context.Context) error {
-				acc := &accs[si]
-				err := lab.Attempt(a.Name, "sweep/"+s.label, func() error {
-					base, ideal := a.Base(), a.Ideal()
-					var st *simStats
-					if s.fresh {
-						st = a.FreshVariantStats(s.opt(), a.SweepCfg(), a.SweepCfg())
-					} else {
-						st = a.ISPYVariantStats(s.opt(), a.SweepCfg())
-					}
-					idealGain := float64(base.Cycles)/float64(ideal.Cycles) - 1
-					scale := float64(st.BaseInstrs) / float64(base.BaseInstrs)
-					gain := float64(base.Cycles)*scale/float64(st.Cycles) - 1
-					acc.mu.Lock()
-					if idealGain > 0 {
-						acc.sum += gain / idealGain * 100
-						acc.n++
-					} else {
-						acc.skipped++
-					}
-					acc.mu.Unlock()
-					return nil
-				})
-				if err != nil {
-					acc.mu.Lock()
-					acc.failed++
-					acc.mu.Unlock()
-				}
-				return nil
-			})
+	means := lab.SweepGrid("sweep", labels, func(a *experiments.App, i int) *sim.Stats {
+		opt := core.DefaultOptions()
+		sets[i](&opt)
+		if fresh {
+			return a.FreshVariantStats(opt, a.SweepCfg())
 		}
-	}
-	lab.Report().RecordWait("sweep/"+knob, g.Wait())
-	for si, s := range settings {
-		acc := &accs[si]
-		if acc.n == 0 {
-			reason := "no app has ideal headroom"
-			if acc.failed > 0 {
-				reason = "every app failed or was skipped"
-			}
-			fmt.Fprintf(stdout, "%-12s    n/a (%s)\n", s.label, reason)
+		return a.ISPYVariantStats(opt, a.SweepCfg())
+	})
+	for i, m := range means {
+		if m.Ran == 0 {
+			fmt.Fprintf(stdout, "%-12s    n/a (every app failed or was skipped)\n", labels[i])
 			continue
 		}
 		note := ""
-		if acc.skipped > 0 {
-			note += fmt.Sprintf("; %d skipped (no ideal headroom)", acc.skipped)
+		if missed := len(lab.Cfg.Apps) - m.Ran; missed > 0 {
+			note = fmt.Sprintf("; %d failed or skipped", missed)
 		}
-		if acc.failed > 0 {
-			note += fmt.Sprintf("; %d failed", acc.failed)
-		}
-		fmt.Fprintf(stdout, "%-12s %6.1f%% of ideal (mean over %d apps%s)\n", s.label, acc.sum/float64(acc.n), acc.n, note)
+		fmt.Fprintf(stdout, "%-12s %6.1f%% of ideal (mean over %d apps%s)\n", labels[i], m.PctOfIdeal, m.Ran, note)
 	}
 	return exitOK
 }

@@ -174,10 +174,10 @@ func TestTimeoutExitsPartial(t *testing.T) {
 }
 
 // TestTimeoutSweepStillPrintsSettings: a cancelled sweep must render every
-// setting line (as n/a) rather than truncating the table.
+// setting line (as n/a, naming why) rather than truncating the table.
 func TestTimeoutSweepStillPrintsSettings(t *testing.T) {
 	code, stdout, _ := runCLI(t,
-		"-apps", "tomcat", "-instrs", "120000", "-timeout", "1ns", "sweep", "preds")
+		"-apps", "tomcat,wordpress", "-instrs", "120000", "-timeout", "1ns", "sweep", "preds")
 	if code != exitPartial {
 		t.Fatalf("code = %d, want %d", code, exitPartial)
 	}
@@ -186,8 +186,23 @@ func TestTimeoutSweepStillPrintsSettings(t *testing.T) {
 			t.Errorf("sweep output missing %s:\n%s", label, stdout)
 		}
 	}
-	if !strings.Contains(stdout, "n/a") {
-		t.Errorf("cancelled sweep rows not marked n/a:\n%s", stdout)
+	const reason = "n/a (every app failed or was skipped)"
+	if n := strings.Count(stdout, reason); n != 6 {
+		t.Errorf("%d of 6 cancelled sweep rows read %q:\n%s", n, reason, stdout)
+	}
+}
+
+// TestSweepNotesFailedApps: a point some apps failed keeps the mean of the
+// others and says how many did not count.
+func TestSweepNotesFailedApps(t *testing.T) {
+	code, stdout, _ := runCLI(t, "-apps", "tomcat,wordpress", "-instrs", "120000",
+		"-faults", "compute/ispy-variant-run/tomcat=panic", "sweep", "hash")
+	if code != exitPartial {
+		t.Fatalf("code = %d, want %d", code, exitPartial)
+	}
+	const note = "of ideal (mean over 1 apps; 1 failed or skipped)"
+	if n := strings.Count(stdout, note); n != 5 {
+		t.Errorf("%d of 5 rows carry %q:\n%s", n, note, stdout)
 	}
 }
 

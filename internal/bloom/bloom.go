@@ -90,13 +90,3 @@ func (f *Filter) Reset() {
 	}
 	f.setBits = 0
 }
-
-// Clone returns an independent copy of the filter.
-func (f *Filter) Clone() *Filter {
-	g := &Filter{nbits: f.nbits, counters: append([]uint8(nil), f.counters...), setBits: f.setBits}
-	return g
-}
-
-// StateBits returns the total state the hardware must keep for this filter,
-// in bits (the paper reports 96 bits for the 16-bit default).
-func (f *Filter) StateBits() int { return f.nbits * CounterBits }

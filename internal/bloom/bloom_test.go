@@ -139,21 +139,6 @@ func TestCounterExactness(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	f := New(16)
-	f.Add(0x400000)
-	g := f.Clone()
-	g.Add(0x400040)
-	if f.RuntimeHash() == g.RuntimeHash() &&
-		hashx.BlockBitIndex(0x400040, 16) != hashx.BlockBitIndex(0x400000, 16) {
-		t.Error("mutating clone affected original")
-	}
-	g.Remove(0x400000)
-	if !f.Subset(hashx.BlockBits(0x400000, 16)) {
-		t.Error("original lost its block after clone mutation")
-	}
-}
-
 func TestReset(t *testing.T) {
 	f := New(16)
 	for i := 0; i < 10; i++ {
@@ -167,13 +152,6 @@ func TestReset(t *testing.T) {
 		if f.Counter(i) != 0 {
 			t.Errorf("Reset left counter %d at %d", i, f.Counter(i))
 		}
-	}
-}
-
-func TestStateBits(t *testing.T) {
-	// The paper's configuration: 16 bits × 6-bit counters = 96 bits.
-	if got := New(16).StateBits(); got != 96 {
-		t.Errorf("StateBits() = %d, want 96", got)
 	}
 }
 

@@ -176,17 +176,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("idle miss rate should be 0")
-	}
-	s.Accesses, s.Misses = 10, 3
-	if s.MissRate() != 0.3 {
-		t.Errorf("MissRate = %v", s.MissRate())
-	}
-}
-
 func TestContainsDoesNotDisturbState(t *testing.T) {
 	c := New(tiny())
 	c.Insert(0*64, 0, 0, false)

@@ -64,14 +64,6 @@ type Stats struct {
 	PrefetchRedundant uint64
 }
 
-// MissRate returns Misses/Accesses (0 when idle).
-func (s *Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // LookupResult describes the outcome of a demand lookup.
 type LookupResult struct {
 	// Hit is true when the line is resident (possibly still in flight).

@@ -7,6 +7,7 @@ import (
 	"ispy/internal/cfg"
 	"ispy/internal/isa"
 	"ispy/internal/profile"
+	"ispy/internal/rng"
 	"ispy/internal/sim"
 )
 
@@ -126,51 +127,6 @@ func AdjustDensity(measured float64, fromBits, toBits int) float64 {
 		return measured
 	}
 	// d = ln(1-measured) / ln(1-1/from)
-	d := lnf(1-measured) / lnf(1-1/float64(fromBits))
-	return 1 - expf(d*lnf(1-1/float64(toBits)))
-}
-
-func lnf(x float64) float64 {
-	k := 0
-	for x >= 2 {
-		x /= 2
-		k++
-	}
-	for x < 0.5 {
-		x *= 2
-		k--
-	}
-	const ln2 = 0.6931471805599453
-	y := (x - 1) / (x + 1)
-	y2 := y * y
-	term, sum := y, 0.0
-	for i := 1; i < 60; i += 2 {
-		sum += term / float64(i)
-		term *= y2
-	}
-	return 2*sum + float64(k)*ln2
-}
-
-func expf(x float64) float64 {
-	neg := x < 0
-	if neg {
-		x = -x
-	}
-	n := 0
-	for x > 0.5 {
-		x /= 2
-		n++
-	}
-	sum, term := 1.0, 1.0
-	for i := 1; i < 30; i++ {
-		term *= x / float64(i)
-		sum += term
-	}
-	for i := 0; i < n; i++ {
-		sum *= sum
-	}
-	if neg {
-		return 1 / sum
-	}
-	return sum
+	d := rng.Ln(1-measured) / rng.Ln(1-1/float64(fromBits))
+	return 1 - rng.Exp(d*rng.Ln(1-1/float64(toBits)))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ispy/internal/cfg"
@@ -287,6 +288,25 @@ func TestAdjustDensity(t *testing.T) {
 	}
 	if AdjustDensity(0, 16, 8) != 0 || AdjustDensity(1, 16, 8) != 1 {
 		t.Error("degenerate densities must pass through")
+	}
+}
+
+// TestAdjustDensityPinned pins AdjustDensity bit for bit: its ln/exp come
+// from internal/rng, and the figures' context scoring reads its result.
+func TestAdjustDensityPinned(t *testing.T) {
+	for _, c := range []struct {
+		density  float64
+		from, to int
+		want     uint64
+	}{
+		{0.73, 16, 32, 0x3fde643ce73b254a},
+		{0.5, 16, 8, 0x3fe85fab69b37d2a},
+		{0.2, 64, 16, 0x3fe32d380e7236d6},
+	} {
+		if got := AdjustDensity(c.density, c.from, c.to); math.Float64bits(got) != c.want {
+			t.Errorf("AdjustDensity(%v, %d, %d) = %v (%#x), want %#x",
+				c.density, c.from, c.to, got, math.Float64bits(got), c.want)
+		}
 	}
 }
 

@@ -64,8 +64,8 @@ func TestWarmCacheServesEveryArtifact(t *testing.T) {
 
 // TestWarmAnalyzePathOnlyReadsEntries: over a cache a cold lab filled, the
 // artifacts an analyze request reads (Base, ISPYPlan, ISPYStats) are three
-// hits that return the cold values without generating the workload or
-// decoding the injected program.
+// hits that return the cold values without generating the workload, loading
+// the profile the baseline came from, or decoding the injected program.
 func TestWarmAnalyzePathOnlyReadsEntries(t *testing.T) {
 	dir := t.TempDir()
 	cold := NewLab(cacheCfg(dir))
@@ -91,6 +91,9 @@ func TestWarmAnalyzePathOnlyReadsEntries(t *testing.T) {
 	}
 	if _, ok := w.wl.peek(); ok {
 		t.Error("warm analyze path generated the workload")
+	}
+	if _, ok := w.prof.peek(); ok {
+		t.Error("warm analyze path loaded the profile")
 	}
 	if _, ok := w.ispyB.peek(); ok {
 		t.Error("warm analyze path decoded the build")
@@ -160,14 +163,14 @@ func TestVariantAndFreshRunsAreCached(t *testing.T) {
 	cold := NewLab(cacheCfg(dir))
 	a := cold.App("tomcat")
 	coldVar := a.ISPYVariantStats(opt, a.SweepCfg()).Cycles
-	coldFresh := a.FreshVariantStats(opt, a.SweepCfg(), a.SweepCfg()).Cycles
+	coldFresh := a.FreshVariantStats(opt, a.SweepCfg()).Cycles
 
 	warm := NewLab(cacheCfg(dir))
 	b := warm.App("tomcat")
 	if b.ISPYVariantStats(opt, b.SweepCfg()).Cycles != coldVar {
 		t.Error("variant run differs across cache generations")
 	}
-	if b.FreshVariantStats(opt, b.SweepCfg(), b.SweepCfg()).Cycles != coldFresh {
+	if b.FreshVariantStats(opt, b.SweepCfg()).Cycles != coldFresh {
 		t.Error("fresh-variant run differs across cache generations")
 	}
 	if warm.Telemetry().Misses() != 0 {

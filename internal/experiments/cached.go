@@ -131,17 +131,19 @@ func (a *App) variantBuild(opt core.Options) *core.Build {
 	})
 }
 
-// FreshVariantStats builds I-SPY from scratch at buildCfg — required when
-// opt moves the prefetch-distance window, which re-labels the contexts the
-// shared Prepared evidence bakes in — runs the result under runCfg, and
-// caches the run.
-func (a *App) FreshVariantStats(opt core.Options, buildCfg, runCfg sim.Config) *sim.Stats {
+// FreshVariantStats builds I-SPY from scratch at cfg — required when opt
+// moves the prefetch-distance window, which re-labels the contexts the
+// shared Prepared evidence bakes in — runs the result under cfg (HashBits
+// follows opt), and caches the run. The key folds the build and the run
+// configuration separately.
+func (a *App) FreshVariantStats(opt core.Options, cfg sim.Config) *sim.Stats {
+	runCfg := cfg
 	if opt.HashBits != 0 {
 		runCfg.HashBits = opt.HashBits
 	}
-	k := a.key("ispy-fresh-run").SimConfig(buildCfg).Options(opt).SimConfig(runCfg)
+	k := a.key("ispy-fresh-run").SimConfig(cfg).Options(opt).SimConfig(runCfg)
 	return a.lab.stats(k, func() *sim.Stats {
-		b := core.BuildISPY(a.Profile(), buildCfg, opt)
+		b := core.BuildISPY(a.Profile(), cfg, opt)
 		return a.Run(b.Prog, runCfg)
 	})
 }

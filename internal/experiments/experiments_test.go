@@ -66,6 +66,15 @@ func TestLabMemoization(t *testing.T) {
 	}
 }
 
+// TestBaseIsTheProfileRun: the unmodified program is simulated once per app
+// and budget; without a cache the baseline is the profile run's very stats.
+func TestBaseIsTheProfileRun(t *testing.T) {
+	a := tinyLab().App("tomcat")
+	if a.Base() != a.Profile().Stats {
+		t.Error("Base() is not the profile run's Stats")
+	}
+}
+
 func TestLabPipelineSanity(t *testing.T) {
 	l := tinyLab()
 	a := l.App("tomcat")

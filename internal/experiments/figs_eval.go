@@ -10,12 +10,8 @@ import (
 	"ispy/internal/asmdb"
 	"ispy/internal/core"
 	"ispy/internal/metrics"
-	"ispy/internal/sim"
 	"ispy/internal/workload"
 )
-
-// asmdbRunCfg applies AsmDB's demand-priority prefetch insertion.
-func asmdbRunCfg(c sim.Config) sim.Config { return asmdb.RunConfig(c) }
 
 func init() {
 	register("fig10", "Speedup: I-SPY vs ideal cache vs AsmDB", runFig10)
@@ -272,7 +268,7 @@ func runFig16(l *Lab) *Result {
 					idealCfg := cfg
 					idealCfg.Ideal = true
 					ideal := a.RunCachedInput("drift-ideal", a.Workload().Prog, idealCfg, in)
-					adb := a.RunCachedInput("drift-asmdb", a.AsmDB().Prog, asmdbRunCfg(cfg), in)
+					adb := a.RunCachedInput("drift-asmdb", a.AsmDB().Prog, asmdb.RunConfig(cfg), in)
 					isp := a.RunCachedInput("drift-ispy", a.ISPY().Prog, cfg, in)
 					cells[ai][ii].pa = metrics.PctOfIdeal(base.Cycles, adb.Cycles, ideal.Cycles)
 					cells[ai][ii].pi = metrics.PctOfIdeal(base.Cycles, isp.Cycles, ideal.Cycles)

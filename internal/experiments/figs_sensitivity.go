@@ -1,13 +1,13 @@
-// Sensitivity experiments: Figs. 17–21 (§VI-B). Every sweep submits its
-// (application × setting) grid as individual tasks to the lab's shared
-// worker pool, so one slow point no longer serializes a whole app's column.
+// Sensitivity experiments: Figs. 17–21 (§VI-B). Figs. 17–19 and `ispy sweep`
+// share one sweep grid, SweepGrid: every (setting × application) cell is its
+// own task on the lab's shared worker pool, so one slow point never
+// serializes a whole app's column.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"ispy/internal/core"
 	"ispy/internal/metrics"
@@ -22,87 +22,58 @@ func init() {
 	register("fig21", "Sensitivity: context-hash size (false positives vs static footprint)", runFig21)
 }
 
-// meanAcc accumulates a mean from concurrent pool tasks. Tracking the count
-// (rather than assuming len(apps)) keeps the denominator honest when some
-// points are skipped.
-type meanAcc struct {
-	mu  sync.Mutex
-	sum float64
-	n   int
+// SweepMean is one sweep point's outcome: the mean % of ideal over the apps
+// whose cell ran, taken in app order (0 when none did), and how many ran.
+type SweepMean struct {
+	PctOfIdeal float64
+	Ran        int
 }
 
-func (m *meanAcc) add(v float64) {
-	m.mu.Lock()
-	m.sum += v
-	m.n++
-	m.mu.Unlock()
-}
-
-func (m *meanAcc) mean() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-func runFig17(l *Lab) *Result {
-	preds := []int{1, 2, 4, 8, 16, 32}
-	// One row per predecessor count; each cell is the mean % of ideal over
-	// apps for conditional-only I-SPY (the figure's subject).
-	accs := make([]meanAcc, len(preds))
+// SweepGrid evaluates a sensitivity sweep over the configured apps: point i
+// is labeled labels[i], and run returns an app's statistics at that point,
+// at the sweep budget. Each (point, app) cell is one pool task contained by
+// Attempt under "<stage>/<label>", and scores its run as a % of ideal
+// against the app's headline baseline and ideal runs rescaled to the run's
+// budget (cycle counts scale linearly with the instruction budget in steady
+// state, so the ratio is budget-invariant). A failed or skipped cell drops
+// out of its point's mean.
+func (l *Lab) SweepGrid(stage string, labels []string, run func(a *App, point int) *sim.Stats) []SweepMean {
+	apps := l.Apps()
+	pct := make([]float64, len(labels)*len(apps))
+	ran := make([]bool, len(pct))
 	g := l.Group()
-	for i, k := range preds {
-		i, k := i, k
-		for _, a := range l.Apps() {
-			a := a
+	for i, label := range labels {
+		for j, a := range apps {
+			cell := i*len(apps) + j
 			g.Go(func(context.Context) error {
-				// A failed point is recorded in the run report and simply
-				// excluded from the mean (meanAcc tracks its own denominator).
-				l.Attempt(a.Name, fmt.Sprintf("fig17/preds=%d", k), func() error {
-					opt := core.DefaultOptions()
-					opt.Coalesce = false
-					opt.MaxPreds = k
-					opt.CandidatePool = k
-					if opt.CandidatePool < 8 {
-						opt.CandidatePool = 8
-					}
-					st := a.ISPYVariantStats(opt, a.SweepCfg())
-					// Sweep runs use the sweep budget; % of ideal needs matched
-					// base/ideal — base/ideal cycles scale linearly with the
-					// instruction budget, so the rescaled ratio is budget-invariant.
-					accs[i].add(metrics.PctOfIdeal(scaleCycles(a.Base(), st), st.Cycles, scaleCycles(a.Ideal(), st)))
+				ran[cell] = l.Attempt(a.Name, stage+"/"+label, func() error {
+					st := run(a, i)
+					pct[cell] = metrics.PctOfIdeal(scaleCycles(a.Base(), st), st.Cycles, scaleCycles(a.Ideal(), st))
 					return nil
-				})
+				}) == nil
 				return nil
 			})
 		}
 	}
-	l.wait(g, "fig17")
-	means := make([]float64, len(preds))
-	t := metrics.NewTable("predecessors in context", "avg % of ideal (conditional-only)")
-	for i, k := range preds {
-		means[i] = accs[i].mean()
-		t.AddRow(fmt.Sprint(k), fmtPct(means[i]))
+	l.wait(g, stage)
+	out := make([]SweepMean, len(labels))
+	for i := range out {
+		sum := 0.0
+		for j := range apps {
+			if cell := i*len(apps) + j; ran[cell] {
+				sum += pct[cell]
+				out[i].Ran++
+			}
+		}
+		if out[i].Ran > 0 {
+			out[i].PctOfIdeal = sum / float64(out[i].Ran)
+		}
 	}
-	trendUp := means[len(means)-1] >= means[0]
-	return &Result{
-		ID:    "fig17",
-		Title: "More predictor blocks per context help (slightly), at exponential analysis cost",
-		Paper: "performance improves with predecessor count; ≥85% of ideal already at 4, which I-SPY adopts to bound context-discovery time",
-		Measured: fmt.Sprintf("%.0f%% of ideal at 1 predecessor → %.0f%% at 4 → %.0f%% at 32 (monotone-increasing trend: %v)",
-			means[0], means[2], means[len(means)-1], trendUp),
-		Notes: []string{
-			"counts above 4 use greedy forward selection instead of exhaustive search (the paper notes exhaustive search beyond 4 takes tens of minutes)",
-		},
-		Table: t,
-	}
+	return out
 }
 
 // scaleCycles rescales a headline-budget run's cycles to the sweep budget of
-// the run st so %-of-ideal ratios compare like with like (cycle counts scale
-// linearly with the instruction budget in steady state).
+// the run st.
 func scaleCycles(headline, st *sim.Stats) uint64 {
 	if headline.BaseInstrs == 0 {
 		return headline.Cycles
@@ -110,55 +81,82 @@ func scaleCycles(headline, st *sim.Stats) uint64 {
 	return uint64(float64(headline.Cycles) * float64(st.BaseInstrs) / float64(headline.BaseInstrs))
 }
 
+// sweepLabels renders one "<name>=<value>" label per sweep value.
+func sweepLabels[T any](name string, vals []T) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i] = fmt.Sprintf("%s=%v", name, v)
+	}
+	return out
+}
+
+func runFig17(l *Lab) *Result {
+	preds := []int{1, 2, 4, 8, 16, 32}
+	// One row per predecessor count; each cell is the mean % of ideal over
+	// apps for conditional-only I-SPY (the figure's subject).
+	means := l.SweepGrid("fig17", sweepLabels("preds", preds), func(a *App, i int) *sim.Stats {
+		opt := core.DefaultOptions()
+		opt.Coalesce = false
+		opt.MaxPreds = preds[i]
+		opt.CandidatePool = max(preds[i], 8)
+		return a.ISPYVariantStats(opt, a.SweepCfg())
+	})
+	t := metrics.NewTable("predecessors in context", "avg % of ideal (conditional-only)")
+	for i, k := range preds {
+		t.AddRow(fmt.Sprint(k), fmtPct(means[i].PctOfIdeal))
+	}
+	first, last := means[0].PctOfIdeal, means[len(means)-1].PctOfIdeal
+	return &Result{
+		ID:    "fig17",
+		Title: "More predictor blocks per context help (slightly), at exponential analysis cost",
+		Paper: "performance improves with predecessor count; ≥85% of ideal already at 4, which I-SPY adopts to bound context-discovery time",
+		Measured: fmt.Sprintf("%.0f%% of ideal at 1 predecessor → %.0f%% at 4 → %.0f%% at 32 (monotone-increasing trend: %v)",
+			first, means[2].PctOfIdeal, last, last >= first),
+		Notes: []string{
+			"counts above 4 use greedy forward selection instead of exhaustive search (the paper notes exhaustive search beyond 4 takes tens of minutes)",
+		},
+		Table: t,
+	}
+}
+
 func runFig18(l *Lab) *Result {
 	minDists := []uint64{5, 10, 20, 27, 50, 100}
 	maxDists := []uint64{50, 100, 150, 200, 300, 400}
-
-	minAccs := make([]meanAcc, len(minDists))
-	maxAccs := make([]meanAcc, len(maxDists))
-	g := l.Group()
+	// One grid: the minimum-distance points (max=200), then the
+	// maximum-distance points (min=27).
+	type window struct{ min, max uint64 }
+	var points []window
+	var labels []string
+	for _, d := range minDists {
+		points = append(points, window{d, 200})
+	}
+	for _, d := range maxDists {
+		points = append(points, window{27, d})
+	}
+	for _, p := range points {
+		labels = append(labels, fmt.Sprintf("dist=%d-%d", p.min, p.max))
+	}
 	// The window changes site selection, so the shared labeled-context
 	// evidence cannot be reused; each point builds fresh at sweep cost.
-	eval := func(a *App, minD, maxD uint64, acc *meanAcc) {
-		g.Go(func(context.Context) error {
-			l.Attempt(a.Name, fmt.Sprintf("fig18/dist=%d-%d", minD, maxD), func() error {
-				opt := core.DefaultOptions()
-				opt.MinDistCycles = minD
-				opt.MaxDistCycles = maxD
-				st := a.FreshVariantStats(opt, a.SweepCfg(), a.SweepCfg())
-				acc.add(metrics.PctOfIdeal(scaleCycles(a.Base(), st), st.Cycles, scaleCycles(a.Ideal(), st)))
-				return nil
-			})
-			return nil
-		})
-	}
-	for i, d := range minDists {
-		for _, a := range l.Apps() {
-			eval(a, d, 200, &minAccs[i])
-		}
-	}
-	for i, d := range maxDists {
-		for _, a := range l.Apps() {
-			eval(a, 27, d, &maxAccs[i])
-		}
-	}
-	l.wait(g, "fig18")
+	means := l.SweepGrid("fig18", labels, func(a *App, i int) *sim.Stats {
+		opt := core.DefaultOptions()
+		opt.MinDistCycles = points[i].min
+		opt.MaxDistCycles = points[i].max
+		return a.FreshVariantStats(opt, a.SweepCfg())
+	})
 
 	t := metrics.NewTable("sweep", "value (cycles)", "avg % of ideal")
-	minMeans := make([]float64, len(minDists))
 	for i, d := range minDists {
-		minMeans[i] = minAccs[i].mean()
-		t.AddRow("min distance (max=200)", fmt.Sprint(d), fmtPct(minMeans[i]))
+		t.AddRow("min distance (max=200)", fmt.Sprint(d), fmtPct(means[i].PctOfIdeal))
 	}
 	for i, d := range maxDists {
-		t.AddRow("max distance (min=27)", fmt.Sprint(d), fmtPct(maxAccs[i].mean()))
+		t.AddRow("max distance (min=27)", fmt.Sprint(d), fmtPct(means[len(minDists)+i].PctOfIdeal))
 	}
 	// Identify the best min distance for the summary.
-	bestMin := minDists[0]
-	bestVal := minMeans[0]
-	for i, v := range minMeans {
-		if v > bestVal {
-			bestVal, bestMin = v, minDists[i]
+	bestMin, bestVal := minDists[0], means[0].PctOfIdeal
+	for i, d := range minDists {
+		if v := means[i].PctOfIdeal; v > bestVal {
+			bestVal, bestMin = v, d
 		}
 	}
 	return &Result{
@@ -173,38 +171,22 @@ func runFig18(l *Lab) *Result {
 
 func runFig19(l *Lab) *Result {
 	sizes := []int{1, 2, 4, 8, 16, 32, 64}
-	accs := make([]meanAcc, len(sizes))
-	g := l.Group()
-	for i, bits := range sizes {
-		i, bits := i, bits
-		for _, a := range l.Apps() {
-			a := a
-			g.Go(func(context.Context) error {
-				l.Attempt(a.Name, fmt.Sprintf("fig19/bits=%d", bits), func() error {
-					opt := core.DefaultOptions()
-					opt.Conditional = false // coalescing-only, the figure's subject
-					opt.CoalesceBits = bits
-					st := a.ISPYVariantStats(opt, a.SweepCfg())
-					accs[i].add(metrics.PctOfIdeal(scaleCycles(a.Base(), st), st.Cycles, scaleCycles(a.Ideal(), st)))
-					return nil
-				})
-				return nil
-			})
-		}
-	}
-	l.wait(g, "fig19")
-	means := make([]float64, len(sizes))
+	means := l.SweepGrid("fig19", sweepLabels("bits", sizes), func(a *App, i int) *sim.Stats {
+		opt := core.DefaultOptions()
+		opt.Conditional = false // coalescing-only, the figure's subject
+		opt.CoalesceBits = sizes[i]
+		return a.ISPYVariantStats(opt, a.SweepCfg())
+	})
 	t := metrics.NewTable("coalescing bits", "avg % of ideal (coalescing-only)")
 	for i, bits := range sizes {
-		means[i] = accs[i].mean()
-		t.AddRow(fmt.Sprint(bits), fmtPct(means[i]))
+		t.AddRow(fmt.Sprint(bits), fmtPct(means[i].PctOfIdeal))
 	}
 	return &Result{
 		ID:    "fig19",
 		Title: "Larger coalescing bitmasks help, slowly",
 		Paper: "gains grow slightly with bitmask size; 8 bits is chosen as the complexity sweet spot",
 		Measured: fmt.Sprintf("%.0f%% of ideal at 1 bit → %.0f%% at 8 bits → %.0f%% at 64 bits",
-			means[0], means[3], means[len(sizes)-1]),
+			means[0].PctOfIdeal, means[3].PctOfIdeal, means[len(sizes)-1].PctOfIdeal),
 		Table: t,
 	}
 }

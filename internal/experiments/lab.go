@@ -208,9 +208,6 @@ func newLab(ctx context.Context, cfg Config, pool *Pool) *Lab {
 	if cfg.Verbose {
 		out = os.Stderr
 	}
-	if ctx == nil {
-		ctx = context.Background() //ispy:ctx nil-ctx compatibility guard for CLI construction; server callers always pass the request-derived ctx
-	}
 	if pool == nil {
 		pool = NewPool(jobs)
 	}
@@ -393,13 +390,17 @@ func (a *App) Workload() *workload.Workload {
 	return a.wl.get(func() *workload.Workload { return workload.Generate(a.Params) })
 }
 
-// SimCfg returns the headline simulator configuration for this app.
-func (a *App) SimCfg() sim.Config {
-	c := sim.Default().WithWorkloadCPI(a.Params.BackendCPI)
-	c.MaxInstrs = a.lab.Cfg.MeasureInstrs
-	c.WarmupInstrs = a.lab.Cfg.WarmupInstrs
-	return c
+// SimConfig returns the headline simulator configuration at c's measured
+// budget for a workload of the given backend CPI.
+func (c Config) SimConfig(backendCPI float64) sim.Config {
+	s := sim.Default().WithWorkloadCPI(backendCPI)
+	s.MaxInstrs = c.MeasureInstrs
+	s.WarmupInstrs = c.WarmupInstrs
+	return s
 }
+
+// SimCfg returns the headline simulator configuration for this app.
+func (a *App) SimCfg() sim.Config { return a.lab.Cfg.SimConfig(a.Params.BackendCPI) }
 
 // SweepCfg returns the (cheaper) sweep configuration.
 func (a *App) SweepCfg() sim.Config {
@@ -419,12 +420,13 @@ func (a *App) RunInput(prog *isa.Program, cfg sim.Config, in workload.Input) *si
 	return sim.Run(prog, workload.NewExecutor(a.Workload(), in), cfg, nil)
 }
 
-// Base returns the no-prefetching baseline run.
+// Base returns the no-prefetching baseline run. It is the profiling pass's
+// run: the profile hooks observe the simulation without changing it, so the
+// unmodified program is simulated once per app and budget. The base entry
+// still caches it on its own, so a warm lookup never loads the profile.
 func (a *App) Base() *sim.Stats {
 	return a.base.get(func() *sim.Stats {
-		return a.lab.stats(a.simKey("base"), func() *sim.Stats {
-			return a.Run(a.Workload().Prog, a.SimCfg())
-		})
+		return a.lab.stats(a.simKey("base"), func() *sim.Stats { return a.Profile().Stats })
 	})
 }
 

@@ -69,9 +69,7 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 	}
 	traceHash := hashx.FNV1a64(tbuf.Bytes())
 
-	cfg := sim.Default().WithWorkloadCPI(world.BackendCPI())
-	cfg.MaxInstrs = l.Cfg.MeasureInstrs
-	cfg.WarmupInstrs = l.Cfg.WarmupInstrs
+	cfg := l.Cfg.SimConfig(world.BackendCPI())
 
 	run := func(prog *isa.Program) artifacts.ScenarioRun {
 		ex, xerr := traffic.NewExecutor(world, tr)

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"ispy/internal/core"
+	"ispy/internal/metrics"
+	"ispy/internal/sim"
 )
 
 // optAlias shortens variant-option construction in tests.
@@ -110,6 +113,63 @@ func TestSmokeFig17(t *testing.T) {
 	res := smokeRun(t, "fig17")
 	if len(res.Table.Rows) != 6 {
 		t.Errorf("fig17 rows = %d, want 6 predecessor counts", len(res.Table.Rows))
+	}
+}
+
+// TestSweepGrid: a cell scores its run as a % of ideal against the app's
+// baseline and ideal rescaled to the run's budget, a point's mean is over its
+// apps in app order, a failed cell drops out of its point's mean, and the
+// pool's size changes not a bit of it.
+func TestSweepGrid(t *testing.T) {
+	bits := []int{4, 16}
+	labels := []string{"bits=4", "bits=16"}
+	run := func(a *App, i int) *sim.Stats {
+		opt := core.DefaultOptions()
+		opt.CoalesceBits = bits[i]
+		return a.ISPYVariantStats(opt, a.SweepCfg())
+	}
+	grid := func(jobs int) (*Lab, []SweepMean) {
+		l := NewLab(Config{
+			Apps:          []string{"tomcat", "wordpress"},
+			MeasureInstrs: 120_000,
+			WarmupInstrs:  30_000,
+			SweepInstrs:   60_000,
+			SweepWarmup:   15_000,
+			Parallel:      true,
+			Jobs:          jobs,
+		})
+		return l, l.SweepGrid("test", labels, run)
+	}
+	l, seq := grid(1)
+	if _, par := grid(2); !reflect.DeepEqual(seq, par) {
+		t.Errorf("1-slot pool %+v, 2-slot pool %+v", seq, par)
+	}
+
+	rescale := func(headline, st *sim.Stats) uint64 {
+		return uint64(float64(headline.Cycles) * float64(st.BaseInstrs) / float64(headline.BaseInstrs))
+	}
+	pct := make([][]float64, len(bits)) // [point][app]
+	for i := range bits {
+		sum := 0.0
+		for _, a := range l.Apps() {
+			st := run(a, i)
+			p := metrics.PctOfIdeal(rescale(a.Base(), st), st.Cycles, rescale(a.Ideal(), st))
+			pct[i] = append(pct[i], p)
+			sum += p
+		}
+		if want := (SweepMean{PctOfIdeal: sum / 2, Ran: 2}); seq[i] != want {
+			t.Errorf("%s = %+v, want %+v", labels[i], seq[i], want)
+		}
+	}
+
+	failed := l.SweepGrid("test", labels[:1], func(a *App, i int) *sim.Stats {
+		if a.Name == "tomcat" {
+			panic("injected")
+		}
+		return run(a, i)
+	})
+	if want := (SweepMean{PctOfIdeal: pct[0][1], Ran: 1}); failed[0] != want {
+		t.Errorf("with tomcat failing: %+v, want wordpress alone %+v", failed[0], want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package hashx
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -140,6 +141,27 @@ func TestIsPow2(t *testing.T) {
 	for v, want := range truths {
 		if got := IsPow2(v); got != want {
 			t.Errorf("IsPow2(%d) = %v, want %v", v, got, want)
+		}
+	}
+}
+
+// TestUniformPinned pins Uniform bit for bit: seeded fault decisions and
+// retry jitter replay only while it maps each (seed, site, n) to the same
+// draw.
+func TestUniformPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		site string
+		n    uint64
+		want uint64
+	}{
+		{1, "artifacts.read", 0, 0x3fa52d19863230c0},
+		{20260807, "compute/base/wordpress", 3, 0x3fe38368823520b4},
+		{0, "", 1 << 40, 0x3fe1851e6e5c4185},
+	} {
+		if got := Uniform(c.seed, c.site, c.n); math.Float64bits(got) != c.want {
+			t.Errorf("Uniform(%d, %q, %d) = %v (%#x), want %#x",
+				c.seed, c.site, c.n, got, math.Float64bits(got), c.want)
 		}
 	}
 }

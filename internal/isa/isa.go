@@ -249,9 +249,6 @@ func (b *Block) Size() int {
 	return n
 }
 
-// NumInstrs returns the number of instructions in the block.
-func (b *Block) NumInstrs() int { return len(b.Instrs) }
-
 // FirstLine and LastLine return the first and last cache line addresses the
 // block's bytes touch. A zero-size block touches the line of its start
 // address only.

@@ -176,9 +176,6 @@ func TestBlockGeometry(t *testing.T) {
 	if b1.FirstLine() != TextBase || b1.LastLine() != TextBase {
 		t.Error("line span wrong")
 	}
-	if b1.NumInstrs() != 2 {
-		t.Error("NumInstrs wrong")
-	}
 }
 
 func TestBlockSpanningLines(t *testing.T) {

@@ -118,6 +118,3 @@ func (l *LBR) Reset() {
 	l.head, l.size = 0, 0
 	l.filter.Reset()
 }
-
-// HashBits returns the runtime-hash width.
-func (l *LBR) HashBits() int { return l.filter.Bits() }

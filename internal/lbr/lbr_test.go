@@ -171,12 +171,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestHashBits(t *testing.T) {
-	if New(32).HashBits() != 32 {
-		t.Error("HashBits mismatch")
-	}
-}
-
 func TestRepeatedBlockDoesNotUnderflow(t *testing.T) {
 	// A tight loop pushes the same block many times; rotating them out must
 	// keep the counting filter consistent (this is the scenario counting

@@ -86,23 +86,10 @@ func (p Policy) Backoff(site string, attempt int) time.Duration {
 	if p.Jitter > 0 {
 		// Deterministic jitter in [1-Jitter, 1): same (seed, site, attempt)
 		// → same wait, so chaos runs replay exactly.
-		u := uniform(p.Seed, site, uint64(attempt))
+		u := hashx.Uniform(p.Seed, site, uint64(attempt))
 		d *= 1 - p.Jitter*u
 	}
 	return time.Duration(d)
-}
-
-// uniform maps (seed, site, n) to [0,1) with the same splitmix64 finalizer
-// the fault injector uses, keeping every seeded decision in the repo on one
-// primitive.
-func uniform(seed uint64, site string, n uint64) float64 {
-	x := seed ^ hashx.FNV1a64([]byte(site)) ^ (n * 0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }
 
 // permanentError marks an error Retry must not retry.

@@ -9,12 +9,12 @@ package rng
 // Exp returns an exponential variate with mean 1 (the interarrival time of
 // a unit-rate Poisson process). Divide by a rate to rescale.
 func (r *Rand) Exp() float64 {
-	// Float64 is in [0, 1), so 1-u is in (0, 1] and lnF stays in domain.
-	return -lnF(1 - r.Float64())
+	// Float64 is in [0, 1), so 1-u is in (0, 1] and Ln stays in domain.
+	return -Ln(1 - r.Float64())
 }
 
 // Normal returns a standard normal variate via the polar (Marsaglia) method
-// — no trigonometry needed, only the package's own lnF and sqrtF.
+// — no trigonometry needed, only the package's own Ln and sqrtF.
 func (r *Rand) Normal() float64 {
 	for {
 		u := 2*r.Float64() - 1
@@ -23,7 +23,7 @@ func (r *Rand) Normal() float64 {
 		if s == 0 || s >= 1 {
 			continue
 		}
-		return u * sqrtF(-2*lnF(s)/s)
+		return u * sqrtF(-2*Ln(s)/s)
 	}
 }
 
@@ -54,12 +54,12 @@ func (r *Rand) Gamma(shape float64) float64 {
 		v := t * t * t
 		u := r.Float64()
 		if u == 0 {
-			continue // lnF domain; vanishing-probability reject
+			continue // Ln domain; vanishing-probability reject
 		}
 		if u < 1-0.0331*x*x*x*x {
 			return d * v
 		}
-		if lnF(u) < 0.5*x*x+d*(1-v+lnF(v)) {
+		if Ln(u) < 0.5*x*x+d*(1-v+Ln(v)) {
 			return d * v
 		}
 	}
@@ -72,7 +72,7 @@ func (r *Rand) Weibull(shape float64) float64 {
 	if shape <= 0 {
 		panic("rng: Weibull shape must be positive")
 	}
-	x := -lnF(1 - r.Float64())
+	x := -Ln(1 - r.Float64())
 	if x == 0 {
 		return 0
 	}
@@ -110,7 +110,7 @@ func GammaFn(x float64) float64 {
 		a += lanczos[i] / (z + float64(i))
 	}
 	t := z + 7.5
-	return sqrtTwoPi * powF(t, z+0.5) * expF(-t) * a
+	return sqrtTwoPi * powF(t, z+0.5) * Exp(-t) * a
 }
 
 // sqrtF computes the square root by Newton iteration (exact enough for

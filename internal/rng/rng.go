@@ -141,14 +141,16 @@ func powF(base, exp float64) float64 {
 		}
 		return r
 	}
-	return expF(exp * lnF(base))
+	return Exp(exp * Ln(base))
 }
 
-// lnF computes the natural log with the atanh series (adequate precision for
-// weights).
-func lnF(x float64) float64 {
+// Ln computes the natural log with the atanh series, to about 1e-9 relative
+// precision (the package tests check it against the standard library). It is
+// the repo's one stdlib-free logarithm: sampling weights and core's hash
+// density rescaling both use it.
+func Ln(x float64) float64 {
 	if x <= 0 {
-		panic("rng: lnF domain")
+		panic("rng: Ln domain")
 	}
 	// Normalize x into [0.5, 2) collecting powers of 2.
 	k := 0
@@ -172,8 +174,9 @@ func lnF(x float64) float64 {
 	return 2*sum + float64(k)*ln2
 }
 
-// expF computes e^x by scaling and Taylor series.
-func expF(x float64) float64 {
+// Exp computes e^x by scaling and Taylor series, Ln's inverse. (Rand.Exp
+// draws an exponential variate.)
+func Exp(x float64) float64 {
 	neg := x < 0
 	if neg {
 		x = -x

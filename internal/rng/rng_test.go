@@ -184,7 +184,7 @@ func TestMathHelpersAgainstStdlib(t *testing.T) {
 		if x < 1e-6 || x > 1e6 || math.IsNaN(x) || math.IsInf(x, 0) {
 			return true
 		}
-		if rel := math.Abs(lnF(x)-math.Log(x)) / (1 + math.Abs(math.Log(x))); rel > 1e-9 {
+		if rel := math.Abs(Ln(x)-math.Log(x)) / (1 + math.Abs(math.Log(x))); rel > 1e-9 {
 			return false
 		}
 		return true
@@ -193,8 +193,8 @@ func TestMathHelpersAgainstStdlib(t *testing.T) {
 		t.Error(err)
 	}
 	for _, x := range []float64{-5, -0.5, 0, 0.3, 1, 2.5, 10} {
-		if rel := math.Abs(expF(x)-math.Exp(x)) / math.Exp(x); rel > 1e-9 {
-			t.Errorf("expF(%v) off by %v", x, rel)
+		if rel := math.Abs(Exp(x)-math.Exp(x)) / math.Exp(x); rel > 1e-9 {
+			t.Errorf("Exp(%v) off by %v", x, rel)
 		}
 	}
 	for _, c := range []struct{ b, e float64 }{{2, 3}, {1.5, 0.85}, {10, 1.2}, {3, 0}} {

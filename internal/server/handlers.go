@@ -427,10 +427,7 @@ func rebindProfile(pd *traceio.ProfileData) (*profile.Profile, error) {
 // client's, not an artifact of ours), then baseline and I-SPY programs are
 // simulated under the derived budget.
 func (s *Server) analyzeProfile(ctx context.Context, prof *profile.Profile, instrs uint64) (*AnalyzeResponse, error) {
-	lcfg := s.labConfig([]string{prof.Workload.Name}, instrs)
-	scfg := sim.Default().WithWorkloadCPI(prof.Workload.Params.BackendCPI)
-	scfg.MaxInstrs = lcfg.MeasureInstrs
-	scfg.WarmupInstrs = lcfg.WarmupInstrs
+	scfg := s.labConfig([]string{prof.Workload.Name}, instrs).SimConfig(prof.Workload.Params.BackendCPI)
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
