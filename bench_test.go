@@ -183,12 +183,11 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkServeWarm times a warm ispyd round in process: one op is nine
-// analyze requests, one per app, through server.Handler() at the server's
-// default budget, over an artifact cache the untimed first round filled.
-// Every warm response must equal the cold one.
-func BenchmarkServeWarm(b *testing.B) {
-	s, err := server.New(server.Config{CacheDir: b.TempDir()})
+// benchServe times ispyd rounds in process: one op is nine analyze
+// requests, one per app, through server.Handler() at the server's default
+// budget. Every response must equal the untimed first round's.
+func benchServe(b *testing.B, cfg server.Config) {
+	s, err := server.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -201,19 +200,27 @@ func BenchmarkServeWarm(b *testing.B) {
 		}
 		return rec.Body.Bytes()
 	}
-	cold := make(map[string][]byte, len(workload.AppNames))
+	first := make(map[string][]byte, len(workload.AppNames))
 	for _, app := range workload.AppNames {
-		cold[app] = analyze(app)
+		first[app] = analyze(app)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, app := range workload.AppNames {
-			if !bytes.Equal(analyze(app), cold[app]) {
-				b.Fatalf("%s: warm response differs from the cold one", app)
+			if !bytes.Equal(analyze(app), first[app]) {
+				b.Fatalf("%s: response differs from the first round's", app)
 			}
 		}
 	}
 }
+
+// BenchmarkServeWarm times warm rounds: the first round fills an artifact
+// cache, so every timed request is a hit.
+func BenchmarkServeWarm(b *testing.B) { benchServe(b, server.Config{CacheDir: b.TempDir()}) }
+
+// BenchmarkServeCold times cold rounds: with no artifact cache, every
+// request runs the whole pipeline, as the serve-cold workload's do.
+func BenchmarkServeCold(b *testing.B) { benchServe(b, server.Config{}) }
 
 // TestBenchmarkNamesMatchDesignDoc keeps DESIGN.md's per-experiment index
 // honest: every fig/table has a same-named benchmark in this file.

@@ -11,6 +11,7 @@ import (
 
 	"ispy/internal/cfg"
 	"ispy/internal/traceio"
+	"ispy/internal/workload"
 )
 
 // The tests run the real command: TestMain turns the test binary into
@@ -70,17 +71,7 @@ func TestRoundTrip(t *testing.T) {
 // file, is a one-line error and exit 1, never a panic.
 func TestUnknownAppIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	pd := &traceio.ProfileData{WorkloadName: "bogus", Graph: cfg.NewGraph(1)}
-	f, err := os.Create(filepath.Join(dir, "bogus.profile"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := traceio.WriteProfile(f, pd); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeProfile(t, filepath.Join(dir, "bogus.profile"), &traceio.ProfileData{WorkloadName: "bogus", Graph: cfg.NewGraph(1)})
 	for _, args := range [][]string{
 		{"collect", "-app", "bogus", "-o", "f"},
 		{"eval", "-app", "bogus", "-prog", "p"},
@@ -92,5 +83,32 @@ func TestUnknownAppIsAnError(t *testing.T) {
 			!strings.Contains(stderr, `unknown app preset "bogus"`) || strings.Contains(stderr, "panic") {
 			t.Errorf("%v: exit %d, stderr %q; want exit 1 and one ispy-profile: line", args, code, stderr)
 		}
+	}
+}
+
+// TestResizedProfileIsAnError: a profile whose graph covers another block
+// count than its preset's program is a one-line error and exit 1.
+func TestResizedProfileIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	pd := &traceio.ProfileData{WorkloadName: "tomcat", WorkloadSeed: workload.PresetParams("tomcat").Seed, Graph: cfg.NewGraph(1)}
+	writeProfile(t, filepath.Join(dir, "t.profile"), pd)
+	code, _, stderr := run(t, dir, "build", "-profile", "t.profile", "-o", "out")
+	if code != 1 || !strings.HasPrefix(stderr, "ispy-profile: ") || !strings.Contains(stderr, "program has") {
+		t.Errorf("exit %d, stderr %q; want exit 1 and one ispy-profile: line", code, stderr)
+	}
+}
+
+// writeProfile writes pd to path.
+func writeProfile(t *testing.T, path string, pd *traceio.ProfileData) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := traceio.WriteProfile(f, pd); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

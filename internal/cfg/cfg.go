@@ -83,14 +83,45 @@ func NewGraph(numBlocks int) *Graph {
 	}
 }
 
-// AddEdge records one dynamic transition from → to.
-func (g *Graph) AddEdge(from, to int32) {
-	m := g.Edges[from]
-	if m == nil {
-		m = make(map[int32]uint64, 4)
+// EdgeCounts accumulates observed transitions per block in small slices,
+// which is cheaper per transition than a map update, until Fill writes them
+// into a graph's Edges.
+type EdgeCounts [][]edgeCount
+
+// edgeCount counts one dynamic transition target of a block.
+type edgeCount struct {
+	to int32
+	n  uint64
+}
+
+// NewEdgeCounts returns an empty accumulator over numBlocks blocks.
+func NewEdgeCounts(numBlocks int) EdgeCounts { return make(EdgeCounts, numBlocks) }
+
+// Add records one dynamic transition from → to.
+func (e EdgeCounts) Add(from, to int32) {
+	ss := e[from]
+	for i := range ss {
+		if ss[i].to == to {
+			ss[i].n++
+			return
+		}
+	}
+	e[from] = append(ss, edgeCount{to, 1})
+}
+
+// Fill sets g.Edges from the accumulated counts; a block with no observed
+// transition keeps a nil map.
+func (e EdgeCounts) Fill(g *Graph) {
+	for from, ss := range e {
+		if len(ss) == 0 {
+			continue
+		}
+		m := make(map[int32]uint64, len(ss))
+		for _, s := range ss {
+			m[s.to] = s.n
+		}
 		g.Edges[from] = m
 	}
-	m[to]++
 }
 
 // Site returns (creating if needed) the aggregate for key.

@@ -16,11 +16,23 @@ func TestLineKeyString(t *testing.T) {
 func TestEdgeAndExecAccounting(t *testing.T) {
 	g := NewGraph(4)
 	g.Exec[0] = 10
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	if g.Edges[0][1] != 2 || g.Edges[0][2] != 1 {
+	e := NewEdgeCounts(4)
+	e.Add(0, 1)
+	e.Add(0, 1)
+	e.Add(0, 2)
+	e.Add(2, 0)
+	e.Fill(g)
+	if len(g.Edges[0]) != 2 || g.Edges[0][1] != 2 || g.Edges[0][2] != 1 {
 		t.Errorf("edges = %v", g.Edges[0])
+	}
+	if len(g.Edges[2]) != 1 || g.Edges[2][0] != 1 {
+		t.Errorf("edges of block 2 = %v", g.Edges[2])
+	}
+	if g.Edges[1] != nil || g.Edges[3] != nil {
+		t.Errorf("blocks without transitions got edges: %v %v", g.Edges[1], g.Edges[3])
+	}
+	if g.Exec[0] != 10 {
+		t.Errorf("Fill touched Exec: %d", g.Exec[0])
 	}
 }
 
@@ -67,11 +79,8 @@ func TestFig2Example(t *testing.T) {
 		{0, 2, 5, 6, 8},    // A C F G I (no miss)
 	}
 	for _, p := range paths {
-		for i, b := range p {
+		for _, b := range p {
 			g.Exec[b]++
-			if i > 0 {
-				g.AddEdge(p[i-1], b)
-			}
 		}
 	}
 	missKey := LineKey{Block: 9, Delta: 0}
@@ -90,8 +99,8 @@ func TestFig2Example(t *testing.T) {
 		g.TotalMisses++
 	}
 
-	// G executes on all four paths; only half lead to the miss. With edge
-	// weights all 1, the fan-out of G with respect to K is 50% here (the
+	// G executes on all four paths; only half lead to the miss. With each
+	// path taken once, the fan-out of G with respect to K is 50% here (the
 	// paper's Fig. 2 uses 4 paths through G with 1 leading to K ⇒ 75%).
 	if g.Exec[6] != 4 {
 		t.Fatalf("G executed %d times", g.Exec[6])

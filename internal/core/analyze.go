@@ -97,13 +97,25 @@ func BuildFromPrepared(p *profile.Profile, prep *Prepared, opt Options) *Build {
 	}
 	contexts := make(map[cfg.LineKey]ContextResult)
 	if opt.Conditional && prep.CP != nil {
-		for _, c := range prep.Needs {
-			ls := prep.CP.Get(c.Site, c.Target)
-			if ls == nil {
-				continue
+		// Discover all targets of a site together: they share the site's
+		// snapshots, which the index converts to bitsets once.
+		ix := indexes.Get().(*siteIndex)
+		defer ix.release()
+		sites, bySite := GroupBySite(prep.Needs)
+		for _, s := range sites {
+			needs := bySite[s]
+			sets := make([]*profile.LabeledSet, len(needs))
+			for i, c := range needs {
+				sets[i] = prep.CP.Get(s, c.Target)
 			}
-			if res := DiscoverContext(ls, c.Site, opt); res.Conditional() {
-				contexts[c.Target] = res
+			ix.index(sets)
+			for i, c := range needs {
+				if sets[i] == nil {
+					continue
+				}
+				if res := ix.discover(i, s, opt); res.Conditional() {
+					contexts[c.Target] = res
+				}
 			}
 		}
 	}

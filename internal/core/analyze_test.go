@@ -12,14 +12,24 @@ import (
 	"ispy/internal/workload"
 )
 
-// prepareQuick profiles app and runs Prepare at the quick configuration's
-// headline budget: 500k instructions measured after 250k of warmup.
-func prepareQuick(app string) (*profile.Profile, *Prepared) {
-	w := workload.Preset(app)
+// quickSimConfig is the quick configuration's headline budget for w: 500k
+// instructions measured after 250k of warmup.
+func quickSimConfig(w *workload.Workload) sim.Config {
 	scfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
 	scfg.MaxInstrs, scfg.WarmupInstrs = 500_000, 250_000
-	p := profile.Collect(w, workload.DefaultInput(w), scfg)
-	return p, Prepare(p, scfg, DefaultOptions())
+	return scfg
+}
+
+// profileQuick profiles app at quickSimConfig's budget.
+func profileQuick(app string) *profile.Profile {
+	w := workload.Preset(app)
+	return profile.Collect(w, workload.DefaultInput(w), quickSimConfig(w))
+}
+
+// prepareQuick profiles app and runs Prepare at quickSimConfig's budget.
+func prepareQuick(app string) (*profile.Profile, *Prepared) {
+	p := profileQuick(app)
+	return p, Prepare(p, quickSimConfig(p.Workload), DefaultOptions())
 }
 
 // evidencePinned is the SHA-256 of dumpEvidence for tomcat's labeling pass at

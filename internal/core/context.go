@@ -5,8 +5,11 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"ispy/internal/profile"
 )
@@ -29,13 +32,142 @@ func (c ContextResult) Conditional() bool { return len(c.Blocks) > 0 }
 
 // DiscoverContext runs predictor ranking plus combination search over the
 // labeled evidence. site excludes itself from candidate predictors. It only
-// reads ls: concurrent variant builds share one labeled set.
+// reads ls: concurrent variant builds share one labeled set. It is the
+// one-set case of the per-site discovery BuildFromPrepared runs.
+func DiscoverContext(ls *profile.LabeledSet, site int32, opt Options) ContextResult {
+	ix := indexes.Get().(*siteIndex)
+	defer ix.release()
+	ix.index([]*profile.LabeledSet{ls})
+	return ix.discover(0, site, opt.withDefaults())
+}
+
+// indexes recycles site indexes, whose block table spans the program.
+var indexes = sync.Pool{New: func() any { return new(siteIndex) }}
+
+// siteIndex holds the labeled evidence of one site's targets as bitsets.
+// Every block of the site's snapshots gets a dense local ID, and each
+// distinct snapshot becomes a bitset over the local IDs once, however many
+// targets' reservoirs hold it. Discovery then counts blocks and builds pool
+// masks from bitsets, without hashing a block ID. One index is reused
+// across the sites of a build.
+type siteIndex struct {
+	local  []int32 // block ID → 1 + local ID, or 0
+	blocks []int32 // local ID → block ID
+	// shared maps a snapshot slice that several targets hold to its index.
+	shared map[snapKey]int32
+	snaps  [][]int32
+	words  int      // bitset words per snapshot
+	bits   []uint64 // snapshot k's bitset is bits[k*words:][:words]
+	sets   []*profile.LabeledSet
+	// refs holds, per set, the indexes of its Pos then its Neg snapshots;
+	// set i's start at refs[from[i]].
+	refs []int32
+	from []int
+	// Per-target scratch: positive then negative block counts, candidates.
+	counts []int32
+	cands  []scored
+}
+
+// scored is a candidate predictor and its rank score.
+type scored struct {
+	block, local int32
+	score        float64
+}
+
+// release drops the index's references to evidence and returns it to the
+// pool.
+func (ix *siteIndex) release() {
+	clear(ix.snaps[:cap(ix.snaps)])
+	clear(ix.shared)
+	ix.sets = nil
+	indexes.Put(ix)
+}
+
+// snapKey identifies a snapshot slice by its backing array and length.
+type snapKey struct {
+	first *int32
+	n     int
+}
+
+// index loads the evidence of sets, which are all labeled at one site.
+// Snapshots held in the same slice convert once: the labeling pass gives
+// every target of a site execution the same slice. One set holds each
+// execution once, so its snapshots need no such check.
+func (ix *siteIndex) index(sets []*profile.LabeledSet) {
+	dedupe := len(sets) > 1
+	for _, b := range ix.blocks {
+		ix.local[b] = 0
+	}
+	ix.blocks, ix.snaps, ix.refs, ix.from = ix.blocks[:0], ix.snaps[:0], ix.refs[:0], ix.from[:0]
+	ix.sets = sets
+	if dedupe && ix.shared == nil {
+		ix.shared = make(map[snapKey]int32)
+	}
+	clear(ix.shared)
+	for _, ls := range sets {
+		ix.from = append(ix.from, len(ix.refs))
+		if ls == nil {
+			continue
+		}
+		for _, side := range [2][][]int32{ls.Pos, ls.Neg} {
+			for _, snap := range side {
+				ix.refs = append(ix.refs, ix.snapshot(snap, dedupe))
+			}
+		}
+	}
+	ix.from = append(ix.from, len(ix.refs))
+
+	ix.words = (len(ix.blocks) + 63) / 64
+	n := len(ix.snaps) * ix.words
+	if cap(ix.bits) < n {
+		ix.bits = make([]uint64, n)
+	}
+	ix.bits = ix.bits[:n]
+	clear(ix.bits)
+	for k, snap := range ix.snaps {
+		row := ix.row(int32(k))
+		for _, b := range snap {
+			l := ix.local[b] - 1
+			row[l>>6] |= 1 << (l & 63)
+		}
+	}
+}
+
+// snapshot numbers snap's blocks and returns its index.
+func (ix *siteIndex) snapshot(snap []int32, dedupe bool) int32 {
+	k := int32(len(ix.snaps))
+	if dedupe && len(snap) > 0 {
+		key := snapKey{&snap[0], len(snap)}
+		if j, ok := ix.shared[key]; ok {
+			return j
+		}
+		ix.shared[key] = k
+	}
+	for _, b := range snap {
+		if int(b) >= len(ix.local) {
+			ix.local = append(ix.local, make([]int32, int(b)+1-len(ix.local))...)
+		}
+		if ix.local[b] == 0 {
+			ix.blocks = append(ix.blocks, b)
+			ix.local[b] = int32(len(ix.blocks))
+		}
+	}
+	ix.snaps = append(ix.snaps, snap)
+	return k
+}
+
+// row returns snapshot k's bitset.
+func (ix *siteIndex) row(k int32) []uint64 {
+	return ix.bits[int(k)*ix.words:][:ix.words]
+}
+
+// discover runs discovery for set i of the index; opt has its defaults.
 //
 // The search works on pool masks: bit i of a snapshot's mask says it holds
 // the i-th candidate predictor, so "the history contains every block of the
 // context" is one mask&set == set test per snapshot.
-func DiscoverContext(ls *profile.LabeledSet, site int32, opt Options) ContextResult {
-	opt = opt.withDefaults()
+func (ix *siteIndex) discover(i int, site int32, opt Options) ContextResult {
+	ls := ix.sets[i]
 	total := ls.PosTotal + ls.NegTotal
 	res := ContextResult{}
 	if total == 0 || ls.PosTotal == 0 || len(ls.Pos) == 0 {
@@ -43,11 +175,13 @@ func DiscoverContext(ls *profile.LabeledSet, site int32, opt Options) ContextRes
 	}
 	res.Baseline = float64(ls.PosTotal) / float64(total)
 
-	pool := rankPredictors(ls, site, opt)
+	refs := ix.refs[ix.from[i]:ix.from[i+1]]
+	pos, neg := refs[:len(ls.Pos)], refs[len(ls.Pos):]
+	pool := ix.rankPredictors(pos, neg, site, opt)
 	if len(pool) == 0 {
 		return res
 	}
-	posMasks, negMasks := poolMasks(ls.Pos, pool), poolMasks(ls.Neg, pool)
+	posMasks, negMasks := ix.poolMasks(pos, pool), ix.poolMasks(neg, pool)
 
 	// Aliasing model: a k-block context false-fires with probability ≈
 	// density^k when its blocks are absent (the runtime hash's set bits
@@ -71,12 +205,12 @@ func DiscoverContext(ls *profile.LabeledSet, site int32, opt Options) ContextRes
 	}
 	eval := func(set uint64) (candidate, bool) {
 		alias := aliasP[bits.OnesCount64(set)]
-		posFrac := fracMatching(posMasks, set)
+		posFrac := fracMatching(posMasks, len(pos), set)
 		effRecall := posFrac + (1-posFrac)*alias
 		if effRecall < opt.MinRecall {
 			return candidate{}, false
 		}
-		negFrac := fracMatching(negMasks, set)
+		negFrac := fracMatching(negMasks, len(neg), set)
 		effNegFire := negFrac + (1-negFrac)*alias
 		posMass := float64(ls.PosTotal) * effRecall
 		negMass := float64(ls.NegTotal) * effNegFire
@@ -144,112 +278,110 @@ func DiscoverContext(ls *profile.LabeledSet, site int32, opt Options) ContextRes
 	}
 	res.Precision, res.Recall = best.precision, best.recall
 	res.Blocks = make([]int32, 0, bits.OnesCount64(best.set))
-	for i, b := range pool {
+	for i, l := range pool {
 		if best.set&(1<<i) != 0 {
-			res.Blocks = append(res.Blocks, b)
+			res.Blocks = append(res.Blocks, ix.blocks[l])
 		}
 	}
 	sort.Slice(res.Blocks, func(i, j int) bool { return res.Blocks[i] < res.Blocks[j] })
 	return res
 }
 
-// rankPredictors returns the candidate pool: the blocks other than site that
-// appear in at least MinRecall of the positive snapshots, ranked by how much
-// more often they appear in positive than negative snapshots (ties by block
-// ID) and cut to CandidatePool.
-func rankPredictors(ls *profile.LabeledSet, site int32, opt Options) []int32 {
-	// One record per block of a positive snapshot. last stamps the snapshot
-	// that last counted the block (positives 1.., negatives after them), so
-	// a block repeated within one history counts once.
-	type record struct {
-		block, pos, neg, last int32
+// rankPredictors returns the candidate pool as local IDs: the blocks other
+// than site that appear in at least MinRecall of the positive snapshots,
+// ranked by how much more often they appear in positive than negative
+// snapshots (ties by block ID) and cut to CandidatePool.
+func (ix *siteIndex) rankPredictors(pos, neg []int32, site int32, opt Options) []int32 {
+	n := len(ix.blocks)
+	if cap(ix.counts) < 2*n {
+		ix.counts = make([]int32, 2*n)
 	}
-	index := make(map[int32]int32, 64)
-	recs := make([]record, 0, 64)
-	for i, s := range ls.Pos {
-		stamp := int32(i + 1)
-		for _, b := range s {
-			j, ok := index[b]
-			if !ok {
-				j = int32(len(recs))
-				index[b] = j
-				recs = append(recs, record{block: b})
-			}
-			if r := &recs[j]; r.last != stamp {
-				r.last = stamp
-				r.pos++
-			}
-		}
-	}
-	// Only a block seen in a positive snapshot can become a candidate.
-	for i, s := range ls.Neg {
-		stamp := int32(len(ls.Pos) + i + 1)
-		for _, b := range s {
-			if j, ok := index[b]; ok && recs[j].last != stamp {
-				recs[j].last = stamp
-				recs[j].neg++
-			}
-		}
-	}
+	posCount, negCount := ix.counts[:n], ix.counts[n:2*n]
+	ix.count(posCount, pos)
+	ix.count(negCount, neg)
 
-	type scored struct {
-		block int32
-		score float64
-	}
-	var cands []scored
-	for _, r := range recs {
-		pf := float64(r.pos) / float64(len(ls.Pos))
-		if r.block == site || pf < opt.MinRecall {
+	cands := ix.cands[:0]
+	for l, c := range posCount {
+		b := ix.blocks[l]
+		pf := float64(c) / float64(len(pos))
+		if c == 0 || b == site || pf < opt.MinRecall {
 			continue
 		}
 		nf := 0.0
-		if len(ls.Neg) > 0 {
-			nf = float64(r.neg) / float64(len(ls.Neg))
+		if len(neg) > 0 {
+			nf = float64(negCount[l]) / float64(len(neg))
 		}
-		cands = append(cands, scored{r.block, pf - nf})
+		cands = append(cands, scored{b, int32(l), pf - nf})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+	ix.cands = cands
+	slices.SortFunc(cands, func(a, b scored) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return cands[i].block < cands[j].block
+		return cmp.Compare(a.block, b.block)
 	})
 	if len(cands) > opt.CandidatePool {
 		cands = cands[:opt.CandidatePool]
 	}
 	pool := make([]int32, len(cands))
 	for i, c := range cands {
-		pool[i] = c.block
+		pool[i] = c.local
 	}
 	return pool
 }
 
-// poolMasks returns, per snapshot, the mask of the pool blocks it holds.
-func poolMasks(snaps [][]int32, pool []int32) []uint64 {
-	masks := make([]uint64, len(snaps))
-	for i, s := range snaps {
-		for _, b := range s {
-			for j, p := range pool {
-				if b == p {
-					masks[i] |= 1 << j
-					break
-				}
+// count sets counts[l] to the number of the snapshots refs that hold local
+// block l.
+func (ix *siteIndex) count(counts []int32, refs []int32) {
+	clear(counts)
+	for _, k := range refs {
+		for w, word := range ix.row(k) {
+			for ; word != 0; word &= word - 1 {
+				counts[w<<6|bits.TrailingZeros64(word)]++
 			}
 		}
 	}
-	return masks
 }
 
-// fracMatching returns the fraction of masks holding every bit of set.
-func fracMatching(masks []uint64, set uint64) float64 {
-	if len(masks) == 0 {
+// maskCount is a pool mask and the number of snapshots that have it.
+type maskCount struct {
+	mask uint64
+	n    int
+}
+
+// poolMasks returns the distinct masks of the pool blocks the snapshots of
+// refs hold, each with its number of snapshots.
+func (ix *siteIndex) poolMasks(refs []int32, pool []int32) []maskCount {
+	masks := make([]uint64, len(refs))
+	for i, k := range refs {
+		row := ix.row(k)
+		for j, l := range pool {
+			masks[i] |= (row[l>>6] >> (l & 63) & 1) << j
+		}
+	}
+	slices.Sort(masks)
+	var out []maskCount
+	for _, m := range masks {
+		if len(out) > 0 && out[len(out)-1].mask == m {
+			out[len(out)-1].n++
+		} else {
+			out = append(out, maskCount{m, 1})
+		}
+	}
+	return out
+}
+
+// fracMatching returns the fraction of total snapshots whose mask holds
+// every bit of set.
+func fracMatching(masks []maskCount, total int, set uint64) float64 {
+	if total == 0 {
 		return 0
 	}
 	n := 0
 	for _, m := range masks {
-		if m&set == set {
-			n++
+		if m.mask&set == set {
+			n += m.n
 		}
 	}
-	return float64(n) / float64(len(masks))
+	return float64(n) / float64(total)
 }

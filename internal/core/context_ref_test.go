@@ -237,23 +237,40 @@ func sameContext(a, b ContextResult) bool {
 		math.Float64bits(a.Baseline) == math.Float64bits(b.Baseline)
 }
 
-// TestDiscoverContextMatchesReference runs DiscoverContext and the reference
-// over every labeled set of two apps under the option sets the sensitivity
-// figures use; verilator's sets have almost no negative evidence.
-func TestDiscoverContextMatchesReference(t *testing.T) {
-	type variant struct {
-		name string
-		opt  func(*Options)
-	}
-	variants := []variant{{"defaults", func(*Options) {}}}
+// discoveryVariant is one option set of the sensitivity figures.
+type discoveryVariant struct {
+	name string
+	opt  func(*Options)
+}
+
+// discoveryVariants are the discovery options the sensitivity figures vary.
+func discoveryVariants() []discoveryVariant {
+	variants := []discoveryVariant{{"defaults", func(*Options) {}}}
 	for _, k := range []int{1, 8, 32} {
-		variants = append(variants, variant{fmt.Sprintf("preds=%d", k), func(o *Options) {
+		variants = append(variants, discoveryVariant{fmt.Sprintf("preds=%d", k), func(o *Options) {
 			o.MaxPreds, o.CandidatePool = k, max(k, 8) // as Fig. 17 sets them
 		}})
 	}
 	for _, b := range []int{4, 64} {
-		variants = append(variants, variant{fmt.Sprintf("hash=%d", b), func(o *Options) { o.HashBits = b }})
+		variants = append(variants, discoveryVariant{fmt.Sprintf("hash=%d", b), func(o *Options) { o.HashBits = b }})
 	}
+	return variants
+}
+
+// refOptions applies v to the default options and fills in the Bloom
+// density as BuildFromPrepared does.
+func refOptions(p *profile.Profile, v discoveryVariant) Options {
+	opt := DefaultOptions()
+	v.opt(&opt)
+	opt = opt.withDefaults()
+	opt.BloomDensity = AdjustDensity(p.AvgHashDensity, 16, opt.HashBits)
+	return opt
+}
+
+// TestDiscoverContextMatchesReference runs DiscoverContext and the reference
+// over every labeled set of two apps under the option sets the sensitivity
+// figures use; verilator's sets have almost no negative evidence.
+func TestDiscoverContextMatchesReference(t *testing.T) {
 	for _, app := range []string{"tomcat", "verilator"} {
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
@@ -262,11 +279,8 @@ func TestDiscoverContextMatchesReference(t *testing.T) {
 				t.Fatal("no labeled evidence")
 			}
 			adopted := 0
-			for _, v := range variants {
-				opt := DefaultOptions()
-				v.opt(&opt)
-				opt = opt.withDefaults()
-				opt.BloomDensity = AdjustDensity(p.AvgHashDensity, 16, opt.HashBits) // as BuildFromPrepared does
+			for _, v := range discoveryVariants() {
+				opt := refOptions(p, v)
 				for _, c := range prep.Needs {
 					ls := prep.CP.Get(c.Site, c.Target)
 					if ls == nil {
@@ -283,6 +297,42 @@ func TestDiscoverContextMatchesReference(t *testing.T) {
 			}
 			if adopted == 0 {
 				t.Error("no call adopted a context")
+			}
+		})
+	}
+}
+
+// TestBuildFromPreparedMatchesReference checks per-site discovery against
+// the reference: a build's contexts are exactly the needs for which
+// discoverContextRef adopts a context, each bit-identical.
+func TestBuildFromPreparedMatchesReference(t *testing.T) {
+	for _, app := range []string{"tomcat", "verilator"} {
+		t.Run(app, func(t *testing.T) {
+			t.Parallel()
+			p, prep := prepareQuick(app)
+			for _, v := range discoveryVariants() {
+				opt := DefaultOptions()
+				v.opt(&opt)
+				got := BuildFromPrepared(p, prep, opt).Contexts
+				ropt := refOptions(p, v)
+				adopted := 0
+				for _, c := range prep.Needs {
+					ls := prep.CP.Get(c.Site, c.Target)
+					if ls == nil {
+						continue
+					}
+					want := discoverContextRef(ls, c.Site, ropt)
+					res, ok := got[c.Target]
+					if ok != want.Conditional() || ok && !sameContext(res, want) {
+						t.Fatalf("%s: site %d target %v: got %+v (present %v), want %+v", v.name, c.Site, c.Target, res, ok, want)
+					}
+					if ok {
+						adopted++
+					}
+				}
+				if adopted != len(got) {
+					t.Fatalf("%s: build holds %d contexts, reference adopts %d", v.name, len(got), adopted)
+				}
 			}
 		})
 	}
@@ -365,6 +415,17 @@ func FuzzDiscoverContext(f *testing.F) {
 		got, want := DiscoverContext(ls, s, opt), discoverContextRef(ls, s, opt)
 		if !sameContext(got, want) {
 			t.Fatalf("got %+v, want %+v", got, want)
+		}
+		// The same snapshots labeled the other way round, indexed with ls as
+		// two targets of one site: each shared slice converts once.
+		flip := &profile.LabeledSet{Pos: ls.Neg, Neg: ls.Pos, PosTotal: ls.NegTotal, NegTotal: ls.PosTotal}
+		var ix siteIndex
+		ix.index([]*profile.LabeledSet{ls, flip})
+		for i, set := range ix.sets {
+			got, want := ix.discover(i, s, opt.withDefaults()), discoverContextRef(set, s, opt)
+			if !sameContext(got, want) {
+				t.Fatalf("target %d of a shared index: got %+v, want %+v", i, got, want)
+			}
 		}
 	})
 }

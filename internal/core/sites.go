@@ -35,6 +35,16 @@ type candidate struct {
 	block   int32
 	votes   int
 	sumDist float64
+	fanout  float64
+}
+
+// voteTable is SelectSites' scratch, indexed by block ID and reused across
+// the miss sites of one call: slot[b] is 1 + b's index in cands (0 when b
+// has no vote yet), and voted[b] is the last sample that voted b.
+type voteTable struct {
+	slot, voted []int32
+	sample      int32
+	cands       []candidate
 }
 
 // SelectSites chooses one injection site per qualifying miss line. Lines
@@ -42,12 +52,13 @@ type candidate struct {
 // are returned in uncovered (with their miss counts) — they stay unprefetched.
 func SelectSites(g *cfg.Graph, opt Options) (chosen []SiteChoice, uncovered uint64) {
 	opt = opt.withDefaults()
+	vt := &voteTable{slot: make([]int32, g.NumBlocks), voted: make([]int32, g.NumBlocks)}
 	for _, ms := range g.SortedSites() {
 		if ms.Count < opt.MinMissCount || len(ms.Samples) == 0 {
 			uncovered += ms.Count
 			continue
 		}
-		sc, ok := selectSite(g, ms, opt)
+		sc, ok := vt.selectSite(g, ms, opt)
 		if !ok {
 			uncovered += ms.Count
 			continue
@@ -59,55 +70,50 @@ func SelectSites(g *cfg.Graph, opt Options) (chosen []SiteChoice, uncovered uint
 
 // selectSite votes over the miss's history samples for predecessors inside
 // the [MinDist, MaxDist] cycle window and picks the most reliable one.
-func selectSite(g *cfg.Graph, ms *cfg.MissSite, opt Options) (SiteChoice, bool) {
-	votes := make(map[int32]*candidate)
+func (vt *voteTable) selectSite(g *cfg.Graph, ms *cfg.MissSite, opt Options) (SiteChoice, bool) {
+	vt.cands = vt.cands[:0]
 	for _, s := range ms.Samples {
 		// A block may appear several times in one history (loops); vote it
 		// once per sample, at its earliest in-window occurrence.
-		seen := make(map[int32]bool, len(s.Preds))
+		vt.sample++
 		for _, pe := range s.Preds {
 			d := uint64(pe.CycleDelta)
 			if opt.IPCDistance && opt.AvgCPI > 0 {
 				// AsmDB's heuristic: cycles ≈ instructions × mean CPI.
 				d = uint64(float64(pe.InstrDelta) * opt.AvgCPI)
 			}
-			if d < opt.MinDistCycles || d > opt.MaxDistCycles || seen[pe.Block] {
+			if d < opt.MinDistCycles || d > opt.MaxDistCycles || vt.voted[pe.Block] == vt.sample {
 				continue
 			}
-			seen[pe.Block] = true
-			c := votes[pe.Block]
-			if c == nil {
-				c = &candidate{block: pe.Block}
-				votes[pe.Block] = c
+			vt.voted[pe.Block] = vt.sample
+			if vt.slot[pe.Block] == 0 {
+				vt.cands = append(vt.cands, candidate{block: pe.Block})
+				vt.slot[pe.Block] = int32(len(vt.cands))
 			}
+			c := &vt.cands[vt.slot[pe.Block]-1]
 			c.votes++
 			c.sumDist += float64(d)
 		}
 	}
-	if len(votes) == 0 {
-		return SiteChoice{}, false
+	for _, c := range vt.cands {
+		vt.slot[c.block] = 0
 	}
 	// Candidate filtering: enough coverage to be a reliable predecessor,
 	// and fan-out at or below the selection threshold (1.0 for I-SPY —
 	// conditions restore accuracy; AsmDB sweeps it, Fig. 3).
-	cands := make([]*candidate, 0, len(votes))
-	fan := make(map[int32]float64, len(votes))
+	cands := vt.cands[:0]
 	maxVotes := 0
-	//ispy:ordered fanout is pure and cands gets a total order (ending in block ID) from the sort below
-	for _, c := range votes {
+	for _, c := range vt.cands {
 		cov := float64(c.votes) / float64(len(ms.Samples))
 		if cov < opt.MinSiteCoverage {
 			continue
 		}
-		f := fanout(g, c.block, ms.Count, cov)
-		if f > opt.FanoutThreshold {
+		c.fanout = fanout(g, c.block, ms.Count, cov)
+		if c.fanout > opt.FanoutThreshold {
 			continue
 		}
-		fan[c.block] = f
 		cands = append(cands, c)
-		if c.votes > maxVotes {
-			maxVotes = c.votes
-		}
+		maxVotes = max(maxVotes, c.votes)
 	}
 	if len(cands) == 0 {
 		return SiteChoice{}, false
@@ -125,7 +131,7 @@ func selectSite(g *cfg.Graph, ms *cfg.MissSite, opt Options) (SiteChoice, bool) 
 			return ti
 		}
 		if ti && tj {
-			fi, fj := fan[cands[i].block], fan[cands[j].block]
+			fi, fj := cands[i].fanout, cands[j].fanout
 			if fi != fj {
 				return fi < fj
 			}
@@ -148,7 +154,7 @@ func selectSite(g *cfg.Graph, ms *cfg.MissSite, opt Options) (SiteChoice, bool) 
 		Site:          best.block,
 		Coverage:      coverage,
 		AvgDistCycles: best.sumDist / float64(best.votes),
-		Fanout:        fan[best.block],
+		Fanout:        best.fanout,
 	}, true
 }
 

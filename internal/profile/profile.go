@@ -50,6 +50,9 @@ type Profile struct {
 	Input    workload.Input
 }
 
+// histSlab is how many miss histories one slab allocation holds.
+const histSlab = 256
+
 // Collect profiles w under input in with simulator configuration scfg (the
 // Ideal flag is forced off; profiling an ideal cache observes no misses).
 func Collect(w *workload.Workload, in workload.Input, scfg sim.Config) *Profile {
@@ -57,6 +60,10 @@ func Collect(w *workload.Workload, in workload.Input, scfg sim.Config) *Profile 
 	g := cfg.NewGraph(len(w.Prog.Blocks))
 	r := rng.New(w.Params.Seed ^ 0x9e3779b9)
 
+	// Successor counts accumulate per block and fill g.Edges after the run;
+	// miss histories are carved from shared slabs of lbr.Depth entries each.
+	edges := cfg.NewEdgeCounts(len(w.Prog.Blocks))
+	var slab []cfg.PredEntry
 	var prevBlock int32 = -1
 	var prevCycle uint64
 	var densitySum float64
@@ -70,7 +77,7 @@ func Collect(w *workload.Workload, in workload.Input, scfg sim.Config) *Profile 
 			b := int32(block)
 			g.Exec[b]++
 			if prevBlock >= 0 {
-				g.AddEdge(prevBlock, b)
+				edges.Add(prevBlock, b)
 				g.Cycles[prevBlock] += float64(cycle - prevCycle)
 			}
 			prevBlock, prevCycle = b, cycle
@@ -84,7 +91,11 @@ func Collect(w *workload.Workload, in workload.Input, scfg sim.Config) *Profile 
 			// Reservoir-sample the history.
 			idx := -1
 			if len(site.Samples) < MaxSamplesPerSite {
-				site.Samples = append(site.Samples, cfg.Sample{})
+				if len(slab) == 0 {
+					slab = make([]cfg.PredEntry, histSlab*lbr.Depth)
+				}
+				site.Samples = append(site.Samples, cfg.Sample{Preds: slab[:0:lbr.Depth]})
+				slab = slab[lbr.Depth:]
 				idx = len(site.Samples) - 1
 			} else if j := r.Intn(int(site.Count)); j < MaxSamplesPerSite {
 				idx = j
@@ -111,6 +122,7 @@ func Collect(w *workload.Workload, in workload.Input, scfg sim.Config) *Profile 
 
 	ex := workload.NewExecutor(w, in)
 	st := sim.Run(w.Prog, ex, scfg, hooks)
+	edges.Fill(g)
 	p := &Profile{Graph: g, Stats: st, Workload: w, Input: in}
 	if densityN > 0 {
 		p.AvgHashDensity = densitySum / float64(densityN)

@@ -41,14 +41,28 @@ func TestCollectBasics(t *testing.T) {
 	}
 }
 
+// TestCollectExecCounts checks execution and edge accounting: every
+// simulated block is counted once, and every block but the first is one
+// transition out of its predecessor.
 func TestCollectExecCounts(t *testing.T) {
 	p := collectTomcat(t)
-	var execSum uint64
-	for _, e := range p.Graph.Exec {
+	var execSum, edgeSum uint64
+	for from, e := range p.Graph.Exec {
 		execSum += e
+		var out uint64
+		for _, n := range p.Graph.Edges[from] {
+			out += n
+		}
+		if out != e && out+1 != e {
+			t.Errorf("block %d: %d transitions out of %d executions", from, out, e)
+		}
+		edgeSum += out
 	}
 	if execSum != p.Stats.Blocks {
 		t.Errorf("exec sum %d != simulated blocks %d", execSum, p.Stats.Blocks)
+	}
+	if edgeSum+1 != execSum {
+		t.Errorf("edge sum %d, want one less than %d executions", edgeSum, execSum)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ispy/internal/cfg"
 	"ispy/internal/experiments"
 	"ispy/internal/faults"
 	"ispy/internal/profile"
@@ -408,20 +409,47 @@ func TestProfileUploadMatchesCollectedProfile(t *testing.T) {
 		t.Fatal("identical profile uploads produced different bytes")
 	}
 
-	// A moved preset seed and an unknown preset are the client's errors.
-	stale, unknown := *pd, *pd
+	// A moved preset seed, an unknown preset, a history naming a block
+	// outside the graph and a graph over another block count are the
+	// client's errors.
+	stale, unknown, outOfRange, resized := *pd, *pd, *pd, *pd
 	stale.WorkloadSeed++
 	unknown.WorkloadName = "bogus"
+	var buf bytes.Buffer
+	if err := traceio.WriteProfile(&buf, pd); err != nil {
+		t.Fatal(err)
+	}
+	copied, err := traceio.ReadProfile(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range copied.Graph.Sites {
+		for _, smp := range site.Samples {
+			for i := range smp.Preds {
+				smp.Preds[i].Block = 1 << 20
+			}
+		}
+	}
+	outOfRange.Graph = copied.Graph
+	resized.Graph = cfg.NewGraph(pd.Graph.NumBlocks + 1)
 	for _, c := range []struct {
+		name   string
 		pd     *traceio.ProfileData
 		status int
 		code   string
-	}{{&stale, http.StatusUnprocessableEntity, "stale_profile"}, {&unknown, http.StatusNotFound, "unknown_app"}} {
+	}{
+		{"moved seed", &stale, http.StatusUnprocessableEntity, "stale_profile"},
+		{"unknown preset", &unknown, http.StatusNotFound, "unknown_app"},
+		{"out-of-range block", &outOfRange, http.StatusBadRequest, "bad_profile"},
+		{"resized graph", &resized, http.StatusUnprocessableEntity, "stale_profile"},
+	} {
 		rec := post(c.pd)
 		if msg, ok := structuredError(rec.Body.Bytes()); rec.Code != c.status || !ok || !strings.HasPrefix(msg, c.code) {
-			t.Errorf("profile naming %s seed %#x = %d %s, want %d %s",
-				c.pd.WorkloadName, c.pd.WorkloadSeed, rec.Code, rec.Body, c.status, c.code)
+			t.Errorf("profile with a %s = %d %s, want %d %s", c.name, rec.Code, rec.Body, c.status, c.code)
 		}
+	}
+	if r3 := post(pd); r3.Code != http.StatusOK || !bytes.Equal(r1.Body.Bytes(), r3.Body.Bytes()) {
+		t.Fatalf("valid upload after the bad ones = %d: %s", r3.Code, r3.Body)
 	}
 
 	// Garbage bytes are a structured 400, not a panic.

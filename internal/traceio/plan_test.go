@@ -56,11 +56,22 @@ func TestPlanBytesPinned(t *testing.T) {
 }
 
 // TestProfileRebind: a flattened profile rebinds to the preset it names; an
-// unknown preset or a moved seed is an error, never a panic.
+// unknown preset, a moved seed or a graph over another block count is an
+// error, never a panic.
 func TestProfileRebind(t *testing.T) {
 	pd := tinyProfile()
+	tiny := pd.Graph
 	pd.WorkloadName = "tomcat"
 	pd.WorkloadSeed = workload.PresetParams("tomcat").Seed
+	if _, err := pd.Rebind(); err == nil || !strings.Contains(err.Error(), "program has") {
+		t.Fatalf("graph over 2 blocks: err = %v", err)
+	}
+	g := cfg.NewGraph(len(workload.Preset("tomcat").Prog.Blocks))
+	copy(g.Exec, tiny.Exec)
+	copy(g.Cycles, tiny.Cycles)
+	copy(g.Edges, tiny.Edges)
+	g.Sites, g.TotalMisses = tiny.Sites, tiny.TotalMisses
+	pd.Graph = g
 	prof, err := pd.Rebind()
 	if err != nil {
 		t.Fatal(err)

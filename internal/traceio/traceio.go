@@ -129,6 +129,16 @@ func (d *reader) str() string {
 	return string(b)
 }
 
+// block reads a block ID and fails unless it names one of nb blocks: the
+// analysis indexes per-block tables by the IDs a profile holds.
+func (d *reader) block(nb int, what string) int32 {
+	v := d.varint()
+	if d.err == nil && (v < 0 || v >= int64(nb)) {
+		d.err = fmt.Errorf("traceio: %s names block %d outside [0, %d)", what, v, nb)
+	}
+	return int32(v)
+}
+
 // count guards slice allocations against corrupt headers. It returns 0 on
 // any invalid count: a value above max must not leak out, since a uint64
 // past 1<<63 converts to a negative int and make() panics on negative caps.
@@ -311,9 +321,10 @@ func ProfileDataOf(p *profile.Profile) *ProfileData {
 
 // Rebind reconstructs a live profile from pd by regenerating the
 // deterministic workload preset it names. It fails with
-// workload.LookupParams's error on an unknown preset, and with a stale-seed
-// error when the preset's seed has changed since collection. Of the
-// profiling run's statistics only the summary pd carries survives.
+// workload.LookupParams's error on an unknown preset, and with a stale
+// error when the preset's seed has changed since collection or its program
+// has a different block count than the profile's graph. Of the profiling
+// run's statistics only the summary pd carries survives.
 func (pd *ProfileData) Rebind() (*profile.Profile, error) {
 	params, err := workload.LookupParams(pd.WorkloadName)
 	if err != nil {
@@ -323,11 +334,16 @@ func (pd *ProfileData) Rebind() (*profile.Profile, error) {
 		return nil, fmt.Errorf("traceio: profile was collected on %s with seed %#x; preset now uses %#x",
 			pd.WorkloadName, pd.WorkloadSeed, params.Seed)
 	}
+	w := workload.Generate(params)
+	if len(w.Prog.Blocks) != pd.Graph.NumBlocks {
+		return nil, fmt.Errorf("traceio: profile graph has %d blocks; preset %s's program has %d",
+			pd.Graph.NumBlocks, pd.WorkloadName, len(w.Prog.Blocks))
+	}
 	return &profile.Profile{
 		Graph:          pd.Graph,
 		AvgHashDensity: pd.AvgHashDensity,
 		Stats:          &sim.Stats{Cycles: pd.BaseCycles, BaseInstrs: pd.BaseInstrs, L1IMisses: pd.TotalMisses},
-		Workload:       workload.Generate(params),
+		Workload:       w,
 		Input:          workload.Input{Name: pd.InputName, Seed: pd.InputSeed},
 	}, nil
 }
@@ -421,7 +437,7 @@ func ReadProfile(r io.Reader) (*ProfileData, error) {
 	for i := 0; i < nb && d.err == nil; i++ {
 		ne := d.count(1<<20, "edge")
 		for j := 0; j < ne && d.err == nil; j++ {
-			to := int32(d.varint())
+			to := d.block(nb, "edge")
 			n := d.uvarint()
 			if g.Edges[i] == nil {
 				g.Edges[i] = make(map[int32]uint64, capHint(ne, 256))
@@ -431,7 +447,7 @@ func ReadProfile(r io.Reader) (*ProfileData, error) {
 	}
 	ns := d.count(1<<24, "site")
 	for i := 0; i < ns && d.err == nil; i++ {
-		key := cfg.LineKey{Block: int32(d.varint()), Delta: int32(d.varint())}
+		key := cfg.LineKey{Block: d.block(nb, "site"), Delta: int32(d.varint())}
 		s := g.Site(key)
 		s.Count = d.uvarint()
 		nsm := d.count(1<<16, "sample")
@@ -440,7 +456,7 @@ func ReadProfile(r io.Reader) (*ProfileData, error) {
 			smp := cfg.Sample{Preds: make([]cfg.PredEntry, 0, np)}
 			for k := 0; k < np && d.err == nil; k++ {
 				smp.Preds = append(smp.Preds, cfg.PredEntry{
-					Block:      int32(d.varint()),
+					Block:      d.block(nb, "history entry"),
 					CycleDelta: uint32(d.uvarint()),
 					InstrDelta: uint32(d.uvarint()),
 				})

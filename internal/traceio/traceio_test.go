@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ispy/internal/cfg"
@@ -169,6 +170,28 @@ func TestTruncatedStreamRejected(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/3]
 	if _, err := ReadProgram(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated program accepted")
+	}
+}
+
+// TestOutOfRangeBlocksRejected: a profile whose edge, site key or history
+// entry names a block outside the graph fails to decode.
+func TestOutOfRangeBlocksRejected(t *testing.T) {
+	for name, mutate := range map[string]func(g *cfg.Graph){
+		"edge": func(g *cfg.Graph) { g.Edges[0][2] = 1 },
+		"site": func(g *cfg.Graph) { g.Site(cfg.LineKey{Block: -1}).Count = 1 },
+		"history entry": func(g *cfg.Graph) {
+			g.Sites[cfg.LineKey{Block: 1}].Samples[0].Preds[0].Block = 1 << 20
+		},
+	} {
+		pd := tinyProfile()
+		mutate(pd.Graph)
+		var buf bytes.Buffer
+		if err := WriteProfile(&buf, pd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadProfile(&buf); err == nil || !strings.Contains(err.Error(), name+" names block") {
+			t.Errorf("%s out of range: err = %v", name, err)
+		}
 	}
 }
 
