@@ -45,12 +45,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short continuous-fuzzing passes over the trace decoders and over context
-# discovery against its reference; regressions land in the package's
+# Short continuous-fuzzing passes over the trace decoders, over context
+# discovery against its reference, and over the cache (Resets included)
+# against its frozen reference; regressions land in the package's
 # testdata/fuzz and replay as ordinary tests forever after.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=5s ./internal/traceio
 	$(GO) test -run=NONE -fuzz=FuzzDiscoverContext -fuzztime=5s ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzRefCacheEquivalence -fuzztime=5s ./internal/cache
 
 # End-to-end fault-injection smoke: an injected panic must degrade the run
 # (exit 1 with a report), not crash it.

@@ -22,6 +22,7 @@ import (
 	"ispy/internal/experiments"
 	"ispy/internal/isa"
 	"ispy/internal/metrics"
+	"ispy/internal/profile"
 	"ispy/internal/server"
 	"ispy/internal/sim"
 	"ispy/internal/workload"
@@ -183,10 +184,46 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkLabelingPass times the §III-A context-labeling pass alone: one
+// op is profile.CollectContexts on each of the nine presets at the quick
+// budget (500k measured after 250k of warmup), instrumenting the sites the
+// default SelectSites chooses, as core.Prepare does. Profiling and site
+// selection run once, untimed.
+func BenchmarkLabelingPass(b *testing.B) {
+	type pass struct {
+		w       *workload.Workload
+		scfg    sim.Config
+		targets []profile.Targets
+	}
+	opt := core.DefaultOptions()
+	var passes []pass
+	for _, app := range workload.AppNames {
+		w := workload.Preset(app)
+		scfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
+		scfg.MaxInstrs, scfg.WarmupInstrs = 500_000, 250_000
+		choices, _ := core.SelectSites(profile.Collect(w, workload.DefaultInput(w), scfg).Graph, opt)
+		var needs []core.SiteChoice
+		for _, c := range choices {
+			if c.Fanout > opt.FanoutEpsilon {
+				needs = append(needs, c)
+			}
+		}
+		passes = append(passes, pass{w, scfg, core.LabelTargets(needs)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range passes {
+			profile.CollectContexts(p.w, workload.DefaultInput(p.w), p.scfg, p.targets, opt.MaxDistCycles+opt.CtxWindowSlackCycles)
+		}
+	}
+}
+
 // benchServe times ispyd rounds in process: one op is nine analyze
 // requests, one per app, through server.Handler() at the server's default
 // budget. Every response must equal the untimed first round's.
 func benchServe(b *testing.B, cfg server.Config) {
+	b.ReportAllocs()
 	s, err := server.New(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -45,10 +45,19 @@ type lineMeta struct {
 // flags are only touched on a hit or during victim selection. The in-flight
 // arrival check (late-prefetch timing) is folded into the same probe that
 // finds the hit.
+//
+// Sets are invalidated lazily. Each set carries the epoch of its last
+// write; a set whose stamp differs from the cache's epoch is stale and reads
+// as empty, whatever its arrays still hold, and its first write clears it.
+// New and Reset therefore cost O(1) in the cache size: a run pays only for
+// the sets it touches (the largest preset's code fills about 2% of the
+// Table I L3).
 type Cache struct {
 	cfg     Config
 	tags    []uint64   // nsets × ways, flat, set-major; invalidTag = empty
 	meta    []lineMeta // parallel to tags
+	stamp   []uint32   // per set: the epoch of its last write
+	epoch   uint32     // never 0, so a zeroed stamp is always stale
 	ways    int
 	setMask uint64
 	clock   uint64
@@ -56,43 +65,46 @@ type Cache struct {
 }
 
 // New builds a cache from cfg, panicking on invalid geometry (a programming
-// error, not a runtime condition).
+// error, not a runtime condition). Every set starts stale, so the arrays
+// need no fill.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	n := cfg.Sets() * cfg.Ways
-	c := &Cache{
+	return &Cache{
 		cfg:     cfg,
 		tags:    make([]uint64, n),
 		meta:    make([]lineMeta, n),
+		stamp:   make([]uint32, cfg.Sets()),
+		epoch:   1,
 		ways:    cfg.Ways,
 		setMask: uint64(cfg.Sets() - 1),
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	return c
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// indexOf returns the flat-array offset of lineAddr's set and the tag to
-// match within it.
-func (c *Cache) indexOf(lineAddr isa.Addr) (base int, tag uint64) {
+// indexOf returns lineAddr's set, the flat-array offset of that set, and
+// the tag to match within it.
+func (c *Cache) indexOf(lineAddr isa.Addr) (set, base int, tag uint64) {
 	idx := isa.LineIndex(lineAddr)
-	return int(idx&c.setMask) * c.ways, idx
+	set = int(idx & c.setMask)
+	return set, set * c.ways, idx
 }
 
 // Lookup performs a demand access at cycle now. On a hit it promotes the
 // line to MRU and clears its prefetched flag (counting prefetch usefulness).
 func (c *Cache) Lookup(lineAddr isa.Addr, now uint64) LookupResult {
 	c.Stats.Accesses++
-	base, tag := c.indexOf(lineAddr)
+	set, base, tag := c.indexOf(lineAddr)
 	for i, t := range c.tags[base : base+c.ways] {
 		if t != tag {
 			continue
+		}
+		if c.stamp[set] != c.epoch {
+			break // a stale set's leftover tag is not resident
 		}
 		w := &c.meta[base+i]
 		c.clock++
@@ -117,10 +129,10 @@ func (c *Cache) Lookup(lineAddr isa.Addr, now uint64) LookupResult {
 // state or statistics (used by prefetch issue to detect redundant targets
 // and by tests).
 func (c *Cache) Contains(lineAddr isa.Addr) bool {
-	base, tag := c.indexOf(lineAddr)
+	set, base, tag := c.indexOf(lineAddr)
 	for _, t := range c.tags[base : base+c.ways] {
 		if t == tag {
-			return true
+			return c.stamp[set] == c.epoch
 		}
 	}
 	return false
@@ -143,9 +155,17 @@ func (c *Cache) Insert(lineAddr isa.Addr, now, arrival uint64, prefetch bool) (e
 // for the replacement-policy design choice inserts prefetches at MRU
 // (prefetched=true, halfPriority=false) to quantify what §III-B buys.
 func (c *Cache) InsertPrio(lineAddr isa.Addr, now, arrival uint64, prefetched, halfPriority bool) (evictedUnusedPrefetch bool) {
-	base, tag := c.indexOf(lineAddr)
+	set, base, tag := c.indexOf(lineAddr)
 	tags := c.tags[base : base+c.ways]
 	meta := c.meta[base : base+c.ways]
+	if c.stamp[set] != c.epoch {
+		// First write to the set this epoch: empty it.
+		for i := range tags {
+			tags[i] = invalidTag
+			meta[i] = lineMeta{}
+		}
+		c.stamp[set] = c.epoch
+	}
 	// Already resident: refresh arrival if the resident copy is in flight.
 	for i, t := range tags {
 		if t == tag {
@@ -203,20 +223,30 @@ func (c *Cache) InsertPrio(lineAddr isa.Addr, now, arrival uint64, prefetched, h
 // into PrefetchUseless. Call once at end of simulation so accuracy reflects
 // lines that were fetched but never needed.
 func (c *Cache) FlushUnusedPrefetchStats() {
-	for i := range c.meta {
-		w := &c.meta[i]
-		if c.tags[i] != invalidTag && w.prefetched {
-			c.Stats.PrefetchUseless++
-			w.prefetched = false
+	for set, st := range c.stamp {
+		if st != c.epoch {
+			continue
+		}
+		base := set * c.ways
+		for i := base; i < base+c.ways; i++ {
+			w := &c.meta[i]
+			if c.tags[i] != invalidTag && w.prefetched {
+				c.Stats.PrefetchUseless++
+				w.prefetched = false
+			}
 		}
 	}
 }
 
-// Reset invalidates all lines and zeroes statistics.
+// Reset invalidates all lines and zeroes statistics. It only advances the
+// epoch, which makes every set stale; when the epoch wraps around, the
+// stamps are cleared so that no set from an earlier cycle of epochs reads
+// as current.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-		c.meta[i] = lineMeta{}
+	c.epoch++
+	if c.epoch == 0 {
+		clear(c.stamp)
+		c.epoch = 1
 	}
 	c.clock = 0
 	c.Stats = Stats{}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -308,5 +309,30 @@ func TestInclusiveFillPath(t *testing.T) {
 	h.FetchI(0x400000, 0)
 	if !h.L2().Contains(0x400000) || !h.L3().Contains(0x400000) {
 		t.Error("memory fill must populate L2 and L3")
+	}
+}
+
+// TestResetEpochWrapAround: when the epoch counter wraps, Reset must clear
+// the set stamps. Otherwise a set last written in the epoch Reset restarts
+// at would read as resident again, with whatever its arrays still hold.
+func TestResetEpochWrapAround(t *testing.T) {
+	c := New(tiny())                   // 2 sets × 2 ways; epoch 1
+	c.Insert(0, 0, 0, false)           // set 0, stamped in epoch 1
+	c.epoch = math.MaxUint32           // as if 2^32−2 Resets had passed
+	c.Insert(isa.LineSize, 0, 9, true) // set 1, stamped in the last epoch
+	c.Reset()
+	if c.epoch != 1 {
+		t.Fatalf("epoch after wrap-around = %d, want 1", c.epoch)
+	}
+	if c.Contains(0) || c.Contains(isa.LineSize) {
+		t.Fatal("a line survived the wrapping Reset")
+	}
+	c.FlushUnusedPrefetchStats()
+	if r := c.Lookup(0, 1); r.Hit || c.Stats != (Stats{Accesses: 1, Misses: 1}) {
+		t.Fatalf("after the wrapping Reset: Lookup = %+v, stats %+v", r, c.Stats)
+	}
+	c.Insert(0, 2, 2, false)
+	if !c.Contains(0) || c.Contains(isa.LineSize) {
+		t.Fatal("cache does not fill normally after the wrapping Reset")
 	}
 }

@@ -70,20 +70,27 @@ func Prepare(p *profile.Profile, scfg sim.Config, opt Options) *Prepared {
 			}
 		}
 		if len(prep.Needs) > 0 {
-			sites, bySite := GroupBySite(prep.Needs)
-			targets := make([]profile.Targets, 0, len(sites))
-			for _, s := range sites {
-				t := profile.Targets{Site: s}
-				for _, c := range bySite[s] {
-					t.Lines = append(t.Lines, c.Target)
-				}
-				targets = append(targets, t)
-			}
-			prep.CP = profile.CollectContexts(p.Workload, p.Input, scfg, targets,
+			prep.CP = profile.CollectContexts(p.Workload, p.Input, scfg, LabelTargets(prep.Needs),
 				opt.MaxDistCycles+opt.CtxWindowSlackCycles)
 		}
 	}
 	return prep
+}
+
+// LabelTargets groups the choices that need a condition into the labeling
+// pass's instrumentation: one entry per site, in site order, listing the
+// site's target lines in choice order.
+func LabelTargets(needs []SiteChoice) []profile.Targets {
+	sites, bySite := GroupBySite(needs)
+	targets := make([]profile.Targets, 0, len(sites))
+	for _, s := range sites {
+		t := profile.Targets{Site: s}
+		for _, c := range bySite[s] {
+			t.Lines = append(t.Lines, c.Target)
+		}
+		targets = append(targets, t)
+	}
+	return targets
 }
 
 // BuildFromPrepared runs context discovery, coalescing, and injection using

@@ -76,6 +76,23 @@ func (l *LBR) Snapshot(dst []Entry) []Entry {
 	return dst
 }
 
+// Blocks appends the entries' block IDs, newest first, to dst and returns
+// it: the order At(0), At(1), … gives, copied as the ring's two contiguous
+// runs rather than one modular index per entry.
+func (l *LBR) Blocks(dst []int32) []int32 {
+	end := l.head + l.size
+	if end > Depth {
+		for i := end - Depth - 1; i >= 0; i-- {
+			dst = append(dst, l.entries[i].Block)
+		}
+		end = Depth
+	}
+	for i := end - 1; i >= l.head; i-- {
+		dst = append(dst, l.entries[i].Block)
+	}
+	return dst
+}
+
 // At returns the i-th most recent entry (0 = newest). It panics if i ≥ Len.
 func (l *LBR) At(i int) Entry {
 	if i < 0 || i >= l.size {

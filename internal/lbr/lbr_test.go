@@ -71,6 +71,24 @@ func TestAtNewestFirst(t *testing.T) {
 	}
 }
 
+// TestBlocksMatchesAt checks Blocks against At at every fill level and
+// ring rotation, including the partly filled and the wrapped ring.
+func TestBlocksMatchesAt(t *testing.T) {
+	l := New(16)
+	for n := int32(0); n < 3*Depth; n++ {
+		got := l.Blocks([]int32{-1})
+		if len(got) != 1+l.Len() || got[0] != -1 {
+			t.Fatalf("after %d pushes: Blocks did not append to dst: %v", n, got)
+		}
+		for i := 0; i < l.Len(); i++ {
+			if got[1+i] != l.At(i).Block {
+				t.Fatalf("after %d pushes: Blocks[%d] = %d, At(%d).Block = %d", n, i, got[1+i], i, l.At(i).Block)
+			}
+		}
+		push(l, n, uint64(n))
+	}
+}
+
 func TestAtPanicsOutOfRange(t *testing.T) {
 	l := New(16)
 	push(l, 1, 0)

@@ -153,12 +153,12 @@ type LabeledSet struct {
 // MaxLabeledSamples bounds each side's reservoir.
 const MaxLabeledSamples = 96
 
-// ContextProfile is the result of the labeling pass.
+// ContextProfile is the result of the labeling pass. A site's execution
+// count is the PosTotal+NegTotal of any of its sets: every execution labels
+// every target once.
 type ContextProfile struct {
 	// Sets maps (site, target) to its labeled evidence.
 	Sets map[siteTarget]*LabeledSet
-	// SiteExec counts executions of each instrumented site.
-	SiteExec map[int32]uint64
 }
 
 type siteTarget struct {
@@ -179,8 +179,12 @@ type pending struct {
 	hits     []bool // per target of the site: missed within the window
 }
 
-// label names target j of instrumented site i.
-type label struct{ site, target int32 }
+// want names target j of instrumented site i, whose line lies at byte
+// offset delta of its block.
+type want struct{ delta, site, target int32 }
+
+// hitSlab is how many per-target hit flags one slab allocation holds.
+const hitSlab = 4096
 
 // CollectContexts runs the labeling pass: for every execution of an
 // instrumented site it snapshots the LBR and, windowCycles later, labels the
@@ -189,30 +193,32 @@ type label struct{ site, target int32 }
 // other inputs).
 func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, sites []Targets, windowCycles uint64) *ContextProfile {
 	scfg.Ideal = false
-	cp := &ContextProfile{
-		Sets:     make(map[siteTarget]*LabeledSet),
-		SiteExec: make(map[int32]uint64),
-	}
+	cp := &ContextProfile{Sets: make(map[siteTarget]*LabeledSet)}
 	// siteOf[b] is 1 + the index in sites of block b, or 0; sets[i][j] is
-	// the evidence for target j of site i; wanted lists, per target line,
-	// every (site, target) that labels it.
+	// the evidence for target j of site i; wanted[b] lists every (site,
+	// target) whose target line lies in block b, so a miss finds its labels
+	// with one index and no hashing.
 	siteOf := make([]int32, len(w.Prog.Blocks))
 	sets := make([][]*LabeledSet, len(sites))
-	wanted := make(map[cfg.LineKey][]label)
+	wanted := make([][]want, len(w.Prog.Blocks))
 	for i, t := range sites {
 		siteOf[t.Site] = int32(i) + 1
 		sets[i] = make([]*LabeledSet, len(t.Lines))
 		for j, ln := range t.Lines {
 			sets[i][j] = &LabeledSet{}
 			cp.Sets[siteTarget{t.Site, ln}] = sets[i][j]
-			wanted[ln] = append(wanted[ln], label{int32(i), int32(j)})
+			wanted[ln.Block] = append(wanted[ln.Block], want{ln.Delta, int32(i), int32(j)})
 		}
 	}
 	r := rng.New(w.Params.Seed ^ 0x51caffe)
 
 	// The queue is in cycle order (cycles never decrease), so the expired
-	// executions are a prefix of it.
+	// executions are a prefix of it; the rest moves to the front, so the
+	// queue reuses one backing array. Hit flags are carved from slabs:
+	// finalize is their last reader. Snapshots are allocated one by one,
+	// because a reservoir may keep any one of them for the whole pass.
 	var queue []pending
+	var hits []bool
 	finalize := func(p *pending) {
 		for j, ls := range sets[p.site] {
 			if p.hits[j] {
@@ -232,25 +238,27 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 				finalize(&queue[n])
 				n++
 			}
-			queue = queue[n:]
+			if n > 0 {
+				queue = queue[:copy(queue, queue[n:])]
+			}
 			i := siteOf[block] - 1
 			if i < 0 {
 				return
 			}
-			cp.SiteExec[int32(block)]++
-			snap := make([]int32, l.Len())
-			for k := range snap {
-				snap[k] = l.At(k).Block
+			nt := len(sets[i])
+			if len(hits) < nt {
+				hits = make([]bool, max(hitSlab, nt))
 			}
 			queue = append(queue, pending{
 				site:     i,
 				cycle:    cycle,
-				snapshot: snap,
-				hits:     make([]bool, len(sets[i])),
+				snapshot: l.Blocks(make([]int32, 0, l.Len())),
+				hits:     hits[:nt:nt],
 			})
+			hits = hits[nt:]
 		},
 		OnMiss: func(block int, delta int32, cycle uint64, _ *lbr.LBR) {
-			labels := wanted[cfg.LineKey{Block: int32(block), Delta: delta}]
+			labels := wanted[block]
 			if len(labels) == 0 {
 				return
 			}
@@ -260,7 +268,7 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 					continue
 				}
 				for _, lb := range labels {
-					if lb.site == p.site {
+					if lb.delta == delta && lb.site == p.site {
 						p.hits[lb.target] = true
 					}
 				}

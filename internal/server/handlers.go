@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -338,7 +339,10 @@ func (s *Server) serveProfileAnalyze(w http.ResponseWriter, r *http.Request) (in
 
 // respond runs the pipeline in its own goroutine so an expired deadline
 // answers immediately — the straggling attempt finishes (and is abandoned)
-// in the background; its cache stores no-op under the dead context.
+// in the background; its cache stores no-op under the dead context. A panic
+// in run answers a structured 500 instead of killing the process: the lab
+// path contains its own panics (Lab.Attempt), the uploaded-profile path
+// has nothing else to.
 func (s *Server) respond(ctx context.Context, w http.ResponseWriter, run func(context.Context) (*AnalyzeResponse, error)) (int, bool) {
 	type result struct {
 		resp *AnalyzeResponse
@@ -347,6 +351,12 @@ func (s *Server) respond(ctx context.Context, w http.ResponseWriter, run func(co
 	ch := make(chan result, 1)
 	//ispy:detach the response straggler is abandoned by design when the deadline expires; its ctx is dead so downstream work no-ops (DESIGN.md §12)
 	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				s.logf("analysis panicked: %v\n%s", r, debug.Stack())
+				ch <- result{err: fmt.Errorf("analysis panicked: %v", r)}
+			}
+		}()
 		resp, err := run(ctx)
 		ch <- result{resp, err}
 	}()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -251,6 +252,35 @@ func TestAnalyzeDeadline(t *testing.T) {
 	}
 	if trips := s.breaker.Trips(); trips != 0 {
 		t.Errorf("breaker tripped %d time(s) from deadline abandonment alone", trips)
+	}
+}
+
+// wordpressBody is the canonical response to {"app":"wordpress"} under
+// testConfig.
+const wordpressBody = `{"app":"wordpress","instrs":60000,` +
+	`"baseline":{"instrs":60010,"cycles":244644,"l1i_misses":1143,"stall_cycles":206838,"prefetch_instrs":0,"prefetch_lines_issued":0},` +
+	`"ispy":{"instrs":60010,"cycles":227756,"l1i_misses":799,"stall_cycles":189873,"prefetch_instrs":947,"prefetch_lines_issued":1914},` +
+	`"plan":{"prefetches":317,"conditional":98,"coalesced":44,"misses_total":1143,"misses_planned":535,"misses_uncovered":608},` +
+	`"speedup":1.0741495284427194}` + "\n"
+
+// TestRespondContainsPanics: a panic in the detached analysis goroutine —
+// the /v1/profile/analyze path runs outside any lab — answers a structured
+// 500 and leaves the server up: the next request is served as usual.
+func TestRespondContainsPanics(t *testing.T) {
+	s := newTestServer(t, testConfig(t))
+	w := httptest.NewRecorder()
+	status, timeout := s.respond(context.Background(), w, func(context.Context) (*AnalyzeResponse, error) {
+		panic("injected analysis bug")
+	})
+	if status != http.StatusInternalServerError || timeout || w.Code != status {
+		t.Fatalf("panicking run = status %d (written %d), timeout %v; want 500, no timeout", status, w.Code, timeout)
+	}
+	if msg, ok := structuredError(w.Body.Bytes()); !ok || msg != "internal: analysis panicked: injected analysis bug" {
+		t.Fatalf("panic body = %s", w.Body)
+	}
+	after := analyze(t, s, `{"app":"wordpress"}`)
+	if after.Code != http.StatusOK || after.Body.String() != wordpressBody {
+		t.Fatalf("analyze after a contained panic = %d:\n%s\nwant 200:\n%s", after.Code, after.Body, wordpressBody)
 	}
 }
 

@@ -8,6 +8,8 @@
 package sim_test
 
 import (
+	"fmt"
+
 	"ispy/internal/asmdb"
 	"ispy/internal/core"
 	"ispy/internal/isa"
@@ -78,6 +80,38 @@ func TestGoldenEquivalenceInjected(t *testing.T) {
 
 	mru := asmdb.RunConfig(cfg)
 	runBoth(t, "wordpress/ispy-mru", w, build.Prog, mru)
+}
+
+// TestRecycledHierarchiesMatchReference runs, back to back on one
+// goroutine, configurations that leave different state in the hierarchy
+// the next Run takes from the free list: a base run, an Ideal run,
+// Contiguous-8, the masked Non-contiguous-8, tomcat's I-SPY program, and
+// the AsmDB program under asmdb.RunConfig, whose PrefetchAtMRU hierarchy
+// is a configuration of its own. The sequence runs twice, so every kind
+// also runs on a recycled hierarchy. Each run must equal RunReference.
+func TestRecycledHierarchiesMatchReference(t *testing.T) {
+	w := workload.Preset("tomcat")
+	cfg := goldenCfg(w)
+	p := profile.Collect(w, workload.DefaultInput(w), cfg)
+	ideal := cfg
+	ideal.Ideal = true
+	runs := []struct {
+		label string
+		prog  *isa.Program
+		cfg   sim.Config
+	}{
+		{"base", w.Prog, cfg},
+		{"ideal", w.Prog, ideal},
+		{"contig8", w.Prog, asmdb.ContiguousConfig(cfg, 8)},
+		{"noncontig8", w.Prog, asmdb.NonContiguousConfig(cfg, p, 8)},
+		{"ispy", core.BuildISPY(p, cfg, core.DefaultOptions()).Prog, cfg},
+		{"asmdb", asmdb.BuildDefault(p, core.DefaultOptions()).Prog, asmdb.RunConfig(cfg)},
+	}
+	for round := 0; round < 2; round++ {
+		for _, r := range runs {
+			runBoth(t, fmt.Sprintf("tomcat/%s/round%d", r.label, round), w, r.prog, r.cfg)
+		}
+	}
 }
 
 // TestGoldenEquivalenceHooks verifies the kernels drive the profiling hooks

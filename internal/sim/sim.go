@@ -22,6 +22,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"ispy/internal/cache"
 	"ispy/internal/isa"
@@ -276,6 +278,8 @@ func Run(prog *isa.Program, src BlockSource, cfg Config, hooks *Hooks) *Stats {
 	}
 	m.run(src, cfg.MaxInstrs)
 	m.finish()
+	releaseHierarchy(m.hier)
+	m.hier = nil // the returned Stats keeps m reachable, and a hierarchy the capped free list dropped must not stay with it
 	return &m.stats
 }
 
@@ -318,7 +322,7 @@ func newMachine(prog *isa.Program, cfg Config, hooks *Hooks) *machine {
 	m := &machine{
 		prog:     prog,
 		cfg:      cfg,
-		hier:     cache.NewHierarchy(cfg.Hier),
+		hier:     acquireHierarchy(cfg.Hier),
 		lbr:      lbr.New(cfg.HashBits),
 		plans:    buildPlans(prog, &cfg),
 		measured: cfg.WarmupInstrs == 0,
@@ -327,6 +331,51 @@ func newMachine(prog *isa.Program, cfg Config, hooks *Hooks) *machine {
 		m.hooks = *hooks
 	}
 	return m
+}
+
+// idle holds the hierarchies of finished runs, by configuration, for later
+// runs to reuse. A Table I hierarchy is 5.8 MB, mostly the L3's arrays, of
+// which a run touches a few percent; a recycled one is reset in O(1)
+// (cache.Cache.Reset) and is indistinguishable from a fresh one. A run that
+// panics never returns its hierarchy, so a half-updated one is dropped.
+var idle struct {
+	sync.Mutex
+	byCfg map[cache.HierarchyConfig][]*cache.Hierarchy
+}
+
+// acquireHierarchy returns a cold hierarchy for cfg: an idle one if any,
+// else a new one.
+func acquireHierarchy(cfg cache.HierarchyConfig) *cache.Hierarchy {
+	idle.Lock()
+	free := idle.byCfg[cfg]
+	if n := len(free); n > 0 {
+		h := free[n-1]
+		idle.byCfg[cfg] = free[:n-1]
+		idle.Unlock()
+		h.Reset()
+		return h
+	}
+	idle.Unlock()
+	return cache.NewHierarchy(cfg)
+}
+
+// releaseHierarchy hands the hierarchy of a finished run back for reuse.
+// At most GOMAXPROCS idle hierarchies are kept per configuration, about as
+// many as can run at once: ispyd admits any number of requests, and an
+// uncapped list would keep the memory of its largest burst for good.
+//
+//ispy:alloc once per run, after the measured region: a mutex and a free-list append
+func releaseHierarchy(h *cache.Hierarchy) {
+	idle.Lock()
+	defer idle.Unlock()
+	cfg := h.Config()
+	if len(idle.byCfg[cfg]) >= runtime.GOMAXPROCS(0) {
+		return
+	}
+	if idle.byCfg == nil {
+		idle.byCfg = make(map[cache.HierarchyConfig][]*cache.Hierarchy)
+	}
+	idle.byCfg[cfg] = append(idle.byCfg[cfg], h)
 }
 
 func (m *machine) resetStats() {

@@ -108,10 +108,13 @@ func (b *builder) newBlock(fi int) int {
 	return id
 }
 
-// fillBody appends n non-terminator instructions with an x86-like size and
-// kind mix.
+// fillBody gives block id n non-terminator instructions with an x86-like
+// size and kind mix. Every block is filled once and then terminated, so the
+// slice is allocated at its final length: the body plus the terminator term
+// appends.
 func (b *builder) fillBody(id, n int) {
 	blk := &b.prog.Blocks[id]
+	blk.Instrs = make([]isa.Instr, 0, n+1)
 	for i := 0; i < n; i++ {
 		roll := b.r.Float64()
 		var in isa.Instr
