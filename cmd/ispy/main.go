@@ -108,7 +108,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		cfg = experiments.QuickConfig()
 	}
 	if *apps != "" {
-		sel := parseApps(*apps)
+		sel := workload.ParseApps(*apps)
 		if len(sel) == 0 {
 			fmt.Fprintf(stderr, "ispy: -apps %q names no applications (valid: %s)\n",
 				*apps, strings.Join(workload.AppNames, ", "))
@@ -322,18 +322,6 @@ func writeTrace(path string, tr *traceio.ScenarioTrace) error {
 	return f.Close()
 }
 
-// parseApps splits a comma-separated app list, trimming whitespace and
-// dropping empty entries (so "a, b," parses as [a b]).
-func parseApps(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // runExperiments validates every id up front (an unknown id is a usage
 // error before any work starts), then runs the experiments in order,
 // checking for cancellation between them: once the run context is done the
@@ -348,7 +336,7 @@ func runExperiments(lab *experiments.Lab, ids []string, stdout, stderr io.Writer
 	}
 	for i, id := range ids {
 		if err := lab.Context().Err(); err != nil {
-			lab.Report().Skip("run", len(ids)-i, context.Cause(lab.Context()))
+			lab.Report().Skip(len(ids)-i, context.Cause(lab.Context()))
 			break
 		}
 		spec, _ := experiments.Get(id)

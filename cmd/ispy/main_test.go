@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ispy/internal/experiments"
+	"ispy/internal/workload"
 )
 
 // runCLI invokes realMain the way main does, capturing both streams.
@@ -281,8 +282,8 @@ func TestParseApps(t *testing.T) {
 		{"  ", nil},
 	}
 	for _, c := range cases {
-		if got := parseApps(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("parseApps(%q) = %v, want %v", c.in, got, c.want)
+		if got := workload.ParseApps(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseApps(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

@@ -51,6 +51,7 @@ import (
 	"ispy/internal/experiments"
 	"ispy/internal/faults"
 	"ispy/internal/server"
+	"ispy/internal/workload"
 )
 
 const (
@@ -112,7 +113,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		return serve(cfg, *addr, *drain, stdout, stderr)
 	case "soak":
 		return soak(cfg, server.SoakConfig{
-			Apps:              parseApps(*apps),
+			Apps:              workload.ParseApps(*apps),
 			Scenario:          *scenario,
 			Workers:           *workers,
 			RequestsPerWorker: *requests,
@@ -205,18 +206,6 @@ func soak(cfg server.Config, sc server.SoakConfig, stdout, stderr io.Writer) int
 	}
 	fmt.Fprintln(stdout, "soak: PASS — all graceful-degradation invariants held")
 	return exitOK
-}
-
-// parseApps splits a comma-separated app list, trimming whitespace and
-// dropping empty entries.
-func parseApps(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func usage(stderr io.Writer) {

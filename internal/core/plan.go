@@ -12,6 +12,7 @@ import (
 	"ispy/internal/cfg"
 	"ispy/internal/hashx"
 	"ispy/internal/isa"
+	"ispy/internal/profile"
 )
 
 // PlannedPrefetch is one prefetch instruction awaiting injection.
@@ -98,7 +99,7 @@ func BuildPlan(prog *isa.Program, choices []SiteChoice, contexts map[cfg.LineKey
 			// Sort targets by their current-layout line address so greedy
 			// window grouping is geometric.
 			sort.Slice(entries, func(i, j int) bool {
-				return resolveLine(prog, entries[i].choice.Target) < resolveLine(prog, entries[j].choice.Target)
+				return profile.ResolveLine(prog, entries[i].choice.Target) < profile.ResolveLine(prog, entries[j].choice.Target)
 			})
 			if !opt.Coalesce {
 				for _, e := range entries {
@@ -115,12 +116,12 @@ func BuildPlan(prog *isa.Program, choices []SiteChoice, contexts map[cfg.LineKey
 			}
 			i := 0
 			for i < len(entries) {
-				base := resolveLine(prog, entries[i].choice.Target)
+				base := profile.ResolveLine(prog, entries[i].choice.Target)
 				targets := []cfg.LineKey{entries[i].choice.Target}
 				misses := entries[i].choice.MissCount
 				j := i + 1
 				for j < len(entries) {
-					d := (uint64(resolveLine(prog, entries[j].choice.Target)) - uint64(base)) / isa.LineSize
+					d := (uint64(profile.ResolveLine(prog, entries[j].choice.Target)) - uint64(base)) / isa.LineSize
 					if d == 0 {
 						// Duplicate line (two symbolic keys resolving to
 						// the same line); absorb it.
@@ -176,11 +177,6 @@ func ctxKey(ctx []int32) string {
 		out = append(out, byte(b), byte(b>>8), byte(b>>16), byte(b>>24), ',')
 	}
 	return string(out)
-}
-
-func resolveLine(p *isa.Program, key cfg.LineKey) isa.Addr {
-	base := p.Blocks[key.Block].Addr
-	return isa.LineOf(isa.Addr(int64(base) + int64(key.Delta)))
 }
 
 // Apply injects the plan into a clone of base, re-lays-out the text segment

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -173,6 +174,47 @@ func TestCancellationSkipsAndReports(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestFig12RowNeedsAllThreeVariants: a deadline that passes while tomcat's
+// conditional-only cell computes its prepared evidence keeps the other five
+// cells from starting. Every Fig. 12 row must then either equal a clean
+// run's row or read SKIPPED, never show numbers for variants that never ran,
+// and the summary must count only the rows that rendered.
+func TestFig12RowNeedsAllThreeVariants(t *testing.T) {
+	spec, _ := Get("fig12")
+	cfg := faultCfg("")
+	cfg.Apps = []string{"tomcat", "wordpress"}
+	cfg.Parallel = false
+	clean := spec.Run(NewLab(cfg))
+
+	inj := faults.New(1)
+	inj.Enable("compute/prepared/*", faults.Rule{Kind: faults.Latency, Delay: 400 * time.Millisecond})
+	cfg.Faults = inj
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	l := NewLabContext(ctx, cfg)
+	res := spec.Run(l)
+
+	rendered := 0
+	for _, row := range res.Table.Rows {
+		if strings.Contains(strings.Join(row, " "), "SKIPPED") {
+			continue
+		}
+		rendered++
+		if want := rowFor(clean, row[0]); !reflect.DeepEqual(row, want) {
+			t.Errorf("row %q is not a clean run's row %q", row, want)
+		}
+	}
+	if rendered == len(res.Table.Rows) {
+		t.Fatalf("the deadline skipped no row: %q", res.Table.Rows)
+	}
+	if want := fmt.Sprintf(" of %d apps", rendered); !strings.Contains(res.Measured, want) {
+		t.Errorf("summary %q does not count only the %d rendered rows", res.Measured, rendered)
+	}
+	if l.Report().Skipped() == 0 {
+		t.Error("report recorded no skipped cells")
+	}
 }
 
 // TestCacheRecomputesThroughTornWrites: short (torn) writes at persist time

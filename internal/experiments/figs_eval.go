@@ -4,7 +4,7 @@
 package experiments
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 
 	"ispy/internal/asmdb"
@@ -98,41 +98,34 @@ func runFig12(l *Lab) *Result {
 		base, adb := a.Base(), a.AsmDBStats()
 		return (metrics.Speedup(base.Cycles, cycles)/metrics.Speedup(base.Cycles, adb.Cycles) - 1) * 100
 	}
-	failed := newFailSet(len(l.Cfg.Apps))
-	g := l.Group()
+	// Three cells per app, in column order.
+	var cells []cell
 	for i, a := range l.Apps() {
-		i, a := i, a
-		g.Go(func(context.Context) error {
-			failed.set(i, l.Attempt(a.Name, "fig12/conditional", func() error {
+		cells = append(cells,
+			cell{a.Name, "fig12/conditional", func() error {
 				opt := core.DefaultOptions()
 				opt.Coalesce = false
 				rows[i].cond = rel(a, a.ISPYVariantStats(opt, a.SimCfg()).Cycles)
 				return nil
-			}))
-			return nil
-		})
-		g.Go(func(context.Context) error {
-			failed.set(i, l.Attempt(a.Name, "fig12/coalescing", func() error {
+			}},
+			cell{a.Name, "fig12/coalescing", func() error {
 				opt := core.DefaultOptions()
 				opt.Conditional = false
 				rows[i].coal = rel(a, a.ISPYVariantStats(opt, a.SimCfg()).Cycles)
 				return nil
-			}))
-			return nil
-		})
-		g.Go(func(context.Context) error {
-			failed.set(i, l.Attempt(a.Name, "fig12/full", func() error {
+			}},
+			cell{a.Name, "fig12/full", func() error {
 				rows[i].both = rel(a, a.ISPYStats().Cycles)
 				return nil
-			}))
-			return nil
-		})
+			}})
 	}
-	l.wait(g, "fig12")
+	errs := l.runCells(cells)
 	t := metrics.NewTable("app", "conditional-only vs AsmDB", "coalescing-only vs AsmDB", "full I-SPY vs AsmDB")
-	condWins := 0
+	// A row renders only when all three of its cells ran; otherwise it names
+	// the first failure in column order and stays out of the summary.
+	condWins, rendered := 0, 0
 	for i, name := range l.Cfg.Apps {
-		if err := failed.get(i); err != nil {
+		if err := cmp.Or(errs[3*i : 3*i+3]...); err != nil {
 			t.AddRow(skipCells(name, err, 4)...)
 			continue
 		}
@@ -140,6 +133,7 @@ func runFig12(l *Lab) *Result {
 		if r.cond > r.coal {
 			condWins++
 		}
+		rendered++
 		t.AddRow(name, fmtPct(r.cond), fmtPct(r.coal), fmtPct(r.both))
 	}
 	return &Result{
@@ -147,7 +141,7 @@ func runFig12(l *Lab) *Result {
 		Title: "Contribution of each technique (speedup over AsmDB)",
 		Paper: "both techniques beat AsmDB everywhere; conditional prefetching wins for 8 of 9 apps, coalescing wins for verilator; gains are not additive but combine best",
 		Measured: fmt.Sprintf("conditional-only beats coalescing-only on %d of %d apps; combined is the best variant",
-			condWins, len(l.Cfg.Apps)),
+			condWins, rendered),
 		Notes: []string{
 			"both ablations keep the straddle-guard bit-vector required for correct link-time injection in our substrate (see DESIGN.md); 'coalescing' here means merging multiple profiled targets into one instruction",
 		},
@@ -246,54 +240,45 @@ func runFig15(l *Lab) *Result {
 var fig16Apps = []string{"drupal", "mediawiki", "wordpress"}
 
 func runFig16(l *Lab) *Result {
-	type cell struct {
-		input  string
-		pa, pi float64
-		err    error
+	type run struct {
+		app, input string
+		pa, pi     float64
 	}
-	cells := make([][]cell, len(fig16Apps))
-	g := l.Group()
-	for ai, name := range fig16Apps {
+	var runs []run
+	var cells []cell
+	for _, name := range fig16Apps {
 		a := l.App(name)
-		inputs := workload.DriftedInputs(a.Workload(), 5)
-		cells[ai] = make([]cell, len(inputs))
-		for ii, in := range inputs {
-			ai, ii, in, a := ai, ii, in, a
-			cells[ai][ii].input = in.Name
-			cells[ai][ii].err = errNotRun
-			g.Go(func(context.Context) error {
-				cells[ai][ii].err = l.Attempt(a.Name, "fig16/"+in.Name, func() error {
-					cfg := a.SimCfg()
-					base := a.RunCachedInput("drift-base", a.Workload().Prog, cfg, in)
-					idealCfg := cfg
-					idealCfg.Ideal = true
-					ideal := a.RunCachedInput("drift-ideal", a.Workload().Prog, idealCfg, in)
-					adb := a.RunCachedInput("drift-asmdb", a.AsmDB().Prog, asmdb.RunConfig(cfg), in)
-					isp := a.RunCachedInput("drift-ispy", a.ISPY().Prog, cfg, in)
-					cells[ai][ii].pa = metrics.PctOfIdeal(base.Cycles, adb.Cycles, ideal.Cycles)
-					cells[ai][ii].pi = metrics.PctOfIdeal(base.Cycles, isp.Cycles, ideal.Cycles)
-					return nil
-				})
+		for _, in := range workload.DriftedInputs(a.Workload(), 5) {
+			i := len(runs)
+			runs = append(runs, run{app: name, input: in.Name})
+			cells = append(cells, cell{a.Name, "fig16/" + in.Name, func() error {
+				cfg := a.SimCfg()
+				base := a.RunCachedInput("drift-base", a.Workload().Prog, cfg, in)
+				idealCfg := cfg
+				idealCfg.Ideal = true
+				ideal := a.RunCachedInput("drift-ideal", a.Workload().Prog, idealCfg, in)
+				adb := a.RunCachedInput("drift-asmdb", a.AsmDB().Prog, asmdb.RunConfig(cfg), in)
+				isp := a.RunCachedInput("drift-ispy", a.ISPY().Prog, cfg, in)
+				runs[i].pa = metrics.PctOfIdeal(base.Cycles, adb.Cycles, ideal.Cycles)
+				runs[i].pi = metrics.PctOfIdeal(base.Cycles, isp.Cycles, ideal.Cycles)
 				return nil
-			})
+			}})
 		}
 	}
-	l.wait(g, "fig16")
+	errs := l.runCells(cells)
 	t := metrics.NewTable("app", "input", "AsmDB %-of-ideal", "I-SPY %-of-ideal")
 	var worstISPY = 200.0
 	var ispyAll []float64
-	for ai, name := range fig16Apps {
-		for _, c := range cells[ai] {
-			if c.err != nil {
-				t.AddRow(name, c.input, "SKIPPED ("+errLine(c.err)+")", "-")
-				continue
-			}
-			ispyAll = append(ispyAll, c.pi)
-			if c.pi < worstISPY {
-				worstISPY = c.pi
-			}
-			t.AddRow(name, c.input, fmtPct(c.pa), fmtPct(c.pi))
+	for i, r := range runs {
+		if errs[i] != nil {
+			t.AddRow(r.app, r.input, "SKIPPED ("+errLine(errs[i])+")", "-")
+			continue
 		}
+		ispyAll = append(ispyAll, r.pi)
+		if r.pi < worstISPY {
+			worstISPY = r.pi
+		}
+		t.AddRow(r.app, r.input, fmtPct(r.pa), fmtPct(r.pi))
 	}
 	return &Result{
 		ID:    "fig16",

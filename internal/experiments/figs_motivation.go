@@ -2,7 +2,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"ispy/internal/asmdb"
@@ -78,47 +77,37 @@ const fig3App = "wordpress"
 func runFig3(l *Lab) *Result {
 	a := l.App(fig3App)
 	thresholds := []float64{0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999}
-	type cell struct {
-		planned, net, acc, pct float64
-		err                    error
-	}
+	type point struct{ planned, net, acc, pct float64 }
+	points := make([]point, len(thresholds))
 	cells := make([]cell, len(thresholds))
-	for i := range cells {
-		cells[i].err = errNotRun
-	}
-	g := l.Group()
 	for i, th := range thresholds {
-		i, th := i, th
-		g.Go(func(context.Context) error {
-			cells[i].err = l.Attempt(a.Name, fmt.Sprintf("fig3/th=%g", th), func() error {
-				base, ideal := a.Base(), a.Ideal()
-				b, st := a.AsmDBAt(th)
-				// Planned (gross) coverage is the paper's "miss coverage"; the net
-				// MPKI reduction additionally reflects the pollution the extra
-				// low-accuracy prefetches cause.
-				cells[i].planned = float64(b.Plan.MissesPlanned) / float64(b.Plan.MissesTotal) * 100
-				cells[i].net = metrics.Reduction(base.MPKI(), st.MPKI())
-				cells[i].acc = st.PrefetchAccuracy() * 100
-				cells[i].pct = metrics.PctOfIdeal(base.Cycles, st.Cycles, ideal.Cycles)
-				return nil
-			})
+		cells[i] = cell{a.Name, fmt.Sprintf("fig3/th=%g", th), func() error {
+			base, ideal := a.Base(), a.Ideal()
+			b, st := a.AsmDBAt(th)
+			// Planned (gross) coverage is the paper's "miss coverage"; the net
+			// MPKI reduction additionally reflects the pollution the extra
+			// low-accuracy prefetches cause.
+			points[i].planned = float64(b.Plan.MissesPlanned) / float64(b.Plan.MissesTotal) * 100
+			points[i].net = metrics.Reduction(base.MPKI(), st.MPKI())
+			points[i].acc = st.PrefetchAccuracy() * 100
+			points[i].pct = metrics.PctOfIdeal(base.Cycles, st.Cycles, ideal.Cycles)
 			return nil
-		})
+		}}
 	}
-	l.wait(g, "fig3")
+	errs := l.runCells(cells)
 	t := metrics.NewTable("fan-out threshold", "planned coverage", "net MPKI reduction", "prefetch accuracy", "% of ideal speedup")
 	var bestPct, bestTh float64
 	for i, th := range thresholds {
-		c := cells[i]
-		if c.err != nil {
-			t.AddRow(skipCells(fmt.Sprintf("%.1f%%", th*100), c.err, 5)...)
+		if errs[i] != nil {
+			t.AddRow(skipCells(fmt.Sprintf("%.1f%%", th*100), errs[i], 5)...)
 			continue
 		}
-		if c.pct > bestPct {
-			bestPct, bestTh = c.pct, th
+		p := points[i]
+		if p.pct > bestPct {
+			bestPct, bestTh = p.pct, th
 		}
-		t.AddRow(fmt.Sprintf("%.1f%%", th*100), fmtPct(c.planned), fmtPct(c.net),
-			fmtPct(c.acc), fmtPct(c.pct))
+		t.AddRow(fmt.Sprintf("%.1f%%", th*100), fmtPct(p.planned), fmtPct(p.net),
+			fmtPct(p.acc), fmtPct(p.pct))
 	}
 	return &Result{
 		ID:    "fig3",
@@ -159,41 +148,32 @@ func runFig4(l *Lab) *Result {
 }
 
 func runFig5(l *Lab) *Result {
-	type row struct {
-		app            string
-		contig, noncon float64
-		err            error
-	}
-	rows := make([]row, len(l.Cfg.Apps))
-	g := l.Group()
-	for i, a := range l.Apps() {
-		i, a := i, a
-		rows[i].app = a.Name
-		rows[i].err = errNotRun
-		g.Go(func(context.Context) error {
-			rows[i].err = l.Attempt(a.Name, "fig5", func() error {
-				base := a.Base()
-				in := workload.DefaultInputFor(a.Params)
-				// The two window configurations differ in their prefetch masks,
-				// which the cache key folds in full, so one kind covers both.
-				contig := a.RunCachedInput("hwpf-run", a.Workload().Prog, asmdb.ContiguousConfig(a.SimCfg(), 8), in)
-				noncon := a.RunCachedInput("hwpf-run", a.Workload().Prog, asmdb.NonContiguousConfig(a.SimCfg(), a.Profile(), 8), in)
-				rows[i].contig = metrics.SpeedupPct(base.Cycles, contig.Cycles)
-				rows[i].noncon = metrics.SpeedupPct(base.Cycles, noncon.Cycles)
-				return nil
-			})
+	type row struct{ contig, noncon float64 }
+	apps := l.Apps()
+	rows := make([]row, len(apps))
+	cells := make([]cell, len(apps))
+	for i, a := range apps {
+		cells[i] = cell{a.Name, "fig5", func() error {
+			base := a.Base()
+			in := workload.DefaultInputFor(a.Params)
+			// The two window configurations differ in their prefetch masks,
+			// which the cache key folds in full, so one kind covers both.
+			contig := a.RunCachedInput("hwpf-run", a.Workload().Prog, asmdb.ContiguousConfig(a.SimCfg(), 8), in)
+			noncon := a.RunCachedInput("hwpf-run", a.Workload().Prog, asmdb.NonContiguousConfig(a.SimCfg(), a.Profile(), 8), in)
+			rows[i].contig = metrics.SpeedupPct(base.Cycles, contig.Cycles)
+			rows[i].noncon = metrics.SpeedupPct(base.Cycles, noncon.Cycles)
 			return nil
-		})
+		}}
 	}
-	l.wait(g, "fig5")
+	errs := l.runCells(cells)
 	t := metrics.NewTable("app", "Contiguous-8 speedup", "Non-contiguous-8 speedup", "advantage")
 	var adv []float64
-	for _, r := range rows {
-		if r.err != nil {
-			t.AddRow(skipCells(r.app, r.err, 4)...)
+	for i, r := range rows {
+		if errs[i] != nil {
+			t.AddRow(skipCells(apps[i].Name, errs[i], 4)...)
 			continue
 		}
-		t.AddRow(r.app, fmtPct(r.contig), fmtPct(r.noncon), fmtPct(r.noncon-r.contig))
+		t.AddRow(apps[i].Name, fmtPct(r.contig), fmtPct(r.noncon), fmtPct(r.noncon-r.contig))
 		adv = append(adv, r.noncon-r.contig)
 	}
 	return &Result{

@@ -1,11 +1,10 @@
 // Sensitivity experiments: Figs. 17–21 (§VI-B). Figs. 17–19 and `ispy sweep`
 // share one sweep grid, SweepGrid: every (setting × application) cell is its
-// own task on the lab's shared worker pool, so one slow point never
-// serializes a whole app's column.
+// own task on the lab's shared worker pool (runCells), so one slow point
+// never serializes a whole app's column.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -40,28 +39,24 @@ type SweepMean struct {
 func (l *Lab) SweepGrid(stage string, labels []string, run func(a *App, point int) *sim.Stats) []SweepMean {
 	apps := l.Apps()
 	pct := make([]float64, len(labels)*len(apps))
-	ran := make([]bool, len(pct))
-	g := l.Group()
+	cells := make([]cell, 0, len(pct))
 	for i, label := range labels {
-		for j, a := range apps {
-			cell := i*len(apps) + j
-			g.Go(func(context.Context) error {
-				ran[cell] = l.Attempt(a.Name, stage+"/"+label, func() error {
-					st := run(a, i)
-					pct[cell] = metrics.PctOfIdeal(scaleCycles(a.Base(), st), st.Cycles, scaleCycles(a.Ideal(), st))
-					return nil
-				}) == nil
+		for _, a := range apps {
+			k := len(cells)
+			cells = append(cells, cell{a.Name, stage + "/" + label, func() error {
+				st := run(a, i)
+				pct[k] = metrics.PctOfIdeal(scaleCycles(a.Base(), st), st.Cycles, scaleCycles(a.Ideal(), st))
 				return nil
-			})
+			}})
 		}
 	}
-	l.wait(g, stage)
+	errs := l.runCells(cells)
 	out := make([]SweepMean, len(labels))
 	for i := range out {
 		sum := 0.0
 		for j := range apps {
-			if cell := i*len(apps) + j; ran[cell] {
-				sum += pct[cell]
+			if k := i*len(apps) + j; errs[k] == nil {
+				sum += pct[k]
 				out[i].Ran++
 			}
 		}
@@ -252,41 +247,32 @@ func runFig20(l *Lab) *Result {
 func runFig21(l *Lab) *Result {
 	a := l.App(fig3App) // wordpress, as in the paper
 	sizes := []int{4, 8, 16, 32, 64}
-	type cell struct {
-		fp, static float64
-		err        error
-	}
+	type point struct{ fp, static float64 }
+	points := make([]point, len(sizes))
 	cells := make([]cell, len(sizes))
-	for i := range cells {
-		cells[i].err = errNotRun
-	}
-	g := l.Group()
 	for i, bits := range sizes {
-		i, bits := i, bits
-		g.Go(func(context.Context) error {
-			cells[i].err = l.Attempt(a.Name, fmt.Sprintf("fig21/bits=%d", bits), func() error {
-				opt := core.DefaultOptions()
-				opt.HashBits = bits
-				b, st := a.ISPYVariant(opt, a.SweepCfg())
-				cells[i].fp = st.CondFalsePositiveRate() * 100
-				cells[i].static = b.StaticIncrease(a.Workload().Prog) * 100
-				return nil
-			})
+		cells[i] = cell{a.Name, fmt.Sprintf("fig21/bits=%d", bits), func() error {
+			opt := core.DefaultOptions()
+			opt.HashBits = bits
+			b, st := a.ISPYVariant(opt, a.SweepCfg())
+			points[i].fp = st.CondFalsePositiveRate() * 100
+			points[i].static = b.StaticIncrease(a.Workload().Prog) * 100
 			return nil
-		})
+		}}
 	}
-	l.wait(g, "fig21")
+	errs := l.runCells(cells)
 	t := metrics.NewTable("context-hash bits", "false-positive rate", "static footprint increase")
 	var fp16, static16 float64
 	for i, bits := range sizes {
-		if cells[i].err != nil {
-			t.AddRow(skipCells(fmt.Sprint(bits), cells[i].err, 3)...)
+		if errs[i] != nil {
+			t.AddRow(skipCells(fmt.Sprint(bits), errs[i], 3)...)
 			continue
 		}
+		p := points[i]
 		if bits == 16 {
-			fp16, static16 = cells[i].fp, cells[i].static
+			fp16, static16 = p.fp, p.static
 		}
-		t.AddRow(fmt.Sprint(bits), fmtPct(cells[i].fp), fmtPct(cells[i].static))
+		t.AddRow(fmt.Sprint(bits), fmtPct(p.fp), fmtPct(p.static))
 	}
 	return &Result{
 		ID:    "fig21",

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -231,18 +232,6 @@ func (l *Lab) Report() *Report { return l.report }
 // Context returns the context governing the run.
 func (l *Lab) Context() context.Context { return l.ctx }
 
-// Pool returns the shared worker pool.
-func (l *Lab) Pool() *Pool { return l.pool }
-
-// Group starts a task group on the shared pool under the lab's context.
-func (l *Lab) Group() *Group { return l.pool.Group(l.ctx) }
-
-// wait drains g and routes its outcome — task errors and cancellation skips
-// — into the run report under stage.
-func (l *Lab) wait(g *Group, stage string) {
-	l.report.RecordWait(stage, g.Wait())
-}
-
 // Attempt runs body on behalf of one app under the named stage, containing
 // failure: a panic (a real bug, an injected fault, or the memoized replay of
 // an earlier one) or an error return is recorded in the run report — with
@@ -252,7 +241,7 @@ func (l *Lab) wait(g *Group, stage string) {
 // annotate the surviving output.
 func (l *Lab) Attempt(app, stage string, body func() error) (err error) {
 	if cerr := l.ctx.Err(); cerr != nil {
-		l.report.Skip(stage, 1, context.Cause(l.ctx))
+		l.report.Skip(1, context.Cause(l.ctx))
 		return &SkipError{Skipped: 1, Cause: context.Cause(l.ctx)}
 	}
 	start := time.Now()
@@ -269,6 +258,41 @@ func (l *Lab) Attempt(app, stage string, body func() error) (err error) {
 		}
 	}()
 	return body()
+}
+
+// errNotRun is the outcome of a cell that cancellation kept from starting;
+// render paths turn it into a SKIPPED row instead of a zero-valued one.
+var errNotRun = errors.New("not run (canceled)")
+
+// A cell is one unit of a figure grid: body runs on behalf of app under
+// stage.
+type cell struct {
+	app, stage string
+	body       func() error
+}
+
+// runCells runs each cell as one task on the lab's pool, in order, contained
+// by Attempt under the cell's own app and stage, and returns one outcome per
+// cell: Attempt's error, or errNotRun when cancellation kept the cell from
+// starting. Those cells are counted as skipped in the run report. This is
+// the lab's one fan-out: every figure grid, SweepGrid, ForEachApp and Warm
+// run through it.
+func (l *Lab) runCells(cells []cell) []error {
+	out := make([]error, len(cells))
+	g := l.pool.Group(l.ctx)
+	for i, c := range cells {
+		out[i] = errNotRun
+		g.Go(func(context.Context) error {
+			out[i] = l.Attempt(c.app, c.stage, c.body)
+			return nil
+		})
+	}
+	// Attempt contains every failure, so Wait reports only skipped cells.
+	var skip *SkipError
+	if errors.As(g.Wait(), &skip) {
+		l.report.Skip(skip.Skipped, skip.Cause)
+	}
+	return out
 }
 
 // faultHit evaluates the fault injector (when configured) at a compute site.
@@ -372,15 +396,11 @@ func (l *Lab) Apps() []*App {
 // containing each app's failure independently: a panicking or erroring app
 // is recorded in the run report under stage and does not disturb the others.
 func (l *Lab) ForEachApp(stage string, f func(*App) error) {
-	g := l.Group()
+	var cells []cell
 	for _, a := range l.Apps() {
-		a := a
-		g.Go(func(context.Context) error {
-			l.Attempt(a.Name, stage, func() error { return f(a) })
-			return nil
-		})
+		cells = append(cells, cell{a.Name, stage, func() error { return f(a) }})
 	}
-	l.wait(g, stage)
+	l.runCells(cells)
 }
 
 // Workload returns the app's generated workload, generating it on first use.
@@ -529,26 +549,15 @@ func (a *App) ISPYStats() *sim.Stats {
 // A failing artifact is contained per (app, artifact): it is recorded in the
 // run report and the remaining apps and artifacts still compute.
 func (l *Lab) Warm() {
-	g := l.Group()
+	var cells []cell
 	for _, a := range l.Apps() {
-		a := a
-		for _, art := range []struct {
-			name string
-			get  func()
-		}{
-			{"base", func() { a.Base() }},
-			{"ideal", func() { a.Ideal() }},
-			{"asmdb-run", func() { a.AsmDBStats() }},
-			{"ispy-run", func() { a.ISPYStats() }},
-		} {
-			art := art
-			g.Go(func(context.Context) error {
-				l.Attempt(a.Name, "warm/"+art.name, func() error { art.get(); return nil })
-				return nil
-			})
-		}
+		cells = append(cells,
+			cell{a.Name, "warm/base", func() error { a.Base(); return nil }},
+			cell{a.Name, "warm/ideal", func() error { a.Ideal(); return nil }},
+			cell{a.Name, "warm/asmdb-run", func() error { a.AsmDBStats(); return nil }},
+			cell{a.Name, "warm/ispy-run", func() error { a.ISPYStats(); return nil }})
 	}
-	l.wait(g, "warm")
+	l.runCells(cells)
 }
 
 // Validate checks the configuration: known apps, a warmup that leaves room

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -248,6 +249,97 @@ func TestSequentialCancelSkips(t *testing.T) {
 	var se *SkipError
 	if !errors.As(err, &se) || se.Skipped != 1 {
 		t.Errorf("Wait = %v, want SkipError{Skipped:1}", err)
+	}
+}
+
+// cancelOnCheck is a context that cancels itself with errInterrupt on the
+// nth Err check after arm(n), so a test can cancel between the pool's check
+// of a task and Attempt's check of its cell.
+type cancelOnCheck struct {
+	context.Context
+	cancel context.CancelCauseFunc
+	left   atomic.Int32 // checks until the cancel; 0 when not armed
+}
+
+var errInterrupt = errors.New("operator interrupt")
+
+func newCancelOnCheck() *cancelOnCheck {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return &cancelOnCheck{Context: ctx, cancel: cancel}
+}
+
+func (c *cancelOnCheck) arm(n int32) { c.left.Store(n) }
+
+func (c *cancelOnCheck) Err() error {
+	if c.left.Load() > 0 && c.left.Add(-1) == 0 {
+		c.cancel(errInterrupt)
+	}
+	return c.Context.Err()
+}
+
+// TestRunCells: on a 1-slot pool every cell's outcome lands in its own slot
+// and the cells run in submission order; a panicking cell yields a
+// *PanicError for that cell only; a cell whose Attempt saw the cancelled
+// context keeps its *SkipError; and the cells after the cancellation come
+// back errNotRun, counted as skipped.
+func TestRunCells(t *testing.T) {
+	ctx := newCancelOnCheck()
+	l := NewLabContext(ctx, Config{Apps: []string{"tomcat"}})
+	var order []int
+	body := func(i int, err error) func() error {
+		return func() error { order = append(order, i); return err }
+	}
+	errCell := errors.New("cell 1 failed")
+	cells := []cell{
+		{"tomcat", "t/0", body(0, nil)},
+		{"tomcat", "t/1", body(1, errCell)},
+		{"wordpress", "t/2", func() error { order = append(order, 2); panic("boom") }},
+		// Cell 4's two checks are the pool's, then Attempt's: the second cancels.
+		{"tomcat", "t/3", func() error { order = append(order, 3); ctx.arm(2); return nil }},
+		{"tomcat", "t/4", body(4, nil)},
+		{"tomcat", "t/5", body(5, nil)},
+		{"tomcat", "t/6", body(6, nil)},
+	}
+	errs := l.runCells(cells)
+
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(order, want) {
+		t.Errorf("cells ran in order %v, want %v", order, want)
+	}
+	if len(errs) != len(cells) {
+		t.Fatalf("%d outcomes for %d cells", len(errs), len(cells))
+	}
+	if errs[0] != nil || errs[3] != nil {
+		t.Errorf("clean cells: outcomes %v and %v, want nil", errs[0], errs[3])
+	}
+	if !errors.Is(errs[1], errCell) {
+		t.Errorf("cell 1: outcome %v, want its own error", errs[1])
+	}
+	var pe *PanicError
+	if !errors.As(errs[2], &pe) || pe.Value != "boom" {
+		t.Errorf("cell 2: outcome %v, want a *PanicError of its panic", errs[2])
+	}
+	for i, err := range errs {
+		if i != 2 && errors.As(err, &pe) {
+			t.Errorf("cell %d: outcome %v is another cell's panic", i, err)
+		}
+	}
+	var se *SkipError
+	if !errors.As(errs[4], &se) || !errors.Is(se, errInterrupt) {
+		t.Errorf("cell 4: outcome %v, want Attempt's *SkipError carrying the cause", errs[4])
+	}
+	for _, i := range []int{5, 6} {
+		if !errors.Is(errs[i], errNotRun) {
+			t.Errorf("cell %d: outcome %v, want errNotRun", i, errs[i])
+		}
+	}
+
+	rep := l.Report()
+	if rep.Skipped() != 3 {
+		t.Errorf("report counts %d skipped cells, want 3 (cell 4's Attempt and cells 5-6)", rep.Skipped())
+	}
+	fails := rep.Failures()
+	if len(fails) != 2 || fails[0].Stage != "t/1" || fails[1].App != "wordpress" || fails[1].Stage != "t/2" {
+		t.Errorf("report failures %+v, want cell 1 and cell 2 under their own app and stage", fails)
 	}
 }
 

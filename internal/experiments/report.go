@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -46,7 +45,7 @@ func (r *Report) Record(app, stage string, err error, d time.Duration) {
 }
 
 // Skip adds n tasks that were never started (cancellation, timeout).
-func (r *Report) Skip(stage string, n int, cause error) {
+func (r *Report) Skip(n int, cause error) {
 	if r == nil || n <= 0 {
 		return
 	}
@@ -56,35 +55,6 @@ func (r *Report) Skip(stage string, n int, cause error) {
 		r.skipCause = cause
 	}
 	r.mu.Unlock()
-}
-
-// RecordWait unpacks a Group.Wait error into the report: skip errors feed
-// the skip counters, everything else is recorded as a run-level failure
-// under stage. A nil error is a no-op.
-func (r *Report) RecordWait(stage string, err error) {
-	if r == nil || err == nil {
-		return
-	}
-	for _, e := range unjoin(err) {
-		var se *SkipError
-		if errors.As(e, &se) {
-			r.Skip(stage, se.Skipped, se.Cause)
-			continue
-		}
-		r.Record("", stage, e, 0)
-	}
-}
-
-// unjoin flattens an errors.Join tree into its leaves.
-func unjoin(err error) []error {
-	if u, ok := err.(interface{ Unwrap() []error }); ok {
-		var out []error
-		for _, e := range u.Unwrap() {
-			out = append(out, unjoin(e)...)
-		}
-		return out
-	}
-	return []error{err}
 }
 
 // Failures returns a copy of the recorded failures.
@@ -161,45 +131,6 @@ func (r *Report) Summary() string {
 		fmt.Fprintf(&b, "  SKIPPED %d queued task(s): %s\n", r.skipped, errLine(r.skipCause))
 	}
 	return b.String()
-}
-
-// errNotRun marks grid slots whose task never started (cancellation skipped
-// it before it ran); render paths turn it into a SKIPPED row instead of a
-// zero-value one.
-var errNotRun = errors.New("not run (canceled)")
-
-// failSet tracks per-slot failures written by concurrent pool tasks, for
-// figure grids where several tasks contribute to one output row. Slots start
-// as not-run; a task that runs clears the sentinel, and the first real error
-// per slot wins.
-type failSet struct {
-	mu   sync.Mutex
-	errs []error
-}
-
-func newFailSet(n int) *failSet {
-	f := &failSet{errs: make([]error, n)}
-	for i := range f.errs {
-		f.errs[i] = errNotRun
-	}
-	return f
-}
-
-func (f *failSet) set(i int, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	switch {
-	case errors.Is(f.errs[i], errNotRun):
-		f.errs[i] = err
-	case f.errs[i] == nil && err != nil:
-		f.errs[i] = err
-	}
-}
-
-func (f *failSet) get(i int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.errs[i]
 }
 
 // errLine renders an error as a single bounded line (PanicError stacks and

@@ -54,16 +54,13 @@ type Spec struct {
 }
 
 var registry = map[string]Spec{}
-var order []string
 
 func register(id, title string, run func(*Lab) *Result) {
 	registry[id] = Spec{ID: id, Title: title, Run: run}
-	order = append(order, id)
 }
 
-// All returns every registered experiment in registration order.
+// All returns every registered experiment in presentation order (IDs).
 func All() []Spec {
-	sort.Strings(order) // stable listing: fig1, fig10..fig9, table1 — fix below
 	out := make([]Spec, 0, len(registry))
 	for _, id := range IDs() {
 		out = append(out, registry[id])

@@ -2,21 +2,26 @@
 // golang.org/x/tools/go/packages. Module-local import paths are resolved
 // through explicit prefix→directory roots (read from go.mod), so the loader
 // never depends on go/build's module machinery; everything else (the
-// standard library) is type-checked from GOROOT source via go/importer's
-// "source" importer. Test files are excluded — the passes govern shipped
-// code, and fixture packages under testdata/ are loaded explicitly by the
-// analyzer's own tests through an extra root.
+// standard library) is read from the compiler's export data via
+// go/importer's "gc" importer, located by one `go list -export std` (which
+// builds the export data into the go build cache on first use). Test files
+// are excluded — the passes govern shipped code, and fixture packages under
+// testdata/ are loaded explicitly by the analyzer's own tests through an
+// extra root.
 package vetting
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -51,29 +56,57 @@ type loadEntry struct {
 	loading bool
 }
 
-// The GOROOT source importer is the expensive part of a load — it
-// type-checks standard-library packages from source. Every Loader shares
-// one importer instance (and therefore one *token.FileSet, which the
-// imported packages' positions are bound to), so the stdlib is checked once
-// per process no matter how many loads the tests and passes perform. The
-// source importer memoizes internally but is not safe for concurrent use;
-// the shared mutex serializes it.
+// Every Loader shares one standard-library importer instance (and therefore
+// one *token.FileSet, which the imported packages' positions are bound to),
+// so each stdlib package's export data is read once per process no matter
+// how many loads the tests and passes perform. The gc importer memoizes
+// internally but is not safe for concurrent use; the shared mutex
+// serializes it.
 var shared struct {
 	once sync.Once
 	mu   sync.Mutex
 	fset *token.FileSet
 	std  types.ImporterFrom
+	err  error // from locating the export data; every import returns it
 }
 
 func sharedImporter() (*token.FileSet, types.ImporterFrom) {
 	shared.once.Do(func() {
 		shared.fset = token.NewFileSet()
-		shared.std = importer.ForCompiler(shared.fset, "source", nil).(types.ImporterFrom)
+		var exports map[string]string
+		exports, shared.err = stdExports()
+		lookup := func(path string) (io.ReadCloser, error) {
+			file, ok := exports[path]
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(file)
+		}
+		shared.std = importer.ForCompiler(shared.fset, "gc", lookup).(types.ImporterFrom)
 	})
 	return shared.fset, lockedImporter{}
 }
 
-// lockedImporter delegates to the shared source importer under its mutex.
+// stdExports maps each standard-library import path to its export data
+// file, as `go list -export` reports them.
+func stdExports() (map[string]string, error) {
+	cmd := exec.Command("go", "list", "-export", "-f", "{{.ImportPath}}={{.Export}}", "std")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export std: %v\n%s", err, stderr.Bytes())
+	}
+	exports := make(map[string]string)
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "="); ok && file != "" {
+			exports[path] = file
+		}
+	}
+	return exports, nil
+}
+
+// lockedImporter delegates to the shared gc importer under its mutex.
 type lockedImporter struct{}
 
 func (lockedImporter) Import(path string) (*types.Package, error) {
@@ -81,6 +114,9 @@ func (lockedImporter) Import(path string) (*types.Package, error) {
 }
 
 func (lockedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if shared.err != nil {
+		return nil, shared.err
+	}
 	shared.mu.Lock()
 	defer shared.mu.Unlock()
 	return shared.std.ImportFrom(path, dir, mode)
@@ -88,7 +124,7 @@ func (lockedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*type
 
 // NewLoader returns an empty loader; register module roots with AddRoot (or
 // use LoadModule) before loading. Loaders share one process-wide file set
-// and GOROOT importer (see sharedImporter).
+// and standard-library importer (see sharedImporter).
 func NewLoader() *Loader {
 	fset, std := sharedImporter()
 	return &Loader{fset: fset, std: std, pkgs: make(map[string]*loadEntry)}
@@ -286,8 +322,8 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // ImportFrom implements types.ImporterFrom: module-local paths resolve
-// through the registered roots; everything else is delegated to the
-// standard library's source importer.
+// through the registered roots; everything else is delegated to the shared
+// standard-library importer.
 func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil

@@ -15,8 +15,8 @@ import (
 // fail `ispy-vet -strict` with exit 1 and name the pass that caught it. The
 // baseline copy must pass with exit 0, so each failure is attributable to
 // the injected change alone. The grafts run in parallel: each is a fresh
-// process that spends most of its time type-checking the standard library
-// from source, so they overlap well.
+// process that spends most of its time loading and type-checking the
+// module, so they overlap well.
 func TestInjectedRegressions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the analyzer and vets whole module copies")

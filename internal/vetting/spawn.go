@@ -13,8 +13,7 @@
 //     count, because the select's other arm abandons the goroutine;
 //   - a `<-ctx.Done()` receive inside the task itself (ctx-bounded);
 //   - for pool tasks, a Wait() on the group, or the group escaping into a
-//     call (a helper like lab.wait(g, ...) that waits on the caller's
-//     behalf).
+//     call (a helper that waits on the caller's behalf).
 package vetting
 
 import (

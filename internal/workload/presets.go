@@ -27,6 +27,19 @@ var AppNames = []string{
 	"wordpress",
 }
 
+// ParseApps splits a comma-separated app list, as the CLIs' -apps flags
+// take it, trimming whitespace and dropping empty entries (so "a, b,"
+// parses as [a b]). It does not check the names; LookupParams does.
+func ParseApps(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // PresetParams returns the generation parameters for a named application,
 // with Generate's defaults applied: exactly the Params of the workload
 // Preset(name) generates. It panics on unknown names (programming error; use
