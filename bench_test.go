@@ -184,39 +184,59 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkLabelingPass times the §III-A context-labeling pass alone: one
-// op is profile.CollectContexts on each of the nine presets at the quick
-// budget (500k measured after 250k of warmup), instrumenting the sites the
-// default SelectSites chooses, as core.Prepare does. Profiling and site
-// selection run once, untimed.
+// BenchmarkLabelingPass times the §III-A context-labeling pass alone on
+// each of the nine presets at the quick budget (500k measured after 250k of
+// warmup), instrumenting the sites the default SelectSites chooses, as
+// core.Prepare does. Profiling and site selection run once, untimed.
+// "replay" is the production path, Label replaying the profile's own trace,
+// and reports the trace's size per measured block; "fallback" labels
+// without a trace, as for a cache-loaded or uploaded profile: one
+// simulation records a trace, then it is replayed.
 func BenchmarkLabelingPass(b *testing.B) {
 	type pass struct {
-		w       *workload.Workload
+		p       *profile.Profile
 		scfg    sim.Config
 		targets []profile.Targets
 	}
 	opt := core.DefaultOptions()
+	window := opt.MaxDistCycles + opt.CtxWindowSlackCycles
 	var passes []pass
 	for _, app := range workload.AppNames {
 		w := workload.Preset(app)
 		scfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
 		scfg.MaxInstrs, scfg.WarmupInstrs = 500_000, 250_000
-		choices, _ := core.SelectSites(profile.Collect(w, workload.DefaultInput(w), scfg).Graph, opt)
+		p := profile.Collect(w, workload.DefaultInput(w), scfg)
+		choices, _ := core.SelectSites(p.Graph, opt)
 		var needs []core.SiteChoice
 		for _, c := range choices {
 			if c.Fanout > opt.FanoutEpsilon {
 				needs = append(needs, c)
 			}
 		}
-		passes = append(passes, pass{w, scfg, core.LabelTargets(needs)})
+		passes = append(passes, pass{p, scfg, core.LabelTargets(needs)})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range passes {
-			profile.CollectContexts(p.w, workload.DefaultInput(p.w), p.scfg, p.targets, opt.MaxDistCycles+opt.CtxWindowSlackCycles)
+	b.Run("replay", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range passes {
+				p.p.Label(p.scfg, p.targets, window)
+			}
 		}
-	}
+		var size, blocks uint64
+		for _, p := range passes {
+			size += uint64(p.p.TraceBytes())
+			blocks += p.p.Stats.Blocks
+		}
+		b.ReportMetric(float64(size)/float64(blocks), "trace-B/block")
+	})
+	b.Run("fallback", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range passes {
+				profile.CollectContexts(p.p.Workload, p.p.Input, p.scfg, p.targets, window)
+			}
+		}
+	})
 }
 
 // benchServe times ispyd rounds in process: one op is nine analyze

@@ -53,8 +53,9 @@ type Prepared struct {
 }
 
 // Prepare runs site selection and (when opt.Conditional) the
-// context-labeling pass. scfg is the simulator configuration used for the
-// labeling pass (it should match the profiling configuration).
+// context-labeling pass. scfg is the simulator configuration labeled under:
+// at the profiling configuration the pass replays the profile run's trace,
+// and otherwise it simulates once more to record one (profile.Label).
 func Prepare(p *profile.Profile, scfg sim.Config, opt Options) *Prepared {
 	opt = opt.withDefaults()
 	choices, uncovered := SelectSites(p.Graph, opt)
@@ -70,8 +71,7 @@ func Prepare(p *profile.Profile, scfg sim.Config, opt Options) *Prepared {
 			}
 		}
 		if len(prep.Needs) > 0 {
-			prep.CP = profile.CollectContexts(p.Workload, p.Input, scfg, LabelTargets(prep.Needs),
-				opt.MaxDistCycles+opt.CtxWindowSlackCycles)
+			prep.CP = p.Label(scfg, LabelTargets(prep.Needs), opt.MaxDistCycles+opt.CtxWindowSlackCycles)
 		}
 	}
 	return prep

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ispy/internal/core"
@@ -104,6 +105,39 @@ func TestWarmAnalyzePathOnlyReadsEntries(t *testing.T) {
 	x := again.App("tomcat")
 	if x.ISPY().Plan != x.ISPYPlan() || again.Telemetry().Hits() != 1 {
 		t.Errorf("ISPYPlan after ISPY: %d hits, want the build's one", again.Telemetry().Hits())
+	}
+}
+
+// TestWarmFig16OnlyReadsEntries: over a cache a cold run of Fig. 16 filled,
+// a warm run is its 60 drift runs' hits alone. It renders the cold table
+// without generating a workload or loading a profile, AsmDB build or I-SPY
+// build.
+func TestWarmFig16OnlyReadsEntries(t *testing.T) {
+	dir := t.TempDir()
+	spec, _ := Get("fig16")
+	cold := spec.Run(NewLab(cacheCfg(dir)))
+	l := NewLab(cacheCfg(dir))
+	warm := spec.Run(l)
+	if !reflect.DeepEqual(warm.Table.Rows, cold.Table.Rows) {
+		t.Errorf("warm Fig. 16 rows %q, want the cold run's %q", warm.Table.Rows, cold.Table.Rows)
+	}
+	if h, m := l.Telemetry().Hits(), l.Telemetry().Misses(); h != 60 || m != 0 {
+		t.Errorf("warm Fig. 16: %d hits, %d misses; want 60 hits, 0 misses", h, m)
+	}
+	for _, name := range fig16Apps {
+		a := l.App(name)
+		if _, ok := a.wl.peek(); ok {
+			t.Errorf("%s: warm Fig. 16 generated the workload", name)
+		}
+		if _, ok := a.prof.peek(); ok {
+			t.Errorf("%s: warm Fig. 16 loaded the profile", name)
+		}
+		if _, ok := a.asmdbB.peek(); ok {
+			t.Errorf("%s: warm Fig. 16 loaded the AsmDB build", name)
+		}
+		if _, ok := a.ispyB.peek(); ok {
+			t.Errorf("%s: warm Fig. 16 loaded the I-SPY build", name)
+		}
 	}
 }
 

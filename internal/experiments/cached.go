@@ -161,12 +161,16 @@ func (a *App) AsmDBAt(threshold float64) (*core.Build, *sim.Stats) {
 	return b, st
 }
 
-// RunCachedInput simulates prog under cfg with input in, caching the
-// statistics under kind. The program itself is not part of the key, so kind
-// must uniquely identify the recipe that produced prog (e.g. "ispy-drift"
-// for the default I-SPY build run on drifted inputs); cfg and in are folded
-// in full, including any profile-derived prefetch mask.
-func (a *App) RunCachedInput(kind string, prog *isa.Program, cfg sim.Config, in workload.Input) *sim.Stats {
+// RunCachedInput simulates the program prog returns under cfg with input
+// in, caching the statistics under kind; a hit never calls prog. The program
+// itself is not part of the key, so kind must uniquely identify the recipe
+// that produced it (e.g. "ispy-drift" for the default I-SPY build run on
+// drifted inputs); cfg and in are folded in full, including any
+// profile-derived prefetch mask.
+func (a *App) RunCachedInput(kind string, prog func() *isa.Program, cfg sim.Config, in workload.Input) *sim.Stats {
 	k := artifacts.NewKey(kind, a.Name).Params(a.Params).SimConfig(cfg).Input(in)
-	return a.lab.stats(k, func() *sim.Stats { return a.RunInput(prog, cfg, in) })
+	return a.lab.stats(k, func() *sim.Stats { return a.RunInput(prog(), cfg, in) })
 }
+
+// prog returns the app's unmodified program.
+func (a *App) prog() *isa.Program { return a.Workload().Prog }

@@ -335,3 +335,29 @@ func TestLatencyFaultDelaysButSucceeds(t *testing.T) {
 		t.Error("latency fault never fired")
 	}
 }
+
+// TestDivergedTraceFailsOnlyItsApp: when a profile's trace disagrees with the
+// block stream its workload regenerates — here the profile claims another
+// input than the one it ran — labeling panics instead of mislabeling. The
+// run report names that app, its Fig. 10 row renders SKIPPED, and the other
+// app's row is the clean run's.
+func TestDivergedTraceFailsOnlyItsApp(t *testing.T) {
+	spec, _ := Get("fig10")
+	clean := spec.Run(NewLab(faultCfg("")))
+	l := NewLab(faultCfg(""))
+	l.App("tomcat").Profile().Input.Seed++
+	res := spec.Run(l)
+	err := l.Report().FailedApp("tomcat")
+	if err == nil || !strings.Contains(err.Error(), "disagrees with the recorded trace") {
+		t.Fatalf("tomcat's failure = %v, want the trace divergence", err)
+	}
+	if row := rowFor(res, "tomcat"); len(row) < 2 || !strings.HasPrefix(row[1], "SKIPPED") {
+		t.Errorf("tomcat row = %q, want SKIPPED", row)
+	}
+	if err := l.Report().FailedApp("wordpress"); err != nil {
+		t.Errorf("wordpress failed too: %v", err)
+	}
+	if got, want := rowFor(res, "wordpress"), rowFor(clean, "wordpress"); !reflect.DeepEqual(got, want) {
+		t.Errorf("wordpress row = %q, want the clean run's %q", got, want)
+	}
+}

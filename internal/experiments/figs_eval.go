@@ -9,6 +9,7 @@ import (
 
 	"ispy/internal/asmdb"
 	"ispy/internal/core"
+	"ispy/internal/isa"
 	"ispy/internal/metrics"
 	"ispy/internal/workload"
 )
@@ -248,17 +249,17 @@ func runFig16(l *Lab) *Result {
 	var cells []cell
 	for _, name := range fig16Apps {
 		a := l.App(name)
-		for _, in := range workload.DriftedInputs(a.Workload(), 5) {
+		for _, in := range workload.DriftedInputsFor(a.Params, 5) {
 			i := len(runs)
 			runs = append(runs, run{app: name, input: in.Name})
 			cells = append(cells, cell{a.Name, "fig16/" + in.Name, func() error {
 				cfg := a.SimCfg()
-				base := a.RunCachedInput("drift-base", a.Workload().Prog, cfg, in)
+				base := a.RunCachedInput("drift-base", a.prog, cfg, in)
 				idealCfg := cfg
 				idealCfg.Ideal = true
-				ideal := a.RunCachedInput("drift-ideal", a.Workload().Prog, idealCfg, in)
-				adb := a.RunCachedInput("drift-asmdb", a.AsmDB().Prog, asmdb.RunConfig(cfg), in)
-				isp := a.RunCachedInput("drift-ispy", a.ISPY().Prog, cfg, in)
+				ideal := a.RunCachedInput("drift-ideal", a.prog, idealCfg, in)
+				adb := a.RunCachedInput("drift-asmdb", func() *isa.Program { return a.AsmDB().Prog }, asmdb.RunConfig(cfg), in)
+				isp := a.RunCachedInput("drift-ispy", func() *isa.Program { return a.ISPY().Prog }, cfg, in)
 				runs[i].pa = metrics.PctOfIdeal(base.Cycles, adb.Cycles, ideal.Cycles)
 				runs[i].pi = metrics.PctOfIdeal(base.Cycles, isp.Cycles, ideal.Cycles)
 				return nil

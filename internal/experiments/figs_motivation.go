@@ -158,8 +158,8 @@ func runFig5(l *Lab) *Result {
 			in := workload.DefaultInputFor(a.Params)
 			// The two window configurations differ in their prefetch masks,
 			// which the cache key folds in full, so one kind covers both.
-			contig := a.RunCachedInput("hwpf-run", a.Workload().Prog, asmdb.ContiguousConfig(a.SimCfg(), 8), in)
-			noncon := a.RunCachedInput("hwpf-run", a.Workload().Prog, asmdb.NonContiguousConfig(a.SimCfg(), a.Profile(), 8), in)
+			contig := a.RunCachedInput("hwpf-run", a.prog, asmdb.ContiguousConfig(a.SimCfg(), 8), in)
+			noncon := a.RunCachedInput("hwpf-run", a.prog, asmdb.NonContiguousConfig(a.SimCfg(), a.Profile(), 8), in)
 			rows[i].contig = metrics.SpeedupPct(base.Cycles, contig.Cycles)
 			rows[i].noncon = metrics.SpeedupPct(base.Cycles, noncon.Cycles)
 			return nil

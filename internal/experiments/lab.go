@@ -498,12 +498,16 @@ func (a *App) AsmDBStats() *sim.Stats {
 // Prepared returns the default-options analysis intermediates (shared by
 // sweeps that reuse labeled contexts). The context evidence is an in-memory
 // working set, not a persisted artifact: on a warm cache every downstream
-// build and run hits, so Prepare is never reached.
+// build and run hits, so Prepare is never reached. Its labeling pass
+// replays the profile run's trace when the profile was computed in this
+// process; a cache-loaded profile is simulated once more to record one.
 func (a *App) Prepared() *core.Prepared {
 	return a.prepared.get(func() *core.Prepared {
 		a.lab.faultHit("compute/prepared/" + a.Name)
 		a.lab.tel.CacheBypass("prepared")
-		return core.Prepare(a.Profile(), a.SimCfg(), core.DefaultOptions())
+		return timed(a.lab, "prepared", func() *core.Prepared {
+			return core.Prepare(a.Profile(), a.SimCfg(), core.DefaultOptions())
+		})
 	})
 }
 

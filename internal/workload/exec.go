@@ -34,8 +34,13 @@ func DefaultInputFor(p Params) Input {
 // DriftedInputs returns n test inputs that progressively diverge from the
 // profiled distribution: rotated popularity ranks, flattened and sharpened
 // skew, and a reversed ranking. Index 0 is always the profiled input itself.
-func DriftedInputs(w *Workload, n int) []Input {
-	base := rng.ZipfWeights(w.NumTypes, w.Params.TypeSkew)
+func DriftedInputs(w *Workload, n int) []Input { return DriftedInputsFor(w.Params, n) }
+
+// DriftedInputsFor is DriftedInputs for the workload Generate(p) returns,
+// without generating it.
+func DriftedInputsFor(p Params, n int) []Input {
+	p.setDefaults()
+	base := rng.ZipfWeights(p.NumTypes, p.TypeSkew)
 	rotate := func(k int) []float64 {
 		out := make([]float64, len(base))
 		for i := range base {
@@ -51,17 +56,17 @@ func DriftedInputs(w *Workload, n int) []Input {
 		return out
 	}
 	variants := []Input{
-		DefaultInput(w),
-		{Name: "input-B (rotated ranks)", Seed: w.Params.Seed ^ 0x1111, TypeWeights: rotate(w.NumTypes / 4)},
-		{Name: "input-C (flatter skew)", Seed: w.Params.Seed ^ 0x2222, TypeWeights: rng.ZipfWeights(w.NumTypes, w.Params.TypeSkew*0.5)},
-		{Name: "input-D (sharper skew)", Seed: w.Params.Seed ^ 0x3333, TypeWeights: rng.ZipfWeights(w.NumTypes, w.Params.TypeSkew*1.5)},
-		{Name: "input-E (reversed ranks)", Seed: w.Params.Seed ^ 0x4444, TypeWeights: reverse()},
+		DefaultInputFor(p),
+		{Name: "input-B (rotated ranks)", Seed: p.Seed ^ 0x1111, TypeWeights: rotate(p.NumTypes / 4)},
+		{Name: "input-C (flatter skew)", Seed: p.Seed ^ 0x2222, TypeWeights: rng.ZipfWeights(p.NumTypes, p.TypeSkew*0.5)},
+		{Name: "input-D (sharper skew)", Seed: p.Seed ^ 0x3333, TypeWeights: rng.ZipfWeights(p.NumTypes, p.TypeSkew*1.5)},
+		{Name: "input-E (reversed ranks)", Seed: p.Seed ^ 0x4444, TypeWeights: reverse()},
 	}
 	for len(variants) < n {
 		k := len(variants)
 		variants = append(variants, Input{
 			Name:        fmt.Sprintf("input-%c (rotated %d)", 'A'+k, k),
-			Seed:        w.Params.Seed ^ uint64(k)*0x5555,
+			Seed:        p.Seed ^ uint64(k)*0x5555,
 			TypeWeights: rotate(k),
 		})
 	}

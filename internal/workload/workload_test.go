@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -188,6 +189,12 @@ func TestDriftedInputs(t *testing.T) {
 	more := DriftedInputs(w, 8)
 	if len(more) != 8 {
 		t.Errorf("extended inputs = %d", len(more))
+	}
+	// The parameters alone, defaults included, give the same inputs.
+	for _, p := range []Params{w.Params, {Name: "mini", Seed: 1, NumTypes: 4}} {
+		if got, want := DriftedInputsFor(p, 8), DriftedInputs(Generate(p), 8); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: DriftedInputsFor = %+v, want %+v", p.Name, got, want)
+		}
 	}
 }
 
