@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmtcheck vet ispyvet vetsmoke vet-waivers build test race fuzz faultsmoke chaossmoke scenariosmoke benchtest benchall
+.PHONY: check fmtcheck vet ispyvet vetsmoke vet-waivers build test race fuzz faultsmoke chaossmoke scenariosmoke warmsmoke benchtest benchall
 
 # The full gate: what CI (and every PR) must pass.
-check: fmtcheck vet ispyvet vetsmoke build race fuzz faultsmoke chaossmoke scenariosmoke benchtest
+check: fmtcheck vet ispyvet vetsmoke build race fuzz faultsmoke chaossmoke scenariosmoke warmsmoke benchtest
 
 # gofmt enforcement: fails listing any file that needs formatting.
 fmtcheck:
@@ -86,6 +86,21 @@ scenariosmoke:
 		-instrs 60000 -fault-seed 20260807 -scenario '$(SCENARIO)' >/dev/null 2>&1 || \
 		{ echo "scenariosmoke: ispyd soak with -scenario failed"; exit 1; }
 	@echo "scenariosmoke: ok (CLI scenario + soak scenario target both clean)"
+
+# Warm-cache smoke: rerun over the artifact cache a cold `ispy -quick all`
+# filled must print the same stdout (wall times aside) from hits alone: the
+# -v telemetry's total row must show no miss and nothing computed.
+warmsmoke:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/ispy" ./cmd/ispy && \
+	"$$d/ispy" -quick -apps tomcat -cache-dir "$$d/cache" all > "$$d/cold" 2>/dev/null && \
+	"$$d/ispy" -quick -apps tomcat -cache-dir "$$d/cache" -v all > "$$d/warm" 2> "$$d/warm.err" || \
+		{ echo "warmsmoke: ispy failed"; exit 1; }; \
+	grep -v "completed in" "$$d/cold" > "$$d/cold.out"; grep -v "completed in" "$$d/warm" > "$$d/warm.out"; \
+	cmp -s "$$d/cold.out" "$$d/warm.out" || { echo "warmsmoke: warm stdout differs from cold"; exit 1; }; \
+	awk '$$1 == "total" { n++; if ($$3 != 0 || $$6 != 0) bad = 1 } END { exit !(n == 1 && !bad) }' "$$d/warm.err" || \
+		{ echo "warmsmoke: the warm run missed or computed:"; grep "^total" "$$d/warm.err"; exit 1; }
+	@echo "warmsmoke: ok (warm rerun: same stdout, hits only)"
 
 # The repository benchmark's self-test: bench/ is its own module, so the
 # root `go test ./...` never runs it. It drives every workload and the traced

@@ -419,8 +419,12 @@ func TestApplyInjectsAndRelayouts(t *testing.T) {
 	if injected.TextSize <= origSize {
 		t.Error("injection did not grow the text segment")
 	}
-	if _, count := injected.PrefetchBytes(); count != len(plan.Prefetches) {
+	bytes, count := injected.PrefetchBytes()
+	if count != len(plan.Prefetches) {
 		t.Error("prefetch count mismatch after injection")
+	}
+	if got := plan.PrefetchBytes(plan.Opt); got != bytes {
+		t.Errorf("plan prices %d injected bytes, the program holds %d", got, bytes)
 	}
 	// The original program is untouched.
 	if _, count := prog.PrefetchBytes(); count != 0 {

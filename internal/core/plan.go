@@ -179,6 +179,27 @@ func ctxKey(ctx []int32) string {
 	return string(out)
 }
 
+// operandBytes returns the byte widths of the context-hash and coalescing
+// bit-vector operands under o.
+func (o Options) operandBytes() (ctxBytes, vecBytes int) {
+	return (o.HashBits + 7) / 8, (o.CoalesceBits + 7) / 8
+}
+
+// PrefetchBytes returns the bytes the plan's instructions occupy in the
+// injected program when the build ran under opt: each at its final kind's
+// encoded size, as Apply wrote it. It equals the injected program's
+// PrefetchBytes, so a reader holding only the plan can price the static
+// footprint. opt is needed because a plan read from the artifact cache
+// carries no Opt.
+func (p *Plan) PrefetchBytes(opt Options) uint64 {
+	ctxBytes, vecBytes := opt.withDefaults().operandBytes()
+	var n uint64
+	for i := range p.Prefetches {
+		n += uint64(isa.PrefetchKindSize(p.Prefetches[i].Kind, ctxBytes, vecBytes))
+	}
+	return n
+}
+
 // Apply injects the plan into a clone of base, re-lays-out the text segment
 // (code bloat shifts addresses as link-time injection would), and fixes up
 // operands against the final layout. Because injected bytes shift line
@@ -189,8 +210,7 @@ func ctxKey(ctx []int32) string {
 // upgrades themselves change sizes. It returns the rewritten program.
 func (p *Plan) Apply(base *isa.Program) *isa.Program {
 	prog := base.Clone()
-	ctxBytes := (p.Opt.HashBits + 7) / 8
-	vecBytes := (p.Opt.CoalesceBits + 7) / 8
+	ctxBytes, vecBytes := p.Opt.operandBytes()
 
 	// Inject in plan order within each site, before the block body (the
 	// prefetch runs at block entry, the moment the site was chosen for).

@@ -2,13 +2,20 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
+	"ispy/internal/artifacts"
+	"ispy/internal/asmdb"
 	"ispy/internal/core"
+	"ispy/internal/isa"
 	"ispy/internal/traceio"
+	"ispy/internal/traffic"
 	"ispy/internal/workload"
 )
 
@@ -150,11 +157,12 @@ func planBytes(t *testing.T, p *core.Plan) []byte {
 	return buf.Bytes()
 }
 
-// TestArtifactKeysPinned pins the file names of the entries an analyze
-// request looks up at QuickConfig, as the cache written by earlier releases
-// names them: anything that changes what a key folds turns every existing
-// cache into misses. Keys fold the preset's parameters with Generate's
-// defaults applied, exactly those of the generated workload.
+// TestArtifactKeysPinned pins the file names of the entries a cold `ispy
+// -quick all` and the bench's scenario write, one per artifact kind, as the
+// caches written by earlier releases name them: anything that changes what
+// a key folds turns every existing entry of that kind into a miss. Keys
+// fold the preset's parameters with Generate's defaults applied, exactly
+// those of the generated workload.
 func TestArtifactKeysPinned(t *testing.T) {
 	l := NewLab(QuickConfig())
 	for app, want := range map[string][4]string{
@@ -175,7 +183,7 @@ func TestArtifactKeysPinned(t *testing.T) {
 		got := [4]string{
 			a.simKey("base").Filename(),
 			a.simKey("profile").Filename(),
-			a.optKey("ispy-build").Filename(),
+			a.ispyBuild().key.Filename(),
 			a.optKey("ispy-run").Filename(),
 		}
 		if got != want {
@@ -186,6 +194,230 @@ func TestArtifactKeysPinned(t *testing.T) {
 		if got, want := l.App(name).Params, workload.Preset(name).Params; got != want {
 			t.Errorf("%s: App folds %+v, the generated workload has %+v", name, got, want)
 		}
+	}
+
+	tom, wp, dr := l.App("tomcat"), l.App("wordpress"), l.App("drupal")
+	conditional := core.DefaultOptions() // Fig. 12's conditional-only variant
+	conditional.Coalesce = false
+	window := core.DefaultOptions() // a Fig. 18 point
+	window.MinDistCycles = 20
+	thRun, _ := wp.asmdbAtRun(0.5)
+	variantRun, _ := tom.variantRun(conditional, tom.SimCfg())
+	freshRun, _ := tom.freshRun(window, tom.SweepCfg())
+	drift, cfg := workload.DriftedInputsFor(dr.Params, 5)[0], dr.SimCfg()
+	ideal := cfg
+	ideal.Ideal = true
+	spec, err := traffic.ParseSpec(benchScenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, scenarioBase, scenarioISPY, err := l.scenarioKeys(spec, traffic.Compose(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		key  *artifacts.Key
+		want string
+	}{
+		{tom.asmdbBuild().key, "asmdb-build-tomcat-c0ad7ce064d4ab2d.art"},
+		{tom.optKey("asmdb-run").SimConfig(asmdb.RunConfig(tom.SimCfg())), "asmdb-run-tomcat-2644f18f56188c4e.art"},
+		{wp.asmdbAtBuild(0.5).key, "asmdb-th-build-wordpress-f9e2f8ccf940eab0.art"},
+		{thRun, "asmdb-th-run-wordpress-f69304762f86cf2a.art"},
+		{tom.inputKey("hwpf-run", asmdb.ContiguousConfig(tom.SimCfg(), 8), workload.DefaultInputFor(tom.Params)),
+			"hwpf-run-tomcat-89e8e1741b7d1619.art"},
+		// Re-keyed on purpose: named by its mask's recipe, not the mask's
+		// contents (was hwpf-run-tomcat-1a86ddaf15cdcdea.art).
+		{tom.nonContiguousKey(8), "hwpf-run-tomcat-f709e68b9f9d5c7b.art"},
+		{dr.inputKey("drift-base", cfg, drift), "drift-base-drupal-987de1091d7112ac.art"},
+		{dr.inputKey("drift-ideal", ideal, drift), "drift-ideal-drupal-181b6f989b476d58.art"},
+		{dr.inputKey("drift-asmdb", asmdb.RunConfig(cfg), drift), "drift-asmdb-drupal-1afda3d44c4c26c0.art"},
+		{dr.inputKey("drift-ispy", cfg, drift), "drift-ispy-drupal-cb59a5beef20fad2.art"},
+		{tom.variantBuild(conditional).key, "ispy-variant-build-tomcat-efef503fb14df987.art"},
+		{variantRun, "ispy-variant-run-tomcat-b97f5ace540482ab.art"},
+		{freshRun, "ispy-fresh-run-tomcat-d6d5e7cb80000b50.art"},
+		{scenarioBase, "scenario-base-bench-8c351a3d4c1cd85c.art"},
+		{scenarioISPY, "scenario-ispy-bench-86d801a3ca37c8e9.art"},
+	} {
+		if got := c.key.Filename(); got != c.want {
+			t.Errorf("%s key = %q, want %q", c.key.Kind(), got, c.want)
+		}
+	}
+}
+
+// benchScenario is the shape of the bench's four-tenant scenario.
+const benchScenario = "name=bench;seed=1;requests=400;arrival=gamma:0.7;day=0.6,1.4;zipf=0.8;" +
+	"tenants=kafka:slo=interactive,wordpress:slo=batch,drupal:slo=interactive,tomcat:slo=batch"
+
+// runPlanFigures runs the figures that print plan counters, static
+// footprints and run statistics but no program, and the bench's scenario,
+// on l. It returns their table rows and the scenario's report.
+func runPlanFigures(t *testing.T, l *Lab) ([][][]string, string) {
+	t.Helper()
+	var rows [][][]string
+	for _, id := range []string{"fig3", "fig4", "fig5", "fig14", "fig21"} {
+		spec, _ := Get(id)
+		rows = append(rows, spec.Run(l).Table.Rows)
+	}
+	spec, err := traffic.ParseSpec(benchScenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Scenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !l.Report().Clean() {
+		t.Fatalf("run failed: %s", l.Report().Summary())
+	}
+	return rows, res.Render()
+}
+
+// TestWarmPlanFiguresOnlyReadEntries: over a cache a cold lab filled, Figs.
+// 3, 4, 5, 14 and 21 and the bench's scenario render the cold tables from
+// hits alone. Every build entry's program is first made undecodable, so a
+// decoded program would show as a miss. No profile, AsmDB or I-SPY build
+// and no scenario world is loaded or built, and only the apps whose static
+// footprint a figure prints generate their workload.
+func TestWarmPlanFiguresOnlyReadEntries(t *testing.T) {
+	dir := t.TempDir()
+	cold := NewLab(cacheCfg(dir))
+	coldRows, coldScenario := runPlanFigures(t, cold)
+
+	// Keep each build entry's plan; replace its program with one that
+	// encodes but fails validation, so LoadPlan still reads the entry and
+	// LoadBuild misses.
+	c, err := artifacts.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refs []buildRef
+	for _, name := range []string{"tomcat", "wordpress", "kafka", "drupal"} {
+		a := cold.App(name)
+		refs = append(refs, a.asmdbBuild(), a.ispyBuild())
+	}
+	wp := cold.App(fig3App)
+	for _, th := range fig3Thresholds {
+		refs = append(refs, wp.asmdbAtBuild(th))
+	}
+	for _, bits := range fig21HashBits {
+		opt := core.DefaultOptions()
+		opt.HashBits = bits
+		refs = append(refs, wp.variantBuild(opt))
+	}
+	undecodable := &isa.Program{Funcs: []isa.Func{{Name: "f", Blocks: []int{0}}}}
+	poisoned := 0
+	for _, r := range refs {
+		if p, ok := c.LoadPlan(context.Background(), r.key); ok {
+			c.StoreBuild(context.Background(), r.key, &core.Build{Prog: undecodable, Plan: p})
+			poisoned++
+		}
+	}
+	builds, err := filepath.Glob(filepath.Join(dir, "*-build-*.art"))
+	if err != nil || poisoned != len(builds) {
+		t.Fatalf("replaced %d build programs, the cache holds %d builds (%v)", poisoned, len(builds), err)
+	}
+
+	worlds := 0
+	defer func(f func(*traffic.Spec) (*traffic.World, error)) { buildWorld = f }(buildWorld)
+	buildWorld = func(s *traffic.Spec) (*traffic.World, error) {
+		worlds++
+		return traffic.BuildWorld(s)
+	}
+	l := NewLab(cacheCfg(dir))
+	warmRows, warmScenario := runPlanFigures(t, l)
+	if !reflect.DeepEqual(warmRows, coldRows) {
+		t.Errorf("warm rows %q, want the cold run's %q", warmRows, coldRows)
+	}
+	if warmScenario != coldScenario {
+		t.Errorf("warm scenario report:\n%s\nwant the cold one:\n%s", warmScenario, coldScenario)
+	}
+	if h, m := l.Telemetry().Hits(), l.Telemetry().Misses(); h != 34 || m != 0 {
+		t.Errorf("warm figures: %d hits, %d misses; want 34 hits, 0 misses", h, m)
+	}
+	if worlds != 0 {
+		t.Errorf("warm scenario built %d worlds", worlds)
+	}
+	for name, a := range l.apps {
+		if _, ok := a.prof.peek(); ok {
+			t.Errorf("%s: warm figures loaded the profile", name)
+		}
+		if _, ok := a.asmdbB.peek(); ok {
+			t.Errorf("%s: warm figures loaded the AsmDB build", name)
+		}
+		if _, ok := a.ispyB.peek(); ok {
+			t.Errorf("%s: warm figures loaded the I-SPY build", name)
+		}
+		// Figs. 4 and 14 print tomcat's static footprint, Fig. 21
+		// wordpress's.
+		if _, ok := a.wl.peek(); ok != (name == "tomcat" || name == fig3App) {
+			t.Errorf("%s: workload generated = %v", name, ok)
+		}
+	}
+}
+
+// TestPlanPricesTheInjectedBytes: the prefetch bytes a plan prices under its
+// build's options are the injected program's, on every preset, for each
+// build whose static footprint a figure prints: default I-SPY and AsmDB,
+// Fig. 3's thresholds and Fig. 21's hash widths. That holds for the built
+// plans and for the same plans read back from the cache, which carry no
+// options.
+func TestPlanPricesTheInjectedBytes(t *testing.T) {
+	type build struct {
+		name string
+		opt  core.Options
+		ref  func(*App) buildRef
+	}
+	builds := []build{
+		{"I-SPY", core.DefaultOptions(), (*App).ispyBuild},
+		{"AsmDB", core.DefaultOptions(), (*App).asmdbBuild},
+	}
+	for _, th := range fig3Thresholds {
+		builds = append(builds, build{fmt.Sprintf("AsmDB at %g", th), core.DefaultOptions(),
+			func(a *App) buildRef { return a.asmdbAtBuild(th) }})
+	}
+	for _, bits := range fig21HashBits {
+		opt := core.DefaultOptions()
+		opt.HashBits = bits
+		builds = append(builds, build{fmt.Sprintf("I-SPY at %d hash bits", bits), opt,
+			func(a *App) buildRef { return a.variantBuild(opt) }})
+	}
+	cfg := cacheCfg(t.TempDir())
+	cfg.Apps = workload.AppNames
+	cfg.MeasureInstrs, cfg.WarmupInstrs = 60_000, 20_000
+	want := make(map[string][]uint64)
+	var mu sync.Mutex
+	cold := NewLab(cfg)
+	cold.ForEachApp("price", func(a *App) error {
+		bytes := make([]uint64, len(builds))
+		for i, b := range builds {
+			built := b.ref(a).build(cold)
+			bytes[i], _ = built.Prog.PrefetchBytes()
+			if got := built.Plan.PrefetchBytes(b.opt); got != bytes[i] {
+				t.Errorf("%s, %s: built plan prices %d bytes, the program holds %d", a.Name, b.name, got, bytes[i])
+			}
+		}
+		mu.Lock()
+		want[a.Name] = bytes
+		mu.Unlock()
+		return nil
+	})
+	if !cold.Report().Clean() {
+		t.Fatal(cold.Report().Summary())
+	}
+	warm := NewLab(cfg)
+	for _, a := range warm.Apps() {
+		for i, b := range builds {
+			p := b.ref(a).plan(warm)
+			if p.Opt != (core.Options{}) {
+				t.Fatalf("%s, %s: a cache-loaded plan carries options", a.Name, b.name)
+			}
+			if got := p.PrefetchBytes(b.opt); got != want[a.Name][i] {
+				t.Errorf("%s, %s: loaded plan prices %d bytes, the program holds %d", a.Name, b.name, got, want[a.Name][i])
+			}
+		}
+	}
+	if m := warm.Telemetry().Misses(); m != 0 {
+		t.Errorf("reading the plans back missed %d times", m)
 	}
 }
 

@@ -66,11 +66,49 @@ func (l *Lab) stats(k *artifacts.Key, compute func() *sim.Stats) *sim.Stats {
 	return cached(l, k, l.cache.LoadStats, l.cache.StoreStats, compute)
 }
 
-// build loads the analysis build for k or computes and stores it. Cached
-// builds carry the injected program and plan counters only (no analysis
-// working state); every experiment consumes exactly that subset.
-func (l *Lab) build(k *artifacts.Key, compute func() *core.Build) *core.Build {
-	return cached(l, k, l.cache.LoadBuild, l.cache.StoreBuild, compute)
+// buildRef is one analysis build: its key, the memo that holds it once read
+// or computed, and its recipe. Cached builds carry the injected program and
+// the plan only (no analysis working state); every experiment consumes
+// exactly that subset, and most read only the plan.
+type buildRef struct {
+	key     *artifacts.Key
+	memo    *memo[*core.Build]
+	compute func() *core.Build
+}
+
+// build returns the build: from memory, else the cache entry, else
+// computed (and stored).
+func (r buildRef) build(l *Lab) *core.Build {
+	return r.memo.get(func() *core.Build {
+		return cached(l, r.key, l.cache.LoadBuild, l.cache.StoreBuild, r.compute)
+	})
+}
+
+// plan returns the build's plan, reading as little as it can: from the
+// build when it is in memory, else from the plan section of the cache entry
+// (the injected program is never decoded), else from the computed build.
+// It is the one plan-only lookup for every build kind.
+func (r buildRef) plan(l *Lab) *core.Plan {
+	if b, ok := r.memo.peek(); ok {
+		return b.Plan
+	}
+	if p, ok := l.cache.LoadPlan(l.ctx, r.key); ok {
+		l.hit(r.key)
+		return p
+	}
+	return r.build(l).Plan
+}
+
+// staticIncrease is the static code-footprint increase (Figs. 4, 14, 21)
+// of a build of this app run under opt, priced from its plan alone
+// (core.Plan.PrefetchBytes); only the unmodified program's size needs the
+// workload.
+func (a *App) staticIncrease(p *core.Plan, opt core.Options) float64 {
+	base := a.prog().StaticBytes()
+	if base == 0 {
+		return 0
+	}
+	return float64(p.PrefetchBytes(opt)) / float64(base)
 }
 
 // faulted interposes the lab's fault injector (when configured) at the
@@ -98,67 +136,116 @@ func timed[T any](l *Lab, kind string, compute func() T) T {
 	return v
 }
 
-// ISPYVariant builds and runs an I-SPY variant reusing the prepared
-// evidence; cfg overrides the simulator configuration (HashBits follows
-// opt). Both the build and the run are cached per (options, configuration)
-// point, making sensitivity sweeps idempotent across harness runs.
-func (a *App) ISPYVariant(opt core.Options, cfg sim.Config) (*core.Build, *sim.Stats) {
-	if opt.HashBits != 0 {
-		cfg.HashBits = opt.HashBits
-	}
+// ISPYVariant returns the plan and the run of an I-SPY variant built from
+// the prepared evidence; cfg overrides the simulator configuration
+// (HashBits follows opt). Both the build and the run are cached per
+// (options, configuration) point, making sensitivity sweeps idempotent
+// across harness runs. On a warm cache the injected program is never
+// decoded.
+func (a *App) ISPYVariant(opt core.Options, cfg sim.Config) (*core.Plan, *sim.Stats) {
 	b := a.variantBuild(opt)
-	k := a.key("ispy-variant-run").SimConfig(a.SimCfg()).Options(opt).SimConfig(cfg)
-	st := a.lab.stats(k, func() *sim.Stats { return a.Run(b.Prog, cfg) })
-	return b, st
+	st := a.variantStats(b, opt, cfg)
+	return b.plan(a.lab), st
 }
 
 // ISPYVariantStats is ISPYVariant for callers that only need the run: on a
 // warm cache it serves the statistics without touching the build at all.
 func (a *App) ISPYVariantStats(opt core.Options, cfg sim.Config) *sim.Stats {
+	return a.variantStats(a.variantBuild(opt), opt, cfg)
+}
+
+func (a *App) variantStats(b buildRef, opt core.Options, cfg sim.Config) *sim.Stats {
+	k, cfg := a.variantRun(opt, cfg)
+	return a.lab.stats(k, func() *sim.Stats { return a.Run(b.build(a.lab).Prog, cfg) })
+}
+
+// variantBuild is an I-SPY variant's build. Only the caller holds it:
+// variants are many, and their runs are cached on their own.
+func (a *App) variantBuild(opt core.Options) buildRef {
+	k := a.key("ispy-variant-build").SimConfig(a.SimCfg()).Options(opt)
+	return buildRef{k, new(memo[*core.Build]), func() *core.Build {
+		return core.BuildFromPrepared(a.Profile(), a.Prepared(), opt)
+	}}
+}
+
+// variantRun returns the key and the configuration of a variant's run
+// under cfg, whose HashBits follows opt.
+func (a *App) variantRun(opt core.Options, cfg sim.Config) (*artifacts.Key, sim.Config) {
 	if opt.HashBits != 0 {
 		cfg.HashBits = opt.HashBits
 	}
-	k := a.key("ispy-variant-run").SimConfig(a.SimCfg()).Options(opt).SimConfig(cfg)
-	return a.lab.stats(k, func() *sim.Stats {
-		return a.Run(a.variantBuild(opt).Prog, cfg)
-	})
-}
-
-func (a *App) variantBuild(opt core.Options) *core.Build {
-	k := a.key("ispy-variant-build").SimConfig(a.SimCfg()).Options(opt)
-	return a.lab.build(k, func() *core.Build {
-		return core.BuildFromPrepared(a.Profile(), a.Prepared(), opt)
-	})
+	return a.key("ispy-variant-run").SimConfig(a.SimCfg()).Options(opt).SimConfig(cfg), cfg
 }
 
 // FreshVariantStats builds I-SPY from scratch at cfg — required when opt
 // moves the prefetch-distance window, which re-labels the contexts the
 // shared Prepared evidence bakes in — runs the result under cfg (HashBits
-// follows opt), and caches the run. The key folds the build and the run
-// configuration separately.
+// follows opt), and caches the run.
 func (a *App) FreshVariantStats(opt core.Options, cfg sim.Config) *sim.Stats {
-	runCfg := cfg
-	if opt.HashBits != 0 {
-		runCfg.HashBits = opt.HashBits
-	}
-	k := a.key("ispy-fresh-run").SimConfig(cfg).Options(opt).SimConfig(runCfg)
+	k, runCfg := a.freshRun(opt, cfg)
 	return a.lab.stats(k, func() *sim.Stats {
 		b := core.BuildISPY(a.Profile(), cfg, opt)
 		return a.Run(b.Prog, runCfg)
 	})
 }
 
-// AsmDBAt builds and runs AsmDB at an explicit fan-out threshold (Fig. 3),
-// caching both artifacts per threshold.
-func (a *App) AsmDBAt(threshold float64) (*core.Build, *sim.Stats) {
-	bk := a.key("asmdb-th-build").SimConfig(a.SimCfg()).Options(core.DefaultOptions()).Float(threshold)
-	b := a.lab.build(bk, func() *core.Build {
+// freshRun returns the key and the run configuration of a fresh variant
+// built at cfg. The key folds the build and the run configuration
+// separately.
+func (a *App) freshRun(opt core.Options, cfg sim.Config) (*artifacts.Key, sim.Config) {
+	runCfg := cfg
+	if opt.HashBits != 0 {
+		runCfg.HashBits = opt.HashBits
+	}
+	return a.key("ispy-fresh-run").SimConfig(cfg).Options(opt).SimConfig(runCfg), runCfg
+}
+
+// AsmDBAt returns the plan and the run of AsmDB at an explicit fan-out
+// threshold (Fig. 3), caching both artifacts per threshold. The default
+// threshold is the headline AsmDB build and run.
+func (a *App) AsmDBAt(threshold float64) (*core.Plan, *sim.Stats) {
+	if threshold == asmdb.DefaultFanoutThreshold {
+		return a.AsmDBPlan(), a.AsmDBStats()
+	}
+	b := a.asmdbAtBuild(threshold)
+	k, runCfg := a.asmdbAtRun(threshold)
+	st := a.lab.stats(k, func() *sim.Stats { return a.Run(b.build(a.lab).Prog, runCfg) })
+	return b.plan(a.lab), st
+}
+
+// asmdbAtBuild is the AsmDB build at threshold; only the caller holds it.
+func (a *App) asmdbAtBuild(threshold float64) buildRef {
+	k := a.key("asmdb-th-build").SimConfig(a.SimCfg()).Options(core.DefaultOptions()).Float(threshold)
+	return buildRef{k, new(memo[*core.Build]), func() *core.Build {
 		return asmdb.Build(a.Profile(), threshold, core.DefaultOptions())
-	})
+	}}
+}
+
+// asmdbAtRun returns the key and the configuration of that build's run.
+func (a *App) asmdbAtRun(threshold float64) (*artifacts.Key, sim.Config) {
 	runCfg := asmdb.RunConfig(a.SimCfg())
-	rk := a.key("asmdb-th-run").SimConfig(a.SimCfg()).Options(core.DefaultOptions()).Float(threshold).SimConfig(runCfg)
-	st := a.lab.stats(rk, func() *sim.Stats { return a.Run(b.Prog, runCfg) })
-	return b, st
+	return a.key("asmdb-th-run").SimConfig(a.SimCfg()).Options(core.DefaultOptions()).Float(threshold).SimConfig(runCfg), runCfg
+}
+
+// NonContiguousStats runs the unmodified program under the Non-contiguous-N
+// window prefetcher (Fig. 5), gated by the mask asmdb.NonContiguousMask
+// derives from the app's profile. A hit loads no profile (see
+// nonContiguousKey).
+func (a *App) NonContiguousStats(window int) *sim.Stats {
+	return a.lab.stats(a.nonContiguousKey(window), func() *sim.Stats {
+		return a.Run(a.prog(), asmdb.NonContiguousConfig(a.SimCfg(), a.Profile(), window))
+	})
+}
+
+// nonContiguousKey names the Non-contiguous-N run by its mask's recipe
+// instead of folding the mask's contents: asmdb.NonContiguousMask over the
+// profiled run, plus the window. That is sound because the key also folds
+// every input of the profile (the parameters, the profiled input and the
+// headline budget), and the configuration is Contiguous-N's, which is
+// Non-contiguous-N's minus the mask.
+func (a *App) nonContiguousKey(window int) *artifacts.Key {
+	return a.key("hwpf-run").SimConfig(asmdb.ContiguousConfig(a.SimCfg(), window)).
+		Str("asmdb.NonContiguousMask(profile)").Int(int64(window))
 }
 
 // RunCachedInput simulates the program prog returns under cfg with input
@@ -168,8 +255,12 @@ func (a *App) AsmDBAt(threshold float64) (*core.Build, *sim.Stats) {
 // drifted inputs); cfg and in are folded in full, including any
 // profile-derived prefetch mask.
 func (a *App) RunCachedInput(kind string, prog func() *isa.Program, cfg sim.Config, in workload.Input) *sim.Stats {
-	k := artifacts.NewKey(kind, a.Name).Params(a.Params).SimConfig(cfg).Input(in)
-	return a.lab.stats(k, func() *sim.Stats { return a.RunInput(prog(), cfg, in) })
+	return a.lab.stats(a.inputKey(kind, cfg, in), func() *sim.Stats { return a.RunInput(prog(), cfg, in) })
+}
+
+// inputKey is RunCachedInput's key.
+func (a *App) inputKey(kind string, cfg sim.Config, in workload.Input) *artifacts.Key {
+	return artifacts.NewKey(kind, a.Name).Params(a.Params).SimConfig(cfg).Input(in)
 }
 
 // prog returns the app's unmodified program.

@@ -178,14 +178,14 @@ func runFig13(l *Lab) *Result {
 }
 
 func runFig14(l *Lab) *Result {
-	l.ForEachApp("fig14/warm", func(a *App) error { a.AsmDB(); a.ISPY(); return nil })
+	l.ForEachApp("fig14/warm", func(a *App) error { a.AsmDBPlan(); a.ISPYPlan(); a.prog(); return nil })
 	t := metrics.NewTable("app", "AsmDB static increase", "I-SPY static increase")
 	var ad, is []float64
 	for _, a := range l.Apps() {
 		a := a
 		if err := l.Attempt(a.Name, "fig14", func() error {
-			x := a.AsmDB().StaticIncrease(a.Workload().Prog) * 100
-			y := a.ISPY().StaticIncrease(a.Workload().Prog) * 100
+			x := a.staticIncrease(a.AsmDBPlan(), core.DefaultOptions()) * 100
+			y := a.staticIncrease(a.ISPYPlan(), core.DefaultOptions()) * 100
 			ad = append(ad, x)
 			is = append(is, y)
 			t.AddRow(a.Name, fmtPct(x), fmtPct(y))

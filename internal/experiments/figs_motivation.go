@@ -6,6 +6,7 @@ import (
 
 	"ispy/internal/asmdb"
 	"ispy/internal/cache"
+	"ispy/internal/core"
 	"ispy/internal/metrics"
 	"ispy/internal/workload"
 )
@@ -74,20 +75,23 @@ func runFig1(l *Lab) *Result {
 // fig3App is the application the paper uses for Figs. 3 and 21.
 const fig3App = "wordpress"
 
+// fig3Thresholds are the AsmDB fan-out thresholds Fig. 3 sweeps.
+var fig3Thresholds = []float64{0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999}
+
 func runFig3(l *Lab) *Result {
 	a := l.App(fig3App)
-	thresholds := []float64{0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999}
+	thresholds := fig3Thresholds
 	type point struct{ planned, net, acc, pct float64 }
 	points := make([]point, len(thresholds))
 	cells := make([]cell, len(thresholds))
 	for i, th := range thresholds {
 		cells[i] = cell{a.Name, fmt.Sprintf("fig3/th=%g", th), func() error {
 			base, ideal := a.Base(), a.Ideal()
-			b, st := a.AsmDBAt(th)
+			plan, st := a.AsmDBAt(th)
 			// Planned (gross) coverage is the paper's "miss coverage"; the net
 			// MPKI reduction additionally reflects the pollution the extra
 			// low-accuracy prefetches cause.
-			points[i].planned = float64(b.Plan.MissesPlanned) / float64(b.Plan.MissesTotal) * 100
+			points[i].planned = float64(plan.MissesPlanned) / float64(plan.MissesTotal) * 100
 			points[i].net = metrics.Reduction(base.MPKI(), st.MPKI())
 			points[i].acc = st.PrefetchAccuracy() * 100
 			points[i].pct = metrics.PctOfIdeal(base.Cycles, st.Cycles, ideal.Cycles)
@@ -120,13 +124,13 @@ func runFig3(l *Lab) *Result {
 }
 
 func runFig4(l *Lab) *Result {
-	l.ForEachApp("fig4/warm", func(a *App) error { a.AsmDBStats(); return nil })
+	l.ForEachApp("fig4/warm", func(a *App) error { a.AsmDBStats(); a.AsmDBPlan(); a.prog(); return nil })
 	t := metrics.NewTable("app", "static increase", "dynamic increase")
 	var stat, dyn []float64
 	for _, a := range l.Apps() {
 		a := a
 		if err := l.Attempt(a.Name, "fig4", func() error {
-			s := a.AsmDB().StaticIncrease(a.Workload().Prog) * 100
+			s := a.staticIncrease(a.AsmDBPlan(), core.DefaultOptions()) * 100
 			d := a.AsmDBStats().DynFootprintIncrease() * 100
 			stat = append(stat, s)
 			dyn = append(dyn, d)
@@ -156,10 +160,10 @@ func runFig5(l *Lab) *Result {
 		cells[i] = cell{a.Name, "fig5", func() error {
 			base := a.Base()
 			in := workload.DefaultInputFor(a.Params)
-			// The two window configurations differ in their prefetch masks,
-			// which the cache key folds in full, so one kind covers both.
+			// One kind covers both window configurations: Non-contiguous-8's
+			// key also names its mask's recipe (nonContiguousKey).
 			contig := a.RunCachedInput("hwpf-run", a.prog, asmdb.ContiguousConfig(a.SimCfg(), 8), in)
-			noncon := a.RunCachedInput("hwpf-run", a.prog, asmdb.NonContiguousConfig(a.SimCfg(), a.Profile(), 8), in)
+			noncon := a.NonContiguousStats(8)
 			rows[i].contig = metrics.SpeedupPct(base.Cycles, contig.Cycles)
 			rows[i].noncon = metrics.SpeedupPct(base.Cycles, noncon.Cycles)
 			return nil

@@ -244,9 +244,12 @@ func runFig20(l *Lab) *Result {
 	}
 }
 
+// fig21HashBits are the context-hash widths Fig. 21 sweeps.
+var fig21HashBits = []int{4, 8, 16, 32, 64}
+
 func runFig21(l *Lab) *Result {
 	a := l.App(fig3App) // wordpress, as in the paper
-	sizes := []int{4, 8, 16, 32, 64}
+	sizes := fig21HashBits
 	type point struct{ fp, static float64 }
 	points := make([]point, len(sizes))
 	cells := make([]cell, len(sizes))
@@ -254,9 +257,9 @@ func runFig21(l *Lab) *Result {
 		cells[i] = cell{a.Name, fmt.Sprintf("fig21/bits=%d", bits), func() error {
 			opt := core.DefaultOptions()
 			opt.HashBits = bits
-			b, st := a.ISPYVariant(opt, a.SweepCfg())
+			plan, st := a.ISPYVariant(opt, a.SweepCfg())
 			points[i].fp = st.CondFalsePositiveRate() * 100
-			points[i].static = b.StaticIncrease(a.Workload().Prog) * 100
+			points[i].static = a.staticIncrease(plan, opt) * 100
 			return nil
 		}}
 	}

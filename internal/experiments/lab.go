@@ -364,6 +364,7 @@ type App struct {
 	ideal     memo[*sim.Stats]
 	prof      memo[*profile.Profile]
 	asmdbB    memo[*core.Build]
+	asmdbPlan memo[*core.Plan]
 	asmdbStat memo[*sim.Stats]
 	ispyB     memo[*core.Build]
 	ispyPlan  memo[*core.Plan]
@@ -475,13 +476,19 @@ func (a *App) Profile() *profile.Profile {
 	})
 }
 
+// asmdbBuild is the AsmDB build at its default threshold.
+func (a *App) asmdbBuild() buildRef {
+	return buildRef{a.optKey("asmdb-build"), &a.asmdbB, func() *core.Build {
+		return asmdb.BuildDefault(a.Profile(), core.DefaultOptions())
+	}}
+}
+
 // AsmDB returns the AsmDB build at its default threshold.
-func (a *App) AsmDB() *core.Build {
-	return a.asmdbB.get(func() *core.Build {
-		return a.lab.build(a.optKey("asmdb-build"), func() *core.Build {
-			return asmdb.BuildDefault(a.Profile(), core.DefaultOptions())
-		})
-	})
+func (a *App) AsmDB() *core.Build { return a.asmdbBuild().build(a.lab) }
+
+// AsmDBPlan is ISPYPlan for the default AsmDB build.
+func (a *App) AsmDBPlan() *core.Plan {
+	return a.asmdbPlan.get(func() *core.Plan { return a.asmdbBuild().plan(a.lab) })
 }
 
 // AsmDBStats returns the AsmDB evaluation run (demand-priority prefetch
@@ -511,31 +518,21 @@ func (a *App) Prepared() *core.Prepared {
 	})
 }
 
-// ISPY returns the full I-SPY build at default options.
-func (a *App) ISPY() *core.Build {
-	return a.ispyB.get(func() *core.Build {
-		return a.lab.build(a.optKey("ispy-build"), func() *core.Build {
-			return core.BuildFromPrepared(a.Profile(), a.Prepared(), core.DefaultOptions())
-		})
-	})
+// ispyBuild is the full I-SPY build at default options.
+func (a *App) ispyBuild() buildRef {
+	return buildRef{a.optKey("ispy-build"), &a.ispyB, func() *core.Build {
+		return core.BuildFromPrepared(a.Profile(), a.Prepared(), core.DefaultOptions())
+	}}
 }
 
+// ISPY returns the full I-SPY build at default options.
+func (a *App) ISPY() *core.Build { return a.ispyBuild().build(a.lab) }
+
 // ISPYPlan returns the default I-SPY build's plan, for consumers that read
-// nothing else. A build already in memory is reused; otherwise a cache hit
-// decodes only the entry's plan section, never the injected program. Every
-// other case is ISPY().Plan.
+// nothing else: a build already in memory, else the cache entry's plan
+// section (the injected program is never decoded), else ISPY().Plan.
 func (a *App) ISPYPlan() *core.Plan {
-	return a.ispyPlan.get(func() *core.Plan {
-		if b, ok := a.ispyB.peek(); ok {
-			return b.Plan
-		}
-		k := a.optKey("ispy-build")
-		if p, ok := a.lab.cache.LoadPlan(a.lab.ctx, k); ok {
-			a.lab.hit(k)
-			return p
-		}
-		return a.ISPY().Plan
-	})
+	return a.ispyPlan.get(func() *core.Plan { return a.ispyBuild().plan(a.lab) })
 }
 
 // ISPYStats returns the I-SPY evaluation run.

@@ -372,6 +372,7 @@ func TestLabConcurrentGetters(t *testing.T) {
 				t.Error("profile/build not memoized under concurrency")
 			}
 			a.AsmDBStats()
+			a.AsmDBPlan()
 			a.ISPYStats()
 			a.ISPYVariantStats(smokeVariantOpt(), a.SweepCfg())
 		}()
@@ -384,8 +385,8 @@ func TestLabConcurrentGetters(t *testing.T) {
 			t.Fatalf("goroutine %d got a different workload or plan than goroutine 0", i)
 		}
 	}
-	if plans[0] != a.ISPY().Plan {
-		t.Error("cache-less ISPYPlan is not ISPY().Plan")
+	if plans[0] != a.ISPY().Plan || a.AsmDBPlan() != a.AsmDB().Plan {
+		t.Error("cache-less ISPYPlan or AsmDBPlan is not the build's plan")
 	}
 	if l.Telemetry().Bypasses() == 0 {
 		t.Error("cache-less lab recorded no bypasses")

@@ -55,69 +55,110 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 	if len(tr.Recs) == 0 {
 		return nil, fmt.Errorf("experiments: scenario trace has no records")
 	}
-	world, err := traffic.BuildWorld(spec)
+	cfg, baseKey, ispyKey, err := l.scenarioKeys(spec, tr)
 	if err != nil {
 		return nil, err
 	}
 
-	// The cache identity covers the trace bytes themselves, not just the
-	// spec: a replayed trace may be hand-edited, and the realized schedule
-	// is what the simulator consumes.
-	var tbuf bytes.Buffer
-	if err := traceio.WriteScenario(&tbuf, tr); err != nil {
-		return nil, err
-	}
-	traceHash := hashx.FNV1a64(tbuf.Bytes())
-
-	cfg := l.Cfg.SimConfig(world.BackendCPI())
-
-	run := func(prog *isa.Program) artifacts.ScenarioRun {
-		ex, xerr := traffic.NewExecutor(world, tr)
+	// The merged world is built on the first miss only: a warm run reads
+	// its two entries and generates no workload.
+	var worldMemo memo[*traffic.World]
+	run := func(prog func(*traffic.World) *isa.Program) artifacts.ScenarioRun {
+		w := worldMemo.get(func() *traffic.World {
+			w, werr := buildWorld(spec)
+			if werr != nil {
+				panic(werr) // unreachable: scenarioKeys looked up every tenant's app
+			}
+			return w
+		})
+		ex, xerr := traffic.NewExecutor(w, tr)
 		if xerr != nil {
 			panic(xerr) // unreachable: the trace was validated above
 		}
-		col := traffic.NewCollector(world)
-		st := sim.Run(prog, ex, cfg, col.Hooks())
+		col := traffic.NewCollector(w)
+		st := sim.Run(prog(w), ex, cfg, col.Hooks())
 		return artifacts.ScenarioRun{St: st, Rows: col.Rows()}
 	}
 
 	res := &ScenarioResult{Spec: spec, Trace: tr}
-
-	baseKey := artifacts.NewKey("scenario-base", spec.Name).
-		Str(spec.Material()).Uint(traceHash).SimConfig(cfg)
-	base := l.scenario(baseKey, func() artifacts.ScenarioRun { return run(world.Prog) })
+	base := l.scenario(baseKey, func() artifacts.ScenarioRun {
+		return run(func(w *traffic.World) *isa.Program { return w.Prog })
+	})
 	res.Base, res.BaseRows = base.St, base.Rows
 
 	// The I-SPY variant: per-app injected programs (cached single-tenant
-	// builds) merged at the same offsets as the baseline. The run key folds
-	// each distinct app's build identity so an options or budget change
-	// invalidates the scenario run too.
-	ispyKey := artifacts.NewKey("scenario-ispy", spec.Name).
-		Str(spec.Material()).Uint(traceHash).SimConfig(cfg)
-	apps := spec.Apps()
-	for _, name := range apps {
-		a := l.App(name)
-		ispyKey = ispyKey.Str(name).Params(a.Params).Input(workload.DefaultInputFor(a.Params)).
-			SimConfig(a.SimCfg()).Options(core.DefaultOptions())
-	}
+	// builds) merged at the same offsets as the baseline.
 	ispy := l.scenario(ispyKey, func() artifacts.ScenarioRun {
-		progByApp := make(map[string]*isa.Program, len(apps))
-		for _, name := range apps {
-			progByApp[name] = l.App(name).ISPY().Prog
-		}
-		progs := make([]*isa.Program, len(world.Tenants))
-		for i, t := range world.Tenants {
-			progs[i] = progByApp[t.Spec.App]
-		}
-		variant, merr := world.Merged(progs)
-		if merr != nil {
-			panic(merr) // unreachable: injection preserves block structure
-		}
-		return run(variant)
+		return run(func(w *traffic.World) *isa.Program {
+			progByApp := make(map[string]*isa.Program)
+			for _, name := range spec.Apps() {
+				progByApp[name] = l.App(name).ISPY().Prog
+			}
+			progs := make([]*isa.Program, len(w.Tenants))
+			for i, t := range w.Tenants {
+				progs[i] = progByApp[t.Spec.App]
+			}
+			variant, merr := w.Merged(progs)
+			if merr != nil {
+				panic(merr) // unreachable: injection preserves block structure
+			}
+			return variant
+		})
 	})
 	res.ISPY, res.ISPYRows = ispy.St, ispy.Rows
 	return res, nil
 }
+
+// scenarioKeys returns the scenario's run configuration and the keys of its
+// baseline and I-SPY runs, without building the world. The identity covers
+// the trace bytes themselves, not just the spec: a replayed trace may be
+// hand-edited, and the realized schedule is what the simulator consumes.
+// The I-SPY key also folds each distinct app's build identity, so an
+// options or budget change invalidates the scenario run too.
+func (l *Lab) scenarioKeys(spec *traffic.Spec, tr *traceio.ScenarioTrace) (cfg sim.Config, base, ispy *artifacts.Key, err error) {
+	cpi, err := backendCPI(spec)
+	if err != nil {
+		return cfg, nil, nil, err
+	}
+	var tbuf bytes.Buffer
+	if err := traceio.WriteScenario(&tbuf, tr); err != nil {
+		return cfg, nil, nil, err
+	}
+	traceHash := hashx.FNV1a64(tbuf.Bytes())
+	cfg = l.Cfg.SimConfig(cpi)
+	base = artifacts.NewKey("scenario-base", spec.Name).Str(spec.Material()).Uint(traceHash).SimConfig(cfg)
+	ispy = artifacts.NewKey("scenario-ispy", spec.Name).Str(spec.Material()).Uint(traceHash).SimConfig(cfg)
+	for _, name := range spec.Apps() {
+		a := l.App(name)
+		ispy = ispy.Str(name).Params(a.Params).Input(workload.DefaultInputFor(a.Params)).
+			SimConfig(a.SimCfg()).Options(core.DefaultOptions())
+	}
+	return cfg, base, ispy, nil
+}
+
+// backendCPI is traffic.World.BackendCPI derived from the tenants'
+// parameters, with its arithmetic in the same order (so the run keys stay
+// the same), without generating any workload. An unknown app fails as
+// traffic.BuildWorld does.
+func backendCPI(spec *traffic.Spec) (float64, error) {
+	var num, den float64
+	for _, t := range spec.Tenants {
+		p, err := workload.LookupParams(t.App)
+		if err != nil {
+			return 0, fmt.Errorf("traffic: tenant %q: %w", t.Name, err)
+		}
+		num += t.Weight * p.BackendCPI
+		den += t.Weight
+	}
+	if den == 0 {
+		return 0, nil
+	}
+	return num / den, nil
+}
+
+// buildWorld is traffic.BuildWorld, as a variable so that tests can count
+// the worlds a run builds.
+var buildWorld = traffic.BuildWorld
 
 // scenario loads the scenario run for k or computes (and stores) it.
 func (l *Lab) scenario(k *artifacts.Key, compute func() artifacts.ScenarioRun) artifacts.ScenarioRun {

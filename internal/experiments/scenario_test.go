@@ -103,3 +103,40 @@ func TestScenarioRowsPopulated(t *testing.T) {
 		t.Fatalf("I-SPY did not reduce misses: %d -> %d", res.Base.L1IMisses, res.ISPY.L1IMisses)
 	}
 }
+
+// TestScenarioUnknownAppFailsLikeBuildWorld: a spec naming an app no preset
+// has (one ParseSpec would reject) fails with traffic.BuildWorld's error and
+// looks nothing up.
+func TestScenarioUnknownAppFailsLikeBuildWorld(t *testing.T) {
+	spec, err := traffic.ParseSpec(goldenSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Tenants[1].App = "bogus"
+	_, want := traffic.BuildWorld(spec)
+	lab := NewLab(scenarioLabConfig(t.TempDir()))
+	if _, err := lab.Scenario(spec); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("error %v, want BuildWorld's %v", err, want)
+	}
+	if n := lab.Telemetry().Hits() + lab.Telemetry().Misses(); n != 0 {
+		t.Errorf("a failing scenario made %d lookups", n)
+	}
+}
+
+// TestBackendCPIIsTheWorlds: the backend CPI the scenario keys fold, derived
+// from the tenants' parameters, is bit for bit the built world's.
+func TestBackendCPIIsTheWorlds(t *testing.T) {
+	for _, s := range []string{goldenSpec, benchScenario} {
+		spec, err := traffic.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := traffic.BuildWorld(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := backendCPI(spec); err != nil || got != w.BackendCPI() {
+			t.Errorf("%s: backendCPI = %v (%v), the world's is %v", spec.Name, got, err, w.BackendCPI())
+		}
+	}
+}

@@ -58,19 +58,34 @@ func (c *ContextProfile) Get(site int32, target cfg.LineKey) *LabeledSet {
 // and, windowCycles later, labels the snapshot per target. It replays the
 // profile's own trace when the profile was collected under scfg; otherwise
 // (a profile loaded from disk or uploaded, or another budget) one
-// simulation records a trace to replay.
+// simulation records a trace to replay, which the profile keeps for every
+// later label under scfg. It is safe for concurrent use.
 func (p *Profile) Label(scfg sim.Config, sites []Targets, windowCycles uint64) *ContextProfile {
 	lb := newLabeler(p.Workload, sites, windowCycles)
 	if len(sites) == 0 {
 		return lb.cp
 	}
 	scfg.Ideal = false
-	t := p.trace
-	if t == nil || t.cfg != scfg {
-		t = record(p.Workload, p.Input, scfg)
-	}
-	t.replay(p.Workload, p.Input, lb)
+	p.traceAt(scfg).replay(p.Workload, p.Input, lb)
 	return lb.cp
+}
+
+// traceAt returns the trace of the profiled run under scfg: the profile's
+// own, or the one recorded under scfg on first use.
+func (p *Profile) traceAt(scfg sim.Config) *trace {
+	if p.trace != nil && p.trace.cfg == scfg {
+		return p.trace
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, t := range p.recorded {
+		if t.cfg == scfg {
+			return t
+		}
+	}
+	t := record(p.Workload, p.Input, scfg)
+	p.recorded = append(p.recorded, t)
+	return t
 }
 
 // CollectContexts is Label for a workload and input without a profile: it

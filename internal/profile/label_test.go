@@ -128,29 +128,44 @@ func TestLabelReplayDivergencePanics(t *testing.T) {
 }
 
 // TestLabelConcurrent: one profile labels from several goroutines at once,
-// replaying its trace at its own budget and recording one at another, and
-// every result equals the sequential one (run it under -race).
+// replaying its own trace at its own budget and, at two others, a trace
+// recorded once per budget for all of them. Every result equals the
+// simulated pass's (run it under -race).
 func TestLabelConcurrent(t *testing.T) {
 	w := preset("tomcat")
-	own, other := budget(w, 200_000, 50_000), budget(w, 150_000, 50_000)
-	p := profile.Collect(w, workload.DefaultInput(w), own)
+	in := workload.DefaultInput(w)
+	cfgs := []sim.Config{budget(w, 200_000, 50_000), budget(w, 150_000, 50_000), budget(w, 100_000, 0)}
+	p := profile.Collect(w, in, cfgs[0])
 	sites := labelTargets(p)
-	want := []*profile.ContextProfile{p.Label(own, sites, 260), p.Label(other, sites, 260)}
+	want := make([]*profile.ContextProfile, len(cfgs))
+	for i, scfg := range cfgs {
+		want[i] = profile.CollectContextsRef(w, in, scfg, sites, 260)
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 9; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scfg := own
-			if g%2 == 1 {
-				scfg = other
-			}
-			if got := p.Label(scfg, sites, 260); !reflect.DeepEqual(got, want[g%2]) {
-				t.Errorf("goroutine %d: labels differ from the sequential pass's", g)
+			i := g % len(cfgs)
+			if got := p.Label(cfgs[i], sites, 260); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("goroutine %d: labels differ from the simulated pass's", g)
 			}
 		}()
 	}
 	wg.Wait()
+	if n := profile.Recorded(p); n != len(cfgs)-1 {
+		t.Errorf("%d traces recorded, want one per budget other than the profile's", n)
+	}
+	// A profile without a trace records its own once, too.
+	untraced := &profile.Profile{Graph: p.Graph, Stats: p.Stats, Workload: w, Input: in}
+	for range 2 {
+		if got := untraced.Label(cfgs[0], sites, 260); !reflect.DeepEqual(got, want[0]) {
+			t.Error("an untraced profile's labels differ from the simulated pass's")
+		}
+	}
+	if n := profile.Recorded(untraced); n != 1 {
+		t.Errorf("an untraced profile labeled twice recorded %d traces, want 1", n)
+	}
 }
 
 // FuzzLabelReplay compares labeling by replay with the simulated reference

@@ -22,6 +22,7 @@ package profile
 
 import (
 	"math/bits"
+	"sync"
 
 	"ispy/internal/cfg"
 	"ispy/internal/isa"
@@ -54,6 +55,12 @@ type Profile struct {
 	// trace is the run's record for Label; nil on a profile that was not
 	// collected in this process.
 	trace *trace
+	// recorded holds the traces Label recorded, one per configuration, so
+	// every later label at that configuration replays instead of
+	// simulating. mu guards it and is held while one is recorded: labels
+	// that need the same trace at once wait for the one recording.
+	mu       sync.Mutex
+	recorded []*trace
 }
 
 // histSlab is how many miss histories one slab allocation holds.
