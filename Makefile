@@ -89,18 +89,25 @@ scenariosmoke:
 
 # Warm-cache smoke: rerun over the artifact cache a cold `ispy -quick all`
 # filled must print the same stdout (wall times aside) from hits alone: the
-# -v telemetry's total row must show no miss and nothing computed.
+# -v telemetry's total row must show no miss and nothing computed. A second
+# cold pass at -jobs 1, where experiments and their cells run one after
+# another, into a fresh cache must print the default cold pass's stdout and
+# write byte-identical entries.
 warmsmoke:
 	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/ispy" ./cmd/ispy && \
 	"$$d/ispy" -quick -apps tomcat -cache-dir "$$d/cache" all > "$$d/cold" 2>/dev/null && \
+	"$$d/ispy" -quick -apps tomcat -jobs 1 -cache-dir "$$d/seqcache" all > "$$d/seq" 2>/dev/null && \
 	"$$d/ispy" -quick -apps tomcat -cache-dir "$$d/cache" -v all > "$$d/warm" 2> "$$d/warm.err" || \
 		{ echo "warmsmoke: ispy failed"; exit 1; }; \
 	grep -v "completed in" "$$d/cold" > "$$d/cold.out"; grep -v "completed in" "$$d/warm" > "$$d/warm.out"; \
+	grep -v "completed in" "$$d/seq" > "$$d/seq.out"; \
+	cmp -s "$$d/cold.out" "$$d/seq.out" || { echo "warmsmoke: -jobs 1 cold stdout differs from the default's"; exit 1; }; \
+	diff -r "$$d/cache" "$$d/seqcache" > /dev/null || { echo "warmsmoke: -jobs 1 cold entries differ from the default's"; exit 1; }; \
 	cmp -s "$$d/cold.out" "$$d/warm.out" || { echo "warmsmoke: warm stdout differs from cold"; exit 1; }; \
 	awk '$$1 == "total" { n++; if ($$3 != 0 || $$6 != 0) bad = 1 } END { exit !(n == 1 && !bad) }' "$$d/warm.err" || \
 		{ echo "warmsmoke: the warm run missed or computed:"; grep "^total" "$$d/warm.err"; exit 1; }
-	@echo "warmsmoke: ok (warm rerun: same stdout, hits only)"
+	@echo "warmsmoke: ok (-jobs 1 cold pass: same stdout and entries; warm rerun: same stdout, hits only)"
 
 # The repository benchmark's self-test: bench/ is its own module, so the
 # root `go test ./...` never runs it. It drives every workload and the traced

@@ -323,28 +323,25 @@ func writeTrace(path string, tr *traceio.ScenarioTrace) error {
 }
 
 // runExperiments validates every id up front (an unknown id is a usage
-// error before any work starts), then runs the experiments in order,
-// checking for cancellation between them: once the run context is done the
-// remaining experiments are recorded as skipped rather than silently
-// dropped, and already-printed results stand.
+// error before any work starts), then runs the experiments on the lab's one
+// schedule (Lab.RunExperiments) and prints each result in request order as
+// soon as it and every result before it are done. Once the run context is
+// done, experiments that have not started are recorded as skipped rather
+// than silently dropped, and already-printed results stand.
 func runExperiments(lab *experiments.Lab, ids []string, stdout, stderr io.Writer) int {
-	for _, id := range ids {
-		if _, ok := experiments.Get(id); !ok {
+	specs := make([]experiments.Spec, len(ids))
+	for i, id := range ids {
+		s, ok := experiments.Get(id)
+		if !ok {
 			fmt.Fprintf(stderr, "ispy: unknown experiment %q (see `ispy list`)\n", id)
 			return exitUsage
 		}
+		specs[i] = s
 	}
-	for i, id := range ids {
-		if err := lab.Context().Err(); err != nil {
-			lab.Report().Skip(len(ids)-i, context.Cause(lab.Context()))
-			break
-		}
-		spec, _ := experiments.Get(id)
-		t0 := time.Now()
-		res := spec.Run(lab)
+	lab.RunExperiments(specs, func(s experiments.Spec, res *experiments.Result, ready time.Duration) {
 		fmt.Fprintln(stdout, res.String())
-		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", id, time.Since(t0).Seconds())
-	}
+		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", s.ID, ready.Seconds())
+	})
 	return exitOK
 }
 

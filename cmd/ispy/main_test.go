@@ -69,6 +69,51 @@ func TestExitCodeContract(t *testing.T) {
 	})
 }
 
+// TestRunPrintsInRequestOrder: `run` starts every requested experiment at
+// once but prints the results in request order, each followed by its
+// completion line, and its stdout at -jobs 1, where the experiments run one
+// after another, is the default's apart from the completion lines.
+func TestRunPrintsInRequestOrder(t *testing.T) {
+	ids := []string{"fig12", "fig1", "fig14", "table1", "fig20"}
+	args := append([]string{"-apps", "tomcat,wordpress", "-instrs", "120000", "run"}, ids...)
+	code, stdout, stderr := runCLI(t, args...)
+	if code != exitOK {
+		t.Fatalf("code = %d, stderr = %q", code, stderr)
+	}
+	code, sequential, stderr := runCLI(t, append([]string{"-jobs", "1"}, args...)...)
+	if code != exitOK {
+		t.Fatalf("-jobs 1: code = %d, stderr = %q", code, stderr)
+	}
+	var order []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if id, ok := strings.CutPrefix(line, "=== "); ok {
+			order = append(order, strings.Fields(id)[0])
+		}
+		if rest, ok := strings.CutPrefix(line, "["); ok && strings.Contains(line, " completed in ") {
+			if id := strings.Fields(rest)[0]; len(order) == 0 || id != order[len(order)-1] {
+				t.Errorf("completion line %q does not follow its result", line)
+			}
+		}
+	}
+	if !reflect.DeepEqual(order, ids) {
+		t.Errorf("results printed in order %v, want %v", order, ids)
+	}
+	if a, b := withoutTimes(stdout), withoutTimes(sequential); a != b {
+		t.Errorf("stdout differs between the default -jobs and -jobs 1:\n--- default:\n%s--- -jobs 1:\n%s", a, b)
+	}
+}
+
+// withoutTimes drops the lines that carry wall times.
+func withoutTimes(out string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if !strings.Contains(line, " completed in ") {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
 // TestScenarioCLI covers the scenario command at the process boundary:
 // usage errors exit 2 naming the offending tenant, and a recorded trace
 // replays to byte-identical output.

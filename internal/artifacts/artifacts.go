@@ -358,6 +358,28 @@ func (c *Cache) LoadStats(ctx context.Context, k *Key) (*sim.Stats, bool) {
 	return s, true
 }
 
+// StoreUint persists one unsigned integer under k, such as a program's
+// static size.
+func (c *Cache) StoreUint(ctx context.Context, k *Key, v uint64) {
+	if c == nil {
+		return
+	}
+	c.writeEntry(ctx, k, [][]byte{binary.AppendUvarint(nil, v)})
+}
+
+// LoadUint returns the integer cached under k, if valid.
+func (c *Cache) LoadUint(ctx context.Context, k *Key) (uint64, bool) {
+	sections := c.readEntry(ctx, k)
+	if len(sections) != 1 {
+		return 0, false
+	}
+	v, n := binary.Uvarint(sections[0])
+	if n <= 0 || n != len(sections[0]) {
+		return 0, false
+	}
+	return v, true
+}
+
 // StoreProfile persists a collected profile: the miss-annotated graph (via
 // traceio's profile interchange format) plus the full statistics of the
 // profiling run.

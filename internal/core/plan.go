@@ -200,7 +200,7 @@ func (p *Plan) PrefetchBytes(opt Options) uint64 {
 	return n
 }
 
-// Apply injects the plan into a clone of base, re-lays-out the text segment
+// Apply injects the plan into a copy of base, re-lays-out the text segment
 // (code bloat shifts addresses as link-time injection would), and fixes up
 // operands against the final layout. Because injected bytes shift line
 // boundaries inside a function, a profiled line's code can straddle two
@@ -208,9 +208,24 @@ func (p *Plan) PrefetchBytes(opt Options) uint64 {
 // coalescing bit-vector, upgrading Prefetch→Lprefetch (and
 // Cprefetch→CLprefetch) where needed — iterating to a fixpoint since
 // upgrades themselves change sizes. It returns the rewritten program.
+//
+// base is the uninjected (profiled) program. The copy is copy-on-write, as
+// a link-time injector rewrites only the blocks that host a prefetch and
+// moves every other one: it has its own block headers (layout rewrites
+// Addr) and shares base's Funcs and the instruction list of every block
+// that hosts no prefetch. Each site block gets a new list at its final
+// length; base's list is never appended to, since another build of the
+// same base may be filling its spare capacity. base holds no prefetch, so
+// neither does a shared list, and layout's TargetAddr writes never reach
+// base.
 func (p *Plan) Apply(base *isa.Program) *isa.Program {
-	prog := base.Clone()
 	ctxBytes, vecBytes := p.Opt.operandBytes()
+	prog := &isa.Program{Blocks: make([]isa.Block, len(base.Blocks)), Funcs: base.Funcs, TextSize: base.TextSize}
+	copy(prog.Blocks, base.Blocks)
+	hosted := make(map[int32]int) // prefetches each site block hosts
+	for i := range p.Prefetches {
+		hosted[p.Prefetches[i].Site]++
+	}
 
 	// Inject in plan order within each site, before the block body (the
 	// prefetch runs at block entry, the moment the site was chosen for).
@@ -219,7 +234,7 @@ func (p *Plan) Apply(base *isa.Program) *isa.Program {
 		site    int32
 		slot    int
 	}
-	var placements []placed
+	placements := make([]placed, 0, len(p.Prefetches))
 	perSiteCount := make(map[int32]int)
 	injectedAt := make(map[int32]int) // bytes inserted at each site block
 	for i := range p.Prefetches {
@@ -231,9 +246,15 @@ func (p *Plan) Apply(base *isa.Program) *isa.Program {
 			TargetDelta: pf.Targets[0].Delta,
 		}
 		blk := &prog.Blocks[pf.Site]
-		slot := perSiteCount[pf.Site]
-		blk.Instrs = append(blk.Instrs, isa.Instr{})
-		copy(blk.Instrs[slot+1:], blk.Instrs[slot:])
+		slot, seen := perSiteCount[pf.Site]
+		if !seen {
+			// The site's first prefetch: a new list with room for all of
+			// them ahead of the block's own instructions.
+			body := base.Blocks[pf.Site].Instrs
+			n := hosted[pf.Site]
+			blk.Instrs = make([]isa.Instr, n+len(body))
+			copy(blk.Instrs[n:], body)
+		}
 		blk.Instrs[slot] = in
 		perSiteCount[pf.Site] = slot + 1
 		injectedAt[pf.Site] += int(in.Size)

@@ -101,14 +101,29 @@ func (r buildRef) plan(l *Lab) *core.Plan {
 
 // staticIncrease is the static code-footprint increase (Figs. 4, 14, 21)
 // of a build of this app run under opt, priced from its plan alone
-// (core.Plan.PrefetchBytes); only the unmodified program's size needs the
-// workload.
+// (core.Plan.PrefetchBytes) over the unmodified program's size.
 func (a *App) staticIncrease(p *core.Plan, opt core.Options) float64 {
-	base := a.prog().StaticBytes()
+	base := a.staticBytes()
 	if base == 0 {
 		return 0
 	}
 	return float64(p.PrefetchBytes(opt)) / float64(base)
+}
+
+// staticBytes is the unmodified program's static size, computed once per
+// app. Its entry is keyed by the parameters alone, of which the program is
+// a pure function, so a hit generates no workload.
+func (a *App) staticBytes() uint64 {
+	return a.static.get(func() uint64 {
+		return cached(a.lab, a.staticKey(), a.lab.cache.LoadUint, a.lab.cache.StoreUint, func() uint64 {
+			return a.prog().StaticBytes()
+		})
+	})
+}
+
+// staticKey is staticBytes's key.
+func (a *App) staticKey() *artifacts.Key {
+	return artifacts.NewKey("static-size", a.Name).Params(a.Params)
 }
 
 // faulted interposes the lab's fault injector (when configured) at the

@@ -178,7 +178,7 @@ func runFig13(l *Lab) *Result {
 }
 
 func runFig14(l *Lab) *Result {
-	l.ForEachApp("fig14/warm", func(a *App) error { a.AsmDBPlan(); a.ISPYPlan(); a.prog(); return nil })
+	l.ForEachApp("fig14/warm", func(a *App) error { a.AsmDBPlan(); a.ISPYPlan(); a.staticBytes(); return nil })
 	t := metrics.NewTable("app", "AsmDB static increase", "I-SPY static increase")
 	var ad, is []float64
 	for _, a := range l.Apps() {

@@ -124,7 +124,7 @@ func runFig3(l *Lab) *Result {
 }
 
 func runFig4(l *Lab) *Result {
-	l.ForEachApp("fig4/warm", func(a *App) error { a.AsmDBStats(); a.AsmDBPlan(); a.prog(); return nil })
+	l.ForEachApp("fig4/warm", func(a *App) error { a.AsmDBStats(); a.AsmDBPlan(); a.staticBytes(); return nil })
 	t := metrics.NewTable("app", "static increase", "dynamic increase")
 	var stat, dyn []float64
 	for _, a := range l.Apps() {

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ispy/internal/core"
@@ -117,19 +118,30 @@ func runFig17(l *Lab) *Result {
 func runFig18(l *Lab) *Result {
 	minDists := []uint64{5, 10, 20, 27, 50, 100}
 	maxDists := []uint64{50, 100, 150, 200, 300, 400}
-	// One grid: the minimum-distance points (max=200), then the
-	// maximum-distance points (min=27).
+	// One grid over the distinct windows: the minimum-distance points
+	// (max=200), then the maximum-distance points (min=27). The (27, 200)
+	// point lies on both curves; it is evaluated once and printed in both
+	// halves of the table.
 	type window struct{ min, max uint64 }
 	var points []window
-	var labels []string
-	for _, d := range minDists {
-		points = append(points, window{d, 200})
+	at := func(w window) int {
+		if i := slices.Index(points, w); i >= 0 {
+			return i
+		}
+		points = append(points, w)
+		return len(points) - 1
 	}
-	for _, d := range maxDists {
-		points = append(points, window{27, d})
+	minAt := make([]int, len(minDists))
+	for i, d := range minDists {
+		minAt[i] = at(window{d, 200})
 	}
-	for _, p := range points {
-		labels = append(labels, fmt.Sprintf("dist=%d-%d", p.min, p.max))
+	maxAt := make([]int, len(maxDists))
+	for i, d := range maxDists {
+		maxAt[i] = at(window{27, d})
+	}
+	labels := make([]string, len(points))
+	for i, p := range points {
+		labels[i] = fmt.Sprintf("dist=%d-%d", p.min, p.max)
 	}
 	// The window changes site selection, so the shared labeled-context
 	// evidence cannot be reused; each point builds fresh at sweep cost.
@@ -142,15 +154,15 @@ func runFig18(l *Lab) *Result {
 
 	t := metrics.NewTable("sweep", "value (cycles)", "avg % of ideal")
 	for i, d := range minDists {
-		t.AddRow("min distance (max=200)", fmt.Sprint(d), fmtPct(means[i].PctOfIdeal))
+		t.AddRow("min distance (max=200)", fmt.Sprint(d), fmtPct(means[minAt[i]].PctOfIdeal))
 	}
 	for i, d := range maxDists {
-		t.AddRow("max distance (min=27)", fmt.Sprint(d), fmtPct(means[len(minDists)+i].PctOfIdeal))
+		t.AddRow("max distance (min=27)", fmt.Sprint(d), fmtPct(means[maxAt[i]].PctOfIdeal))
 	}
 	// Identify the best min distance for the summary.
-	bestMin, bestVal := minDists[0], means[0].PctOfIdeal
+	bestMin, bestVal := minDists[0], means[minAt[0]].PctOfIdeal
 	for i, d := range minDists {
-		if v := means[i].PctOfIdeal; v > bestVal {
+		if v := means[minAt[i]].PctOfIdeal; v > bestVal {
 			bestVal, bestMin = v, d
 		}
 	}

@@ -295,6 +295,52 @@ func (l *Lab) runCells(cells []cell) []error {
 	return out
 }
 
+// RunExperiments runs specs on one schedule: every experiment starts at
+// once, and its cells join the lab's pool as it reaches them, so no slot
+// idles at one experiment's barrier while another has work queued. The pool
+// still bounds all compute: no experiment computes an artifact outside a
+// cell. emit receives each result in specs order, as soon as it and every
+// result before it are done, with the time from the start of the run until
+// that result was ready. On a sequential pool the experiments run one after
+// another. An experiment that has not started when the lab's context is
+// cancelled is skipped, counted in the run report, and emits nothing.
+func (l *Lab) RunExperiments(specs []Spec, emit func(s Spec, res *Result, ready time.Duration)) {
+	start := time.Now()
+	run := func(s Spec) (*Result, time.Duration) {
+		if l.ctx.Err() != nil {
+			l.report.Skip(1, context.Cause(l.ctx))
+			return nil, 0
+		}
+		res := s.Run(l)
+		return res, time.Since(start)
+	}
+	if l.pool.Size() == 1 {
+		for _, s := range specs {
+			if res, ready := run(s); res != nil {
+				emit(s, res, ready)
+			}
+		}
+		return
+	}
+	type outcome struct {
+		res   *Result
+		ready time.Duration
+	}
+	done := make([]chan outcome, len(specs))
+	for i, s := range specs {
+		done[i] = make(chan outcome, 1)
+		go func() {
+			res, ready := run(s)
+			done[i] <- outcome{res, ready}
+		}()
+	}
+	for i, s := range specs {
+		if o := <-done[i]; o.res != nil {
+			emit(s, o.res, o.ready)
+		}
+	}
+}
+
 // faultHit evaluates the fault injector (when configured) at a compute site.
 // An injected error surfaces as a panic so it flows through exactly the
 // containment path a real compute failure takes.
@@ -370,6 +416,7 @@ type App struct {
 	ispyPlan  memo[*core.Plan]
 	ispyStat  memo[*sim.Stats]
 	prepared  memo[*core.Prepared]
+	static    memo[uint64]
 }
 
 // App returns (creating on first use) the artifacts for name.

@@ -1,14 +1,17 @@
 // The run-wide worker pool: one bounded set of execution slots shared by
 // every level of the harness — per-app artifact computation and per-sweep-
-// point variant runs alike — so a 9-app × 6-point sweep saturates all cores
-// instead of idling on the longest app.
+// point variant runs alike, across every experiment of a run — so a 9-app ×
+// 6-point sweep saturates all cores instead of idling on the longest app,
+// and one experiment's cells fill the slots another leaves free.
 //
-// The design is deliberately deadlock-free under nesting: tasks never block
-// waiting for a slot. Group.Go either claims a free slot (async) or queues
-// the task locally; Group.Wait drains the queue, handing tasks to slots as
-// they free up and running them inline otherwise. A task that itself opens a
-// sub-Group and Waits on it therefore always makes progress — worst case it
-// runs its subtasks inline in its own slot.
+// The slots bound every running task. Group.Go claims a free slot (async)
+// or queues the task locally; Group.Wait hands each queued task to a slot.
+// A waiter that holds no slot — an experiment's own goroutine, a request
+// handler — waits for one to free up. A waiter inside a pool task already
+// holds one, so when none is free it runs the queued task inline in its own
+// slot: a task that opens a sub-Group on the context it was given and Waits
+// on it therefore always makes progress, and nested fan-outs cannot
+// deadlock.
 //
 // Failure model: tasks are func(ctx) error. A task panic is recovered and
 // converted to a *PanicError carrying the stack; Wait returns the join of
@@ -76,7 +79,10 @@ func (e *SkipError) Unwrap() error { return e.Cause }
 type Group struct {
 	p   *Pool
 	ctx context.Context
-	wg  sync.WaitGroup
+	// inSlot is the context tasks run under: ctx, marked as holding one of
+	// p's slots. A group opened on it drains inline when no slot is free.
+	inSlot context.Context
+	wg     sync.WaitGroup
 
 	mu      sync.Mutex
 	pending []func(context.Context) error
@@ -84,20 +90,33 @@ type Group struct {
 	skipped int
 }
 
+// slotKey marks a task's context with the pool whose slot the task holds.
+type slotKey struct{}
+
 // Group starts an empty task group on the pool. ctx cancellation skips
-// queued-but-unstarted tasks (nil means never cancelled).
+// queued-but-unstarted tasks (nil means never cancelled). A task that fans
+// out again opens its group on the context it was given, which tells Wait
+// that the waiter holds a slot.
 func (p *Pool) Group(ctx context.Context) *Group {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Group{p: p, ctx: ctx}
+	g := &Group{p: p, ctx: ctx, inSlot: ctx}
+	if p != nil && p.sem != nil && ctx.Value(slotKey{}) != p {
+		g.inSlot = context.WithValue(ctx, slotKey{}, p)
+	}
+	return g
 }
 
+// holdsSlot reports whether the group was opened inside one of its pool's
+// tasks, on that task's context.
+func (g *Group) holdsSlot() bool { return g.ctx == g.inSlot }
+
 // Go submits one task. If a pool slot is free the task runs concurrently;
-// otherwise it is queued and executed during Wait (possibly inline in the
-// waiter). On a sequential pool the task runs inline immediately, preserving
-// submission order. If the group's context is already cancelled the task is
-// skipped and counted.
+// otherwise it is queued and executed during Wait (inline in the waiter only
+// when the waiter is itself a pool task). On a sequential pool the task runs
+// inline immediately, preserving submission order. If the group's context is
+// already cancelled the task is skipped and counted.
 func (g *Group) Go(f func(context.Context) error) {
 	if g.ctx.Err() != nil {
 		g.mu.Lock()
@@ -106,7 +125,7 @@ func (g *Group) Go(f func(context.Context) error) {
 		return
 	}
 	if g.p == nil || g.p.sem == nil {
-		g.run(f)
+		g.run(g.ctx, f)
 		return
 	}
 	select {
@@ -119,15 +138,15 @@ func (g *Group) Go(f func(context.Context) error) {
 	}
 }
 
-// run executes f, converting a panic into a recorded *PanicError and an
-// error return into a recorded error.
-func (g *Group) run(f func(context.Context) error) {
+// run executes f under ctx, converting a panic into a recorded *PanicError
+// and an error return into a recorded error.
+func (g *Group) run(ctx context.Context, f func(context.Context) error) {
 	defer func() {
 		if r := recover(); r != nil {
 			g.addErr(&PanicError{Value: r, Stack: debug.Stack()})
 		}
 	}()
-	if err := f(g.ctx); err != nil {
+	if err := f(ctx); err != nil {
 		g.addErr(err)
 	}
 }
@@ -144,16 +163,17 @@ func (g *Group) spawn(f func(context.Context) error) {
 	go func() {
 		defer g.wg.Done()
 		defer func() { <-g.p.sem }()
-		g.run(f)
+		g.run(g.inSlot, f)
 	}()
 }
 
-// Wait drains the group's queued tasks — handing each to a freed slot when
-// one is available, running it inline otherwise — then blocks until every
-// spawned task has finished. It returns the join of all task errors; if
-// cancellation skipped queued tasks, a *SkipError naming the count and the
-// cancellation cause is included. The group is reusable after Wait (errors
-// and skip counts are consumed).
+// Wait drains the group's queued tasks, handing each to a slot as one
+// frees up, then blocks until every spawned task has finished. A waiter
+// inside a pool task runs a queued task inline in its own slot when none is
+// free; any other waiter waits for a slot. It returns the join of all task
+// errors; if cancellation skipped queued tasks, a *SkipError naming the
+// count and the cancellation cause is included. The group is reusable after
+// Wait (errors and skip counts are consumed).
 func (g *Group) Wait() error {
 	if g.p != nil && g.p.sem != nil {
 		for {
@@ -170,11 +190,22 @@ func (g *Group) Wait() error {
 			f := g.pending[0]
 			g.pending = g.pending[1:]
 			g.mu.Unlock()
+			if g.holdsSlot() {
+				select {
+				case g.p.sem <- struct{}{}:
+					g.spawn(f)
+				default:
+					g.run(g.ctx, f)
+				}
+				continue
+			}
 			select {
 			case g.p.sem <- struct{}{}:
 				g.spawn(f)
-			default:
-				g.run(f)
+			case <-g.ctx.Done():
+				g.mu.Lock()
+				g.skipped++
+				g.mu.Unlock()
 			}
 		}
 		g.wg.Wait()

@@ -66,10 +66,48 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	if ran != 50 {
 		t.Errorf("ran %d of 50 tasks", ran)
 	}
-	// The waiter may run one queued task inline while `size` slots are
-	// occupied, so the observable peak is size+1.
-	if peak > size+1 {
-		t.Errorf("peak concurrency %d exceeds pool size %d (+1 inline)", peak, size)
+	// The waiter holds no slot, so it waits for one instead of running a
+	// queued task inline beside the pool.
+	if peak > size {
+		t.Errorf("peak concurrency %d exceeds pool size %d", peak, size)
+	}
+}
+
+// TestTopLevelWaitersShareTheBound: many groups whose waiters hold no slot,
+// as the goroutines of experiments running at once, never run more tasks
+// at a time than the pool has slots, however many of them wait.
+func TestTopLevelWaitersShareTheBound(t *testing.T) {
+	const size, groups, tasks = 2, 8, 10
+	p := NewPool(size)
+	var live, peak, ran atomic.Int32
+	task := ok(func() {
+		n := live.Add(1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		time.Sleep(200 * time.Microsecond) // long enough for the waiters to overlap
+		ran.Add(1)
+		live.Add(-1)
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < groups; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := p.Group(context.Background())
+			for j := 0; j < tasks; j++ {
+				g.Go(task)
+			}
+			if err := g.Wait(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if ran.Load() != groups*tasks {
+		t.Errorf("ran %d of %d tasks", ran.Load(), groups*tasks)
+	}
+	if peak.Load() > size {
+		t.Errorf("peak concurrency %d exceeds pool size %d", peak.Load(), size)
 	}
 }
 

@@ -331,8 +331,10 @@ func (p *Program) resolveTargets() {
 	}
 }
 
-// Clone returns a deep copy of the program. Injection passes clone the
-// profiled program so baselines and I-SPY variants never share blocks.
+// Clone returns a deep copy of the program. Injection does not clone:
+// core.Plan.Apply shares the lists of the blocks it leaves unchanged with
+// its base and gives only the blocks that host a prefetch lists of their
+// own.
 func (p *Program) Clone() *Program {
 	q := &Program{
 		Blocks:   make([]Block, len(p.Blocks)),
