@@ -25,12 +25,14 @@ ispyvet:
 		{ echo "ispyvet: -json smoke failed"; exit 1; }
 	@echo "ispyvet: -json smoke ok"
 
-# End-to-end proof that the cache-soundness gate bites: graft the two
-# canonical regressions (a Config field the kernel reads but the key never
-# folds; a time.Now() folded into an analyze response) onto pristine module
-# copies and require `ispy-vet -strict` to fail each with the right pass.
+# End-to-end proof that the analyzer gate bites: graft the canonical
+# impure-response regression (a time.Now() folded into an analyze response)
+# onto a pristine module copy and require `ispy-vet -strict` to fail it with
+# the purity pass. The stale-key regression (a config field the key never
+# folds) is a tier-1 test now: TestKeyMaterialCoversEveryField in
+# internal/artifacts.
 vetsmoke:
-	$(GO) test -run 'TestInjectedRegressions/(keysound|purity)' ./internal/vetting
+	$(GO) test -run 'TestInjectedRegressions/purity' ./internal/vetting
 
 # List every //ispy: waiver in effect, for periodic review.
 vet-waivers:

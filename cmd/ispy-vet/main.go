@@ -1,7 +1,8 @@
 // ispy-vet runs the repository's determinism & invariant analyzer
-// (internal/vetting) over the module and prints findings in the canonical
-// `file:line: pass: message` form. It is part of the gate (`make check`,
-// which CI runs): any finding is a non-zero exit.
+// (internal/vetting; its seven passes are determinism, stats, concurrency,
+// errors, hotpath, dtaint and purity) over the module and prints findings
+// in the canonical `file:line: pass: message` form. It is part of the gate
+// (`make check`, which CI runs): any finding is a non-zero exit.
 //
 // Usage:
 //
@@ -18,11 +19,7 @@
 // -json emits one JSON object per line — {"file","line","pass","message",
 // "waived"} — covering both live findings (waived:false) and findings a
 // waiver suppressed (waived:true), for tooling that audits the waiver
-// ledger alongside the failures. Paths are module-relative. After the
-// findings, the keysound field-coverage table follows as one
-// {"table":"keysound","struct","field","compute_read","folded","waived"}
-// object per audited field — a distinct shape, so per-pass finding counts
-// keyed on "pass" stay accurate.
+// ledger alongside the failures. Paths are module-relative.
 //
 // -strict promotes advisory findings (stale waivers) to gate failures.
 // The gate runs strict; plain invocations report them as warnings.
@@ -115,16 +112,6 @@ func main() {
 		for _, d := range res.Suppressed {
 			emit(d, true)
 		}
-		for _, c := range res.Coverage {
-			enc.Encode(jsonCoverage{
-				Table:       "keysound",
-				Struct:      c.Struct,
-				Field:       c.Field,
-				ComputeRead: c.ComputeRead,
-				Folded:      c.Folded,
-				Waived:      c.Waived,
-			})
-		}
 	} else {
 		for _, d := range res.Diags {
 			d.Pos.Filename = relTo(modRoot, d.Pos.Filename)
@@ -167,18 +154,6 @@ type jsonDiag struct {
 	Pass    string `json:"pass"`
 	Message string `json:"message"`
 	Waived  bool   `json:"waived"`
-}
-
-// jsonCoverage is one keysound field-coverage row under -json. It carries a
-// "table" discriminator and no "pass" key, so tools counting findings per
-// pass never mistake coverage rows for diagnostics.
-type jsonCoverage struct {
-	Table       string `json:"table"`
-	Struct      string `json:"struct"`
-	Field       string `json:"field"`
-	ComputeRead bool   `json:"compute_read"`
-	Folded      bool   `json:"folded"`
-	Waived      bool   `json:"waived"`
 }
 
 // relTo renders a path relative to the module root where possible; the

@@ -176,72 +176,78 @@ func (c *Cache) writeEntry(ctx context.Context, k *Key, sections [][]byte) {
 	c.ioDone("write", err)
 }
 
-// persist atomically writes data as dir/name via temp + rename. When ctx can
-// end, the file operations run on their own goroutine and persist only waits
-// for whichever comes first — completion or the deadline; the abandoned
-// goroutine still renames (a complete, valid entry) or removes its temp file.
+// persist atomically writes data as dir/name, bounded by ctx
+// (waitOrAbandon): an abandoned write still renames (a complete, valid
+// entry) or removes its temp file.
 func (c *Cache) persist(ctx context.Context, name string, data []byte) error {
-	do := func() error {
-		tmp, err := os.CreateTemp(c.dir, name+".tmp*")
-		if err != nil {
-			return err
-		}
-		_, werr := tmp.Write(data)
-		cerr := tmp.Close()
-		if werr != nil || cerr != nil {
-			os.Remove(tmp.Name()) //ispy:errok abandoning the temp file; the write already failed
-			if werr != nil {
-				return werr
-			}
-			return cerr
-		}
-		if err := os.Rename(tmp.Name(), filepath.Join(c.dir, name)); err != nil {
-			os.Remove(tmp.Name()) //ispy:errok abandoning the temp file; the rename already failed
-			return err
-		}
-		return nil
-	}
-	if ctx == nil || ctx.Done() == nil {
-		return do()
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("artifacts: write abandoned: %w", context.Cause(ctx))
-	}
-	done := make(chan error, 1)
-	//ispy:detach deliberately abandoned on deadline: the buffered send never blocks, the write runs to completion, and the select's ctx arm is the whole point
-	go func() { done <- do() }()
-	select {
-	case err := <-done:
+	_, err := waitOrAbandon(ctx, "write", func() (struct{}, error) {
+		return struct{}{}, c.writeFile(name, data)
+	})
+	return err
+}
+
+// writeFile atomically writes data as dir/name via temp + rename.
+func (c *Cache) writeFile(name string, data []byte) error {
+	tmp, err := os.CreateTemp(c.dir, name+".tmp*")
+	if err != nil {
 		return err
-	case <-ctx.Done():
-		return fmt.Errorf("artifacts: write abandoned: %w", context.Cause(ctx))
 	}
+	_, werr := tmp.Write(data)
+	cerr := tmp.Close()
+	if werr != nil || cerr != nil {
+		os.Remove(tmp.Name()) //ispy:errok abandoning the temp file; the write already failed
+		if werr != nil {
+			return werr
+		}
+		return cerr
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(c.dir, name)); err != nil {
+		os.Remove(tmp.Name()) //ispy:errok abandoning the temp file; the rename already failed
+		return err
+	}
+	return nil
 }
 
 // readFile loads path bounded by ctx the same way persist is: a hung disk
 // cannot outlive the run context, only the wait is abandoned.
 func readFile(ctx context.Context, path string) ([]byte, error) {
+	return waitOrAbandon(ctx, "read", func() ([]byte, error) { return os.ReadFile(path) })
+}
+
+// waitOrAbandon runs the file operation op bounded by ctx. It runs op
+// directly when ctx cannot end and not at all when ctx has already ended.
+// Otherwise op runs on its own goroutine, and the caller waits for
+// whichever comes first: op's result or the end of ctx. what names the
+// operation in the abandonment error.
+//
+// The abandoned goroutine is left behind on purpose: a hung disk is walked
+// away from, and the one-slot channel takes op's result without a reader,
+// so the straggler finishes its operation and exits.
+func waitOrAbandon[T any](ctx context.Context, what string, op func() (T, error)) (T, error) {
+	var zero T
 	if ctx == nil || ctx.Done() == nil {
-		return os.ReadFile(path)
+		return op()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("artifacts: read abandoned: %w", context.Cause(ctx))
+	abandoned := func() (T, error) {
+		return zero, fmt.Errorf("artifacts: %s abandoned: %w", what, context.Cause(ctx))
+	}
+	if ctx.Err() != nil {
+		return abandoned()
 	}
 	type result struct {
-		data []byte
-		err  error
+		v   T
+		err error
 	}
 	done := make(chan result, 1)
-	//ispy:detach deliberately abandoned on deadline: a hung disk read is walked away from; the buffered send lets the straggler finish and be collected
 	go func() {
-		data, err := os.ReadFile(path)
-		done <- result{data, err}
+		v, err := op()
+		done <- result{v, err}
 	}()
 	select {
 	case r := <-done:
-		return r.data, r.err
+		return r.v, r.err
 	case <-ctx.Done():
-		return nil, fmt.Errorf("artifacts: read abandoned: %w", context.Cause(ctx))
+		return abandoned()
 	}
 }
 

@@ -5,13 +5,12 @@
 // artifacts (the whole pipeline is deterministic), so the key material *is*
 // the content address.
 //
-// That last sentence is a proof obligation, not a convention: the ispy-vet
-// `keysound` pass (DESIGN.md §10, pass 11) checks that every field of the
-// key-covered config structs the compute path reads flows into the material
-// built here. The fold methods below are the pass's fold roots — renaming
-// one means updating vetting.DefaultConfig's KeyFoldRoots, or the gate
-// fails with a bad-root diagnostic. A new config field is free to land
-// unfolded only behind an //ispy:keyfold waiver with a reason.
+// That last sentence is a proof obligation, not a convention:
+// TestKeyMaterialCoversEveryField changes every leaf field of the
+// key-covered structs (sim.Config, workload.Params, core.Options,
+// workload.Input, traffic.Spec) one at a time and requires the material
+// built here to change with it. A new field must be folded below, or be
+// listed among the test's exemptions with its reason.
 package artifacts
 
 import (

@@ -24,6 +24,28 @@ func TestTelemetryCounters(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
 	}
+
+	// The rows come out sorted by kind, total last, whatever order the
+	// kinds were first seen in. Ten kinds recorded in reverse order leave
+	// map iteration no real chance of producing sorted rows by luck.
+	var want []string
+	for c := 'a'; c <= 'j'; c++ {
+		want = append(want, "kind-"+string(c))
+	}
+	tel = NewTelemetry(nil)
+	for i := len(want) - 1; i >= 0; i-- {
+		tel.CacheMiss(want[i])
+	}
+	want = append(want, "total")
+	var rows []string
+	for _, line := range strings.Split(tel.Summary(), "\n")[3:] {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows = append(rows, f[0])
+		}
+	}
+	if strings.Join(rows, " ") != strings.Join(want, " ") {
+		t.Errorf("summary rows = %v, want %v", rows, want)
+	}
 }
 
 func TestTelemetryNilSafe(t *testing.T) {

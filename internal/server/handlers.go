@@ -348,8 +348,10 @@ func (s *Server) respond(ctx context.Context, w http.ResponseWriter, run func(co
 		resp *AnalyzeResponse
 		err  error
 	}
+	// The response straggler is abandoned by design when the deadline
+	// expires: its ctx is dead, so its cache stores no-op, and the one-slot
+	// channel takes its result, so it exits (DESIGN.md §12).
 	ch := make(chan result, 1)
-	//ispy:detach the response straggler is abandoned by design when the deadline expires; its ctx is dead so downstream work no-ops (DESIGN.md §12)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -252,6 +254,51 @@ func TestAnalyzeDeadline(t *testing.T) {
 	}
 	if trips := s.breaker.Trips(); trips != 0 {
 		t.Errorf("breaker tripped %d time(s) from deadline abandonment alone", trips)
+	}
+
+	// A timed-out request leaves nothing behind. A 50 ms latency fault at
+	// the first computation (the profile) makes the 1 ms deadline expire
+	// before anything is stored. The abandoned pipeline runs on under the
+	// dead context, so it must store no cache entry, and its goroutine in
+	// respond must exit once the pipeline ends.
+	cfg := testConfig(t)
+	cfg.CacheDir = t.TempDir()
+	cfg.Faults = faults.New(1)
+	cfg.Faults.Enable("compute/profile/wordpress", faults.Rule{Kind: faults.Latency, Delay: 50 * time.Millisecond})
+	s = newTestServer(t, cfg)
+	if w := analyze(t, s, `{"app":"wordpress","timeout_millis":1}`); w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("deadline-doomed analyze with a cache = %d: %s", w.Code, w.Body)
+	}
+	waitNoGoroutinesIn(t, "server.(*Server).respond.func", 10*time.Second)
+	entries, err := os.ReadDir(cfg.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("the timed-out request stored %s", e.Name())
+	}
+}
+
+// waitNoGoroutinesIn waits up to bound for every goroutine with a frame
+// matching fn to exit, and fails with their stacks if any is left.
+func waitNoGoroutinesIn(t *testing.T, fn string, bound time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(bound)
+	buf := make([]byte, 1<<20)
+	for {
+		var left [][]byte
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte(fn)) {
+				left = append(left, g)
+			}
+		}
+		if len(left) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutine(s) in %s still running after %v:\n%s", len(left), fn, bound, bytes.Join(left, []byte("\n\n")))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

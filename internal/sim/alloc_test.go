@@ -1,8 +1,12 @@
-package sim
+package sim_test
 
 import (
 	"testing"
 
+	"ispy/internal/core"
+	"ispy/internal/isa"
+	"ispy/internal/profile"
+	"ispy/internal/sim"
 	"ispy/internal/workload"
 )
 
@@ -12,23 +16,23 @@ import (
 // executor's call stack grown to its steady depth — the measured per-block
 // loop of the fast-path kernel performs zero heap allocations. This is the
 // AllocsPerRun companion to BenchmarkSimulatorThroughput's kernel: any
-// regression here shows up there as allocation pressure first.
+// regression here shows up there as allocation pressure first. It runs
+// wordpress's unmodified program and an I-SPY build of it, whose
+// conditional and coalesced prefetch instructions take execPrefetch, which
+// the unmodified program never reaches.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	w := workload.Preset("wordpress")
-	cfg := Default().WithWorkloadCPI(w.Params.BackendCPI)
-	cfg.setDefaults()
-	m := newMachine(w.Prog, cfg, nil)
-	src := workload.NewExecutor(w, workload.DefaultInput(w))
-
-	// Warmup: the first run allocates the batch buffers and amortizes the
-	// executor's call-stack capacity; run's budget is relative, so each
-	// call advances the same machine.
-	m.run(src, 200_000)
-
-	avg := testing.AllocsPerRun(10, func() {
-		m.run(src, 100_000)
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state kernel allocates: %v allocs per 100k-instruction run, want 0", avg)
+	cfg := goldenCfg(w)
+	build := core.BuildISPY(profile.Collect(w, workload.DefaultInput(w), cfg), cfg, core.DefaultOptions())
+	if len(build.Plan.Prefetches) == 0 {
+		t.Fatal("the I-SPY build injected no prefetch")
+	}
+	for _, c := range []struct {
+		name string
+		prog *isa.Program
+	}{{"base", w.Prog}, {"ispy", build.Prog}} {
+		if avg := sim.SteadyStateAllocs(c.prog, workload.NewExecutor(w, workload.DefaultInput(w)), cfg); avg != 0 {
+			t.Errorf("%s: steady-state kernel allocates: %v allocs per 100k-instruction run, want 0", c.name, avg)
+		}
 	}
 }

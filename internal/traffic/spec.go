@@ -335,11 +335,11 @@ func (s *Spec) Apps() []string {
 
 // Material renders the normalized spec as a canonical string for folding
 // into artifact-cache keys: every parameter that affects composition
-// appears, in a fixed order. "Every parameter" is enforced by the ispy-vet
-// keysound pass, which treats Material as a fold root and Compose/BuildWorld
-// as compute roots: a Spec field the composer reads but this string omits
-// fails the gate. Derived folds count — ZipfSkew is covered because
-// normalization turns it into the per-tenant Weights folded below.
+// appears, in a fixed order. "Every parameter" is enforced by
+// artifacts.TestKeyMaterialCoversEveryField: changing any one field of a
+// parsed spec, its tenants and phases included, must change this string.
+// ZipfSkew is covered because normalization turns it into the per-tenant
+// Weights folded below.
 func (s *Spec) Material() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "name=%s;seed=%d;requests=%d;arrival=%s:%g;day=", s.Name, s.Seed, s.Requests, s.Arrival, s.ArrivalShape)

@@ -1,7 +1,7 @@
 // The concurrency-hygiene pass, module-wide. Two checks:
 //
 //  1. Pool-task context discipline: a pool task (resolved through the
-//     shared spawn inventory, spawn.go) that names its context parameter
+//     pool-task inventory, spawn.go) that names its context parameter
 //     but never uses it almost always means cancellation was forgotten —
 //     the task will run to completion after the run is cancelled. Tasks
 //     with an unnamed or underscore parameter are an explicit opt-out and
@@ -24,9 +24,9 @@ import (
 	"strings"
 )
 
-func checkConcurrency(pkgs []*Package, sa *spawnAnalysis) []Diagnostic {
-	diags := concPoolCtx(sa)
-	for _, p := range pkgs {
+func checkConcurrency(a *Analysis) []Diagnostic {
+	diags := concPoolCtx(a)
+	for _, p := range a.pkgs {
 		diags = append(diags, concHeldLocks(p)...)
 	}
 	return diags
@@ -35,25 +35,18 @@ func checkConcurrency(pkgs []*Package, sa *spawnAnalysis) []Diagnostic {
 // --- check 1: Pool tasks ignoring their ctx parameter ---
 
 // concPoolCtx flags pool tasks that name a context parameter but never use
-// it. The spawn inventory resolves each task to its body: a func literal, a
-// named function (identifier or selector), or a function-valued variable
-// bound to a literal in the same package.
-func concPoolCtx(sa *spawnAnalysis) []Diagnostic {
+// it. The pool-task inventory resolves each task to its body: a func
+// literal, a named function (identifier or selector), or a function-valued
+// variable bound to a literal in the same package.
+func concPoolCtx(a *Analysis) []Diagnostic {
 	var diags []Diagnostic
-	for _, s := range sa.sites {
-		if !s.pool || s.body == nil {
+	for _, t := range poolTasks(a) {
+		if t.body == nil {
 			continue
 		}
-		var ft *ast.FuncType
-		switch span := s.span.(type) {
-		case *ast.FuncLit:
-			ft = span.Type
-		case *ast.FuncDecl:
-			ft = span.Type
-		}
-		if ctx := namedCtxParam(s.bodyPkg, ft); ctx != nil && !identUsed(s.bodyPkg, s.body, ctx) {
-			diags = append(diags, Diagnostic{Pos: s.pos, Pass: PassConcurrency,
-				Message: fmt.Sprintf("%s names its context parameter %q but never uses it; honor cancellation or use an unnamed parameter", s.desc, ctx.Name())})
+		if ctx := namedCtxParam(t.fnPkg, t.fn); ctx != nil && !identUsed(t.fnPkg, t.body, ctx) {
+			diags = append(diags, Diagnostic{Pos: t.pos, Pass: PassConcurrency,
+				Message: fmt.Sprintf("%s names its context parameter %q but never uses it; honor cancellation or use an unnamed parameter", t.desc, ctx.Name())})
 		}
 	}
 	return diags

@@ -8,7 +8,7 @@
 // workload generation → profiling → analysis → simulation → reporting —
 // stays free of Go's classic nondeterminism traps.
 //
-// Eleven passes run over the type-checked module (DESIGN.md §10). The four
+// Seven passes run over the type-checked module (DESIGN.md §10). The four
 // local ones:
 //
 //   - determinism: in the deterministic packages, flag `range` over
@@ -24,17 +24,17 @@
 //   - errors: unchecked or blank-assigned error returns in the I/O-handling
 //     packages (traceio, artifacts, faults, resilience).
 //
-// Seven more run on a shared inter-procedural engine (CHA call graph,
+// Three more run on a shared inter-procedural engine (CHA call graph,
 // per-function SSA-lite IR, module-wide flow propagation): hotpath (the
 // steady-state kernel never allocates and calls only pure code), dtaint
-// (map-iteration order never reaches a stat, artifact, or response),
-// gshare (shared mutable state touched by spawned goroutines carries a
-// protection witness), goleak (every spawn has a provable join path),
-// ctxflow (request-reachable code only uses request-derived contexts),
-// keysound (every config field the cached compute reads is folded into
-// artifacts.Key material, and vice versa), and purity (operational state —
-// clocks, attempt counters, breaker and telemetry reads — never reaches a
-// response body or rendered report outside the sanctioned /statusz sink).
+// (map-iteration order never reaches a stat, artifact, or response), and
+// purity (operational state — clocks, attempt counters, breaker and
+// telemetry reads — never reaches a response body or rendered report
+// outside the sanctioned /statusz sink).
+//
+// Shared state of spawned goroutines, goroutine joins, request contexts and
+// cache-key coverage are guarded by tests instead: `go test -race`, and
+// behavioural tests in internal/server and internal/artifacts.
 //
 // The passes fan out concurrently over a bounded worker group once the
 // module is loaded; everything they share is immutable by then, and
@@ -64,10 +64,6 @@ const (
 	PassErrors      = "errors"
 	PassHotPath     = "hotpath"
 	PassDTaint      = "dtaint"
-	PassGShare      = "gshare"
-	PassGoLeak      = "goleak"
-	PassCtxFlow     = "ctxflow"
-	PassKeySound    = "keysound"
 	PassPurity      = "purity"
 	PassWaiver      = "waiver"
 )
@@ -94,17 +90,16 @@ type StatsRule struct {
 	Type    string
 }
 
-// KeyRule names one key-covered configuration struct: the keysound pass
-// requires every field to be folded into artifacts.Key material exactly
-// when the compute path reads it.
+// KeyRule names one struct type by package path and name. The purity pass
+// reads them as Config.PuritySinkTypes: response types whose exported
+// fields must stay pure functions of the request.
 type KeyRule struct {
 	PkgPath string
 	Type    string
 }
 
 // Config selects what the passes enforce. The zero value runs only the
-// module-wide passes (concurrency, gshare, goleak) and whatever rules are
-// listed.
+// module-wide concurrency pass and whatever rules are listed.
 type Config struct {
 	// DeterministicPkgs are the import paths the determinism pass covers.
 	DeterministicPkgs []string
@@ -123,20 +118,6 @@ type Config struct {
 	// (serialized artifacts, rendered report rows) in addition to the
 	// exported fields of the StatsRules types.
 	SinkPkgs []string
-	// CtxRoots are the request entry points (same spec syntax as
-	// HotPathRoots) from which the ctxflow pass requires every
-	// context-typed argument to derive from the request's context.
-	CtxRoots []string
-	// KeyRules are the key-covered configuration structs the keysound pass
-	// audits field by field.
-	KeyRules []KeyRule
-	// KeyFoldRoots are the functions whose bodies (and callees) constitute
-	// the key-fold region — the artifacts.Key fold methods and Material
-	// renderers (same spec syntax as HotPathRoots).
-	KeyFoldRoots []string
-	// ComputeRoots are the entry points of the cached compute the key must
-	// cover (simulation kernels, analysis, traffic composition).
-	ComputeRoots []string
 	// ImpureCalls are external functions whose results are impure for the
 	// purity pass — wall clock, host identity ("pkgpath.Func").
 	ImpureCalls []string
@@ -208,30 +189,6 @@ func DefaultConfig() Config {
 			"ispy/internal/metrics",
 			"ispy/internal/server",
 		},
-		CtxRoots: []string{
-			"ispy/internal/server.Server.serveAnalyze",
-			"ispy/internal/server.Server.serveProfileAnalyze",
-		},
-		KeyRules: []KeyRule{
-			{PkgPath: "ispy/internal/sim", Type: "Config"},
-			{PkgPath: "ispy/internal/workload", Type: "Params"},
-			{PkgPath: "ispy/internal/core", Type: "Options"},
-			{PkgPath: "ispy/internal/traffic", Type: "Spec"},
-		},
-		KeyFoldRoots: []string{
-			"ispy/internal/artifacts.Key.Params",
-			"ispy/internal/artifacts.Key.SimConfig",
-			"ispy/internal/artifacts.Key.Options",
-			"ispy/internal/artifacts.Key.Input",
-			"ispy/internal/traffic.Spec.Material",
-		},
-		ComputeRoots: []string{
-			"ispy/internal/sim.Run",
-			"ispy/internal/sim.BatchSource.NextN",
-			"ispy/internal/core.BuildISPY",
-			"ispy/internal/traffic.Compose",
-			"ispy/internal/traffic.BuildWorld",
-		},
 		ImpureCalls: []string{
 			"time.Now", "time.Since", "time.Until",
 			"os.Getpid", "os.Hostname", "os.Getenv",
@@ -276,9 +233,6 @@ type Result struct {
 	// waived:true so the annotation burden stays visible).
 	Suppressed []Diagnostic
 	Waivers    []*Waiver
-	// Coverage is the keysound per-field verdict table (emitted under
-	// -json so CI can publish which key fields are proven covered).
-	Coverage []KeyFieldCoverage
 	// Timings are per-pass wall times in canonical pass order.
 	Timings []PassTiming
 }
@@ -288,17 +242,16 @@ type Result struct {
 // WaitGroup join publishes every slot to the collector.
 type passResult struct {
 	diags   []Diagnostic
-	cov     []KeyFieldCoverage
 	elapsed time.Duration
 }
 
 // Run executes every pass over the loaded packages and returns the sorted
 // findings. Waivers are collected from all packages first so each pass can
 // consult them; unused and malformed waivers become diagnostics themselves.
-// The inter-procedural passes (hotpath, dtaint, gshare, goleak, ctxflow,
-// keysound, purity) and the concurrency pass share one Analysis and one
-// spawn inventory — the call graph, IR and spawn sites are built once,
-// single-threaded, before the passes fan out over a bounded worker group.
+// The inter-procedural passes (hotpath, dtaint, purity) and the
+// concurrency pass share one Analysis — the call graph and IR are built
+// once, single-threaded, before the passes fan out over a bounded worker
+// group.
 // The fan-out is read-only: the loaded module, call graph, and IR are
 // immutable by then, and the waiver set locks its use-marking internally.
 // Findings are concatenated in canonical pass order and then
@@ -306,35 +259,26 @@ type passResult struct {
 func Run(pkgs []*Package, cfg Config) *Result {
 	ws := collectWaivers(pkgs)
 	a := NewAnalysis(pkgs, ws)
-	sa := buildSpawnAnalysis(a)
 
 	type passRun struct {
 		name string
-		fn   func(slot *passResult)
+		fn   func() []Diagnostic
 	}
 	var runs []passRun
-	add := func(name string, cond bool, fn func(slot *passResult)) {
+	add := func(name string, cond bool, fn func() []Diagnostic) {
 		if cond {
 			runs = append(runs, passRun{name, fn})
 		}
 	}
-	diagsOnly := func(fn func() []Diagnostic) func(*passResult) {
-		return func(slot *passResult) { slot.diags = fn() }
-	}
-	add(PassDeterminism, true, diagsOnly(func() []Diagnostic { return checkDeterminism(pkgs, cfg, ws) }))
-	add(PassStats, true, diagsOnly(func() []Diagnostic { return checkStats(pkgs, cfg) }))
-	add(PassConcurrency, true, diagsOnly(func() []Diagnostic { return checkConcurrency(pkgs, sa) }))
-	add(PassErrors, true, diagsOnly(func() []Diagnostic { return checkErrors(pkgs, cfg, ws) }))
-	add(PassHotPath, len(cfg.HotPathRoots) > 0, diagsOnly(func() []Diagnostic { return checkHotPath(a, cfg, ws) }))
+	add(PassDeterminism, true, func() []Diagnostic { return checkDeterminism(pkgs, cfg, ws) })
+	add(PassStats, true, func() []Diagnostic { return checkStats(pkgs, cfg) })
+	add(PassConcurrency, true, func() []Diagnostic { return checkConcurrency(a) })
+	add(PassErrors, true, func() []Diagnostic { return checkErrors(pkgs, cfg, ws) })
+	add(PassHotPath, len(cfg.HotPathRoots) > 0, func() []Diagnostic { return checkHotPath(a, cfg, ws) })
 	add(PassDTaint, len(cfg.StatsRules) > 0 || len(cfg.SinkPkgs) > 0,
-		diagsOnly(func() []Diagnostic { return checkDTaint(a, cfg, ws) }))
-	add(PassGShare, true, diagsOnly(func() []Diagnostic { return checkGShare(a, sa, ws) }))
-	add(PassGoLeak, true, diagsOnly(func() []Diagnostic { return checkGoLeak(sa, ws) }))
-	add(PassCtxFlow, len(cfg.CtxRoots) > 0, diagsOnly(func() []Diagnostic { return checkCtxFlow(a, cfg, ws) }))
-	add(PassKeySound, len(cfg.KeyRules) > 0 && len(cfg.KeyFoldRoots) > 0 && len(cfg.ComputeRoots) > 0,
-		func(slot *passResult) { slot.diags, slot.cov = checkKeySound(a, cfg, ws) })
+		func() []Diagnostic { return checkDTaint(a, cfg, ws) })
 	add(PassPurity, len(cfg.PuritySinkTypes) > 0 || len(cfg.PurityRenderers) > 0,
-		diagsOnly(func() []Diagnostic { return checkPurity(a, cfg, ws) }))
+		func() []Diagnostic { return checkPurity(a, cfg, ws) })
 
 	// Bounded fan-out into per-pass slots. Workers only read the shared
 	// analysis; ordering is restored below, so scheduling cannot leak into
@@ -356,7 +300,7 @@ func Run(pkgs []*Package, cfg Config) *Result {
 			defer wg.Done()
 			defer func() { <-sem }()
 			start := time.Now()
-			r.fn(slot)
+			slot.diags = r.fn()
 			slot.elapsed = time.Since(start)
 		}(&results[i], r)
 	}
@@ -366,7 +310,6 @@ func Run(pkgs []*Package, cfg Config) *Result {
 	var diags []Diagnostic
 	for i, r := range runs {
 		diags = append(diags, results[i].diags...)
-		res.Coverage = append(res.Coverage, results[i].cov...)
 		res.Timings = append(res.Timings, PassTiming{Pass: r.name, Elapsed: results[i].elapsed})
 	}
 	diags = append(diags, ws.diags()...)

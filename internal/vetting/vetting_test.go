@@ -15,15 +15,9 @@ var fixtureConfig = Config{
 	StatsRules: []StatsRule{
 		{PkgPath: "fixture/statsdef", Type: "Stats"},
 	},
-	HotPathRoots: []string{"fixture/hot.Run", "fixture/hot.Src.NextN"},
-	PureExternal: []string{"math"},
-	SinkPkgs:     []string{"fixture/taintsink"},
-	CtxRoots:     []string{"fixture/ctxflow.Handle"},
-	KeyRules: []KeyRule{
-		{PkgPath: "fixture/keysound", Type: "Conf"},
-	},
-	KeyFoldRoots:      []string{"fixture/keysound.Key.Fold"},
-	ComputeRoots:      []string{"fixture/keysound.Run"},
+	HotPathRoots:      []string{"fixture/hot.Run", "fixture/hot.Src.NextN"},
+	PureExternal:      []string{"math"},
+	SinkPkgs:          []string{"fixture/taintsink"},
 	ImpureCalls:       []string{"time.Now"},
 	ImpureTypes:       []string{"fixture/purecnt.Counters"},
 	ImpureCallbackFns: []string{"fixture/purity.WithRetry"},
@@ -45,10 +39,6 @@ var fixturePkgs = []string{
 	"fixture/hot",
 	"fixture/taint",
 	"fixture/taintsink",
-	"fixture/gshare",
-	"fixture/goleak",
-	"fixture/ctxflow",
-	"fixture/keysound",
 	"fixture/purecnt",
 	"fixture/purity",
 }
@@ -134,21 +124,19 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestWaiverAccounting pins the waiver ledger for the fixtures: twelve
+// TestWaiverAccounting pins the waiver ledger for the fixtures: eight
 // well-formed waivers (malformed directives are diagnostics, not waivers)
 // — det's two //ispy:ordered and errs' //ispy:errok, hot's declaration and
 // site //ispy:alloc pair, taint's //ispy:ordered, taint's //ispy:dtaint,
-// the //ispy:race, //ispy:detach and //ispy:ctx sites of the
-// concurrency-safety fixtures, keysound's //ispy:keyfold on the Retired
-// field, and purity's //ispy:pure on the diagnostic timestamp — of which
-// exactly one (the one on a clean line) is unused.
+// and purity's //ispy:pure on the diagnostic timestamp — of which exactly
+// one (the one on a clean line) is unused.
 func TestWaiverAccounting(t *testing.T) {
 	res := Run(loadFixtures(t), fixtureConfig)
-	if got := len(res.Waivers); got != 12 {
+	if got := len(res.Waivers); got != 8 {
 		for _, w := range res.Waivers {
 			t.Logf("waiver: %s:%d //ispy:%s %s", w.Pos.Filename, w.Pos.Line, w.Directive, w.Reason)
 		}
-		t.Fatalf("got %d waivers, want 12", got)
+		t.Fatalf("got %d waivers, want 8", got)
 	}
 	unused := 0
 	for _, w := range res.Waivers {

@@ -21,10 +21,6 @@ const (
 	DirectiveErrOK   = "errok"   // errors: dropped error is intentional
 	DirectiveAlloc   = "alloc"   // hotpath: deliberate warmup/setup allocation
 	DirectiveDTaint  = "dtaint"  // dtaint: order-dependence at this sink is benign
-	DirectiveRace    = "race"    // gshare: the flagged sharing is protected by other means
-	DirectiveDetach  = "detach"  // goleak: deliberately detached goroutine
-	DirectiveCtx     = "ctx"     // ctxflow: fresh context at this site is intentional
-	DirectiveKeyFold = "keyfold" // keysound: the field's key/compute asymmetry is intentional
 	DirectivePure    = "pure"    // purity: operational state at this sink is sanctioned
 )
 
@@ -33,10 +29,6 @@ var directivePass = map[string]string{
 	DirectiveErrOK:   PassErrors,
 	DirectiveAlloc:   PassHotPath,
 	DirectiveDTaint:  PassDTaint,
-	DirectiveRace:    PassGShare,
-	DirectiveDetach:  PassGoLeak,
-	DirectiveCtx:     PassCtxFlow,
-	DirectiveKeyFold: PassKeySound,
 	DirectivePure:    PassPurity,
 }
 
