@@ -70,11 +70,14 @@ faultsmoke:
 # Server chaos smoke: the ispyd soak must hold every graceful-degradation
 # invariant (canonical or structured responses, no partial cache writes,
 # clean drain) under injected corruption, torn writes, and panics (exit 0;
-# see DESIGN.md §12).
+# see DESIGN.md §12). On failure it prints the soak's violation lines (or,
+# if there are none, the end of its output).
 chaossmoke:
-	@$(GO) run ./cmd/ispyd soak -apps wordpress -workers 2 -requests 3 \
-		-instrs 60000 -fault-seed 20260807 >/dev/null 2>&1 || \
-		{ echo "chaossmoke: soak reported an invariant violation"; exit 1; }
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/ispyd soak -apps wordpress -workers 2 -requests 3 \
+		-instrs 60000 -fault-seed 20260807 > "$$out" 2>&1 || \
+		{ echo "chaossmoke: soak reported an invariant violation:"; \
+		grep "^soak: violation:" "$$out" || tail -n 20 "$$out"; exit 1; }
 	@echo "chaossmoke: ok (all graceful-degradation invariants held)"
 
 # Multi-tenant scenario smoke: a bursty two-tenant scenario must run clean
@@ -84,9 +87,11 @@ SCENARIO := name=smoke;seed=11;requests=160;arrival=gamma:0.7;day=0.6,1.4;zipf=0
 scenariosmoke:
 	@$(GO) run ./cmd/ispy -instrs 120000 -scenario '$(SCENARIO)' >/dev/null 2>&1 || \
 		{ echo "scenariosmoke: ispy -scenario failed"; exit 1; }
-	@$(GO) run ./cmd/ispyd soak -apps wordpress -workers 2 -requests 2 \
-		-instrs 60000 -fault-seed 20260807 -scenario '$(SCENARIO)' >/dev/null 2>&1 || \
-		{ echo "scenariosmoke: ispyd soak with -scenario failed"; exit 1; }
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/ispyd soak -apps wordpress -workers 2 -requests 2 \
+		-instrs 60000 -fault-seed 20260807 -scenario '$(SCENARIO)' > "$$out" 2>&1 || \
+		{ echo "scenariosmoke: ispyd soak with -scenario failed:"; \
+		grep "^soak: violation:" "$$out" || tail -n 20 "$$out"; exit 1; }
 	@echo "scenariosmoke: ok (CLI scenario + soak scenario target both clean)"
 
 # Warm-cache smoke: rerun over the artifact cache a cold `ispy -quick all`

@@ -1,7 +1,7 @@
 // ispyd is the I-SPY analysis service: a long-running HTTP server that
 // answers miss-context analysis + coalescing + simulation requests over the
-// same pipeline the batch harness (cmd/ispy) runs, hardened with retries,
-// per-request deadlines, and an artifact-layer circuit breaker
+// same pipeline the batch harness (cmd/ispy) runs, hardened with
+// per-request deadlines and an artifact-layer circuit breaker
 // (internal/server, DESIGN.md §12).
 //
 // Usage:
@@ -18,7 +18,7 @@
 //	-max-timeout D hard per-request deadline cap (default 2m)
 //	-drain D       drain budget after SIGTERM before in-flight work is cut (default 30s)
 //	-faults S      arm deterministic chaos at tagged sites (testing)
-//	-fault-seed N  seed for -faults decisions and retry jitter
+//	-fault-seed N  seed for -faults decisions
 //
 // Soak flags (additionally):
 //
@@ -80,7 +80,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	maxTimeout := fs.Duration("max-timeout", 0, "per-request deadline cap (default 2m)")
 	drain := fs.Duration("drain", 30*time.Second, "drain budget after SIGTERM")
 	faultSpec := fs.String("faults", "", "fault-injection spec: pattern=kind[:prob],... (testing)")
-	faultSeed := fs.Uint64("fault-seed", 1, "seed for -faults decisions and retry jitter")
+	faultSeed := fs.Uint64("fault-seed", 1, "seed for -faults decisions")
 	workers := fs.Int("workers", 4, "soak: concurrent chaos clients")
 	requests := fs.Int("requests", 6, "soak: requests per worker")
 	apps := fs.String("apps", "", "soak: comma-separated apps to cycle over")
@@ -93,7 +93,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		CacheDir:   *cacheDir,
 		Jobs:       *jobs,
 		MaxTimeout: *maxTimeout,
-		Seed:       *faultSeed,
 		Log:        stderr,
 	}
 	if *instrs != 0 {

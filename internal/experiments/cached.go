@@ -141,8 +141,14 @@ func faulted[T any](l *Lab, k *artifacts.Key, compute func() T) func() T {
 	}
 }
 
-// timed runs compute under the per-artifact wall-time telemetry.
+// timed runs compute under the per-artifact wall-time telemetry. Once the
+// lab's context is done it computes nothing and panics with a *SkipError,
+// which Attempt counts as skipped work: an abandoned run stops at its next
+// computation instead of finishing work no one will read.
 func timed[T any](l *Lab, kind string, compute func() T) T {
+	if l.ctx.Err() != nil {
+		panic(&SkipError{Skipped: 1, Cause: context.Cause(l.ctx)})
+	}
 	start := time.Now()
 	v := compute()
 	d := time.Since(start)

@@ -107,7 +107,8 @@ func (c Config) WithMeasureInstrs(n uint64) Config {
 // optional on-disk artifact cache, the run telemetry, and the run report.
 // The lab's context governs cancellation: when it is cancelled (SIGINT,
 // -timeout), queued pool tasks and not-yet-started per-app attempts are
-// skipped and reported instead of run.
+// skipped and reported instead of run, and running attempts stop at their
+// next computation.
 type Lab struct {
 	Cfg  Config
 	ctx  context.Context
@@ -238,7 +239,8 @@ func (l *Lab) Context() context.Context { return l.ctx }
 // the app, the stage, and the time spent — and returned, instead of
 // propagating. If the lab's context is already cancelled the body is not run
 // at all; the skip is reported and a *SkipError returned so callers can
-// annotate the surviving output.
+// annotate the surviving output. A body the cancellation catches mid-way
+// stops at its next computation and is reported the same way.
 func (l *Lab) Attempt(app, stage string, body func() error) (err error) {
 	if cerr := l.ctx.Err(); cerr != nil {
 		l.report.Skip(1, context.Cause(l.ctx))
@@ -246,12 +248,17 @@ func (l *Lab) Attempt(app, stage string, body func() error) (err error) {
 	}
 	start := time.Now()
 	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(*PanicError); ok {
-				err = pe // replayed panic: keep the original stack
-			} else {
-				err = &PanicError{Value: r, Stack: debug.Stack()}
-			}
+		switch r := recover().(type) {
+		case nil:
+		case *SkipError:
+			// The context ended mid-body (timed): skipped work, not a failure.
+			l.report.Skip(r.Skipped, r.Cause)
+			err = r
+			return
+		case *PanicError:
+			err = r // replayed panic: keep the original stack
+		default:
+			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 		if err != nil {
 			l.report.Record(app, stage, err, time.Since(start))
@@ -557,9 +564,9 @@ func (a *App) AsmDBStats() *sim.Stats {
 // process; a cache-loaded profile is simulated once more to record one.
 func (a *App) Prepared() *core.Prepared {
 	return a.prepared.get(func() *core.Prepared {
-		a.lab.faultHit("compute/prepared/" + a.Name)
 		a.lab.tel.CacheBypass("prepared")
 		return timed(a.lab, "prepared", func() *core.Prepared {
+			a.lab.faultHit("compute/prepared/" + a.Name)
 			return core.Prepare(a.Profile(), a.SimCfg(), core.DefaultOptions())
 		})
 	})

@@ -4,8 +4,7 @@
 // MurmurHash3's 64-bit finalizer (Murmur3Fmix64). Both are written from
 // scratch; the standard library's hash/fnv is deliberately not used so the
 // hardware-facing bit selection is fully explicit and testable. The package
-// also holds Uniform, the seeded [0,1) draw behind fault injection and retry
-// jitter.
+// also holds Uniform, the seeded [0,1) draw behind fault injection.
 package hashx
 
 // FNV-1 64-bit parameters (Fowler–Noll–Vo, 1991).
@@ -97,7 +96,7 @@ func IsPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
 // Uniform maps (seed, site, n) to [0,1) deterministically: the site's FNV-1a
 // hash and the counter n, mixed into seed by the splitmix64 finalizer. Fault
-// firing and retry jitter both draw from it, so chaos runs replay exactly.
+// firing draws from it, so chaos runs replay exactly.
 func Uniform(seed uint64, site string, n uint64) float64 {
 	x := seed ^ FNV1a64([]byte(site)) ^ (n * 0x9e3779b97f4a7c15)
 	x ^= x >> 30

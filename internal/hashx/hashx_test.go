@@ -145,9 +145,8 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
-// TestUniformPinned pins Uniform bit for bit: seeded fault decisions and
-// retry jitter replay only while it maps each (seed, site, n) to the same
-// draw.
+// TestUniformPinned pins Uniform bit for bit: seeded fault decisions replay
+// only while it maps each (seed, site, n) to the same draw.
 func TestUniformPinned(t *testing.T) {
 	for _, c := range []struct {
 		seed uint64

@@ -1,7 +1,8 @@
 // Per-request telemetry for the analysis server: outcome-classed counters,
-// an in-flight gauge, retry/degradation accounting, and a latency sum. Like
-// Telemetry, a Requests is shared by every handler goroutine, all methods
-// are safe for concurrent use, and a nil *Requests is a valid no-op sink.
+// an in-flight gauge, degradation and shedding accounting, and a latency
+// sum. Like Telemetry, a Requests is shared by every handler goroutine, all
+// methods are safe for concurrent use, and a nil *Requests is a valid no-op
+// sink.
 package metrics
 
 import (
@@ -32,10 +33,11 @@ type RequestSnapshot struct {
 	ClientError uint64 `json:"client_error"`
 	ServerError uint64 `json:"server_error"`
 	Timeout     uint64 `json:"timeout"`
-	// Retries counts scheduled retry attempts; Degraded counts requests
-	// served with the artifact cache bypassed (circuit open); Shed counts
-	// requests rejected because the breaker refused even degraded service
-	// or the server was draining.
+	// Retries is always 0: the server makes one attempt per request. It is
+	// kept only because the benchmark module reads it from /statusz.
+	// Degraded counts requests served with the artifact cache bypassed
+	// (circuit open); Shed counts requests rejected because the breaker
+	// refused even degraded service or the server was draining.
 	Retries  uint64 `json:"retries"`
 	Degraded uint64 `json:"degraded"`
 	Shed     uint64 `json:"shed"`
@@ -85,16 +87,6 @@ func (r *Requests) End(start time.Time, status int, timeout bool) {
 	}
 }
 
-// Retry counts one scheduled retry attempt.
-func (r *Requests) Retry() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.snap.Retries++
-	r.mu.Unlock()
-}
-
 // Degraded counts one request served without the artifact cache.
 func (r *Requests) Degraded() {
 	if r == nil {
@@ -133,6 +125,6 @@ func (s RequestSnapshot) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "requests: %d total (%d ok, %d client-err, %d server-err, %d timeout), %d in flight",
 		s.Total, s.OK, s.ClientError, s.ServerError, s.Timeout, s.InFlight)
-	fmt.Fprintf(&b, "; %d retries, %d degraded, %d shed", s.Retries, s.Degraded, s.Shed)
+	fmt.Fprintf(&b, "; %d degraded, %d shed", s.Degraded, s.Shed)
 	return b.String()
 }

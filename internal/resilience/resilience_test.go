@@ -1,156 +1,10 @@
 package resilience
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
 )
-
-func TestBackoffDeterministicAndCapped(t *testing.T) {
-	p := Policy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond,
-		Multiplier: 2, Jitter: 0.5, Seed: 42}
-	var prev []time.Duration
-	for round := 0; round < 3; round++ {
-		var got []time.Duration
-		for a := 1; a <= 7; a++ {
-			got = append(got, p.Backoff("analyze/wordpress", a))
-		}
-		if round > 0 {
-			for i := range got {
-				if got[i] != prev[i] {
-					t.Fatalf("round %d attempt %d: backoff %v != %v (nondeterministic)", round, i+1, got[i], prev[i])
-				}
-			}
-		}
-		prev = got
-	}
-	for a, d := range prev {
-		if d > 80*time.Millisecond {
-			t.Errorf("attempt %d: backoff %v exceeds MaxDelay", a+1, d)
-		}
-		if d <= 0 {
-			t.Errorf("attempt %d: non-positive backoff %v", a+1, d)
-		}
-	}
-	// Jitter must perturb at least some attempts away from the pure schedule.
-	pure := Policy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2}
-	differs := false
-	for a := 1; a <= 7; a++ {
-		if prev[a-1] != pure.Backoff("analyze/wordpress", a) {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Error("jittered schedule identical to unjittered one")
-	}
-}
-
-func TestBackoffVariesBySite(t *testing.T) {
-	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second, Jitter: 0.9, Seed: 7}
-	if p.Backoff("site-a", 1) == p.Backoff("site-b", 1) {
-		t.Error("distinct sites produced identical jitter (suspicious)")
-	}
-}
-
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
-	calls := 0
-	var retries []int
-	err := Retry(context.Background(), p, "s", func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	}, func(attempt int, _ time.Duration) { retries = append(retries, attempt) })
-	if err != nil {
-		t.Fatalf("Retry: %v", err)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-	if len(retries) != 2 || retries[0] != 1 || retries[1] != 2 {
-		t.Errorf("onRetry observed %v, want [1 2]", retries)
-	}
-}
-
-func TestRetryExhausts(t *testing.T) {
-	p := Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
-	boom := errors.New("boom")
-	calls := 0
-	err := Retry(context.Background(), p, "s", func(context.Context) error { calls++; return boom }, nil)
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-	var ex *ExhaustedError
-	if !errors.As(err, &ex) {
-		t.Fatalf("err = %v, want *ExhaustedError", err)
-	}
-	if ex.Attempts != 3 || !errors.Is(err, boom) {
-		t.Errorf("ExhaustedError = %+v, want 3 attempts wrapping boom", ex)
-	}
-}
-
-func TestRetrySingleAttemptPassesErrorThrough(t *testing.T) {
-	boom := errors.New("boom")
-	err := Retry(context.Background(), Policy{}, "s", func(context.Context) error { return boom }, nil)
-	if err != boom {
-		t.Errorf("err = %v, want the original error untouched", err)
-	}
-}
-
-func TestRetryPermanentStopsImmediately(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}
-	calls := 0
-	bad := errors.New("bad request")
-	err := Retry(context.Background(), p, "s", func(context.Context) error {
-		calls++
-		return Permanent(bad)
-	}, nil)
-	if calls != 1 {
-		t.Errorf("calls = %d, want 1 (permanent errors must not retry)", calls)
-	}
-	if !IsPermanent(err) || !errors.Is(err, bad) {
-		t.Errorf("err = %v, want permanent wrapping bad", err)
-	}
-}
-
-func TestRetryHonorsContext(t *testing.T) {
-	p := Policy{MaxAttempts: 100, BaseDelay: time.Hour, MaxDelay: time.Hour}
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- Retry(ctx, p, "s", func(context.Context) error { calls++; return errors.New("x") }, nil)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		var ex *ExhaustedError
-		if !errors.As(err, &ex) || ex.Attempts != 1 {
-			t.Errorf("err = %v, want exhausted after 1 attempt", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Retry did not abandon its backoff sleep on cancellation")
-	}
-}
-
-func TestRetryCancelledBeforeFirstAttempt(t *testing.T) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	cause := errors.New("shed")
-	cancel(cause)
-	calls := 0
-	err := Retry(ctx, Policy{MaxAttempts: 3}, "s", func(context.Context) error { calls++; return nil }, nil)
-	if calls != 0 {
-		t.Errorf("op ran %d time(s) under a dead context", calls)
-	}
-	if !errors.Is(err, cause) {
-		t.Errorf("err = %v, want the cancellation cause", err)
-	}
-}
 
 func TestBreakerLifecycle(t *testing.T) {
 	clock := time.Unix(0, 0)
@@ -220,12 +74,6 @@ func TestNilBreakerAndZeroPolicy(t *testing.T) {
 	b.Record(false) // must not panic
 	if b.State() != BreakerClosed || b.Trips() != 0 {
 		t.Error("nil breaker reported non-zero state")
-	}
-	if err := Retry(context.Background(), Policy{}, "s", func(context.Context) error { return nil }, nil); err != nil {
-		t.Errorf("zero-policy Retry of a succeeding op: %v", err)
-	}
-	if Permanent(nil) != nil {
-		t.Error("Permanent(nil) != nil")
 	}
 }
 

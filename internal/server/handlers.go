@@ -1,9 +1,9 @@
 // HTTP surface: request/response types, structured errors, and the route
 // handlers. Response bodies are pure functions of the request — no wall
-// clock, no attempt counts, no degraded-mode markers — so identical inputs
-// produce byte-identical bodies whether they were served cold, from cache,
-// through retries, or with the circuit open. Operational state (counters,
-// breaker) is exposed only through /statusz.
+// clock, no degraded-mode markers — so identical inputs produce
+// byte-identical bodies whether they were served cold, from cache, or with
+// the circuit open. Operational state (counters, breaker) is exposed only
+// through /statusz.
 package server
 
 import (
@@ -20,7 +20,6 @@ import (
 	"ispy/internal/experiments"
 	"ispy/internal/metrics"
 	"ispy/internal/profile"
-	"ispy/internal/resilience"
 	"ispy/internal/sim"
 	"ispy/internal/traceio"
 	"ispy/internal/traffic"
@@ -76,7 +75,7 @@ type TenantSummary struct {
 
 // AnalyzeResponse is the analysis result: baseline and I-SPY runs plus the
 // injection-plan summary. It is a pure function of (App, Instrs) — or, for
-// scenario requests, of (Scenario, Instrs) — never of timing or attempts.
+// scenario requests, of (Scenario, Instrs) — never of timing.
 type AnalyzeResponse struct {
 	App string `json:"app,omitempty"`
 	// Scenario echoes the scenario name for scenario requests; Tenants and
@@ -282,7 +281,7 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request) (int, bool
 		}
 		// Parse up front: a malformed spec or unknown tenant preset is the
 		// client's error (the message names the offending tenant), never a
-		// retried pipeline failure.
+		// pipeline failure.
 		spec, err := traffic.ParseSpec(req.Scenario)
 		if err != nil {
 			return writeError(w, http.StatusBadRequest, "bad_scenario", err.Error()), false
@@ -338,8 +337,8 @@ func (s *Server) serveProfileAnalyze(w http.ResponseWriter, r *http.Request) (in
 }
 
 // respond runs the pipeline in its own goroutine so an expired deadline
-// answers immediately — the straggling attempt finishes (and is abandoned)
-// in the background; its cache stores no-op under the dead context. A panic
+// answers immediately — the abandoned straggler stops at its next
+// computation, and its cache stores no-op under the dead context. A panic
 // in run answers a structured 500 instead of killing the process: the lab
 // path contains its own panics (Lab.Attempt), the uploaded-profile path
 // has nothing else to.
@@ -384,10 +383,6 @@ func (s *Server) writeFailure(w http.ResponseWriter, err error) int {
 		return writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
 	case errors.Is(err, context.Canceled):
 		return writeError(w, http.StatusServiceUnavailable, "canceled", err.Error())
-	}
-	var ex *resilience.ExhaustedError
-	if errors.As(err, &ex) {
-		return writeError(w, http.StatusServiceUnavailable, "retries_exhausted", err.Error())
 	}
 	return writeError(w, http.StatusInternalServerError, "internal", err.Error())
 }

@@ -3,21 +3,21 @@
 // infrastructure (one worker pool, one artifact cache, one telemetry sink —
 // experiments.Shared), so concurrent requests contend for cores in one place
 // and share warm artifacts, while per-request state (memos, report) stays
-// isolated — a panicking attempt can never poison a later request.
+// isolated — a panicking request can never poison a later one.
 //
 // Robustness model (DESIGN.md §12):
 //
-//   - Transient compute/artifact failures are retried with a deterministic
-//     seeded backoff schedule (internal/resilience). Every retry rebuilds the
-//     lab from scratch, so memoized panic replays cannot leak across attempts.
+//   - Each request is one attempt. The pipeline is deterministic, so a
+//     failed computation would fail again on the same inputs; a compute
+//     failure answers one structured 500.
 //   - Repeated artifact-layer failures trip a circuit breaker fed by the
 //     cache's OnIO observer; while the circuit is open, requests are served
 //     in degraded mode (cache bypassed, everything recomputed). Because the
 //     pipeline is deterministic and response bodies carry no timing, a
 //     degraded response is byte-identical to a cached one.
 //   - Per-request deadlines propagate through the lab into artifact-cache
-//     I/O; an expired request answers 504 with a structured error while any
-//     straggling compute finishes (and is abandoned) in the background.
+//     I/O and computation; an expired request answers 504 with a structured
+//     error, and its abandoned pipeline stops at its next computation.
 //   - SIGTERM drains: readiness flips to 503, new work is shed, in-flight
 //     requests complete (http.Server.Shutdown semantics).
 package server
@@ -43,7 +43,7 @@ import (
 )
 
 // Config configures a Server. The zero value serves quick-budget analyses
-// with three retry attempts, no cache, and a 30s default deadline.
+// with no cache and a 30s default deadline.
 type Config struct {
 	// Lab is the base lab configuration each request derives from (budget
 	// fields only; Apps/Jobs/CacheDir are managed by the server). Zero
@@ -58,15 +58,10 @@ type Config struct {
 	// MaxTimeout (2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Retry is the per-request retry policy (default: 3 attempts, 5ms base
-	// backoff capped at 100ms, jitter 0.5, seeded with Seed).
-	Retry resilience.Policy
 	// BreakerThreshold / BreakerCooldown configure the artifact-layer
 	// circuit breaker (resilience.NewBreaker defaults apply to zeros).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Seed seeds retry jitter (and is echoed into Retry.Seed when unset).
-	Seed uint64
 	// Faults, when non-nil, arms deterministic chaos at the harness's
 	// tagged sites (compute/*, artifacts.read, artifacts.write). Soak only.
 	Faults *faults.Injector
@@ -100,17 +95,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 2 * time.Minute
-	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = resilience.Policy{
-			MaxAttempts: 3,
-			BaseDelay:   5 * time.Millisecond,
-			MaxDelay:    100 * time.Millisecond,
-			Jitter:      0.5,
-		}
-	}
-	if cfg.Retry.Seed == 0 {
-		cfg.Retry.Seed = cfg.Seed
 	}
 	q := experiments.QuickConfig()
 	if cfg.Lab.MeasureInstrs == 0 {
@@ -246,47 +230,34 @@ func (s *Server) analyzeScenario(ctx context.Context, spec *traffic.Spec, instrs
 	})
 }
 
-// analyze runs body under ctx with the retry and circuit-breaker treatment
-// every analysis gets. Each attempt builds a fresh lab over lcfg — the
-// artifact cache bypassed while the circuit is open — and runs body under
-// lab.Attempt, so a panic is contained and memoized panic replays cannot
-// leak across attempts. site names the request in logs and seeds its retry
-// schedule.
+// analyze runs body under ctx on a fresh lab over lcfg — the artifact cache
+// bypassed while the circuit is open — as one lab.Attempt, so a panic is
+// contained and answers a structured 500. site names the request in logs.
 func (s *Server) analyze(ctx context.Context, lcfg experiments.Config, site string,
 	body func(*experiments.Lab) (*AnalyzeResponse, error)) (*AnalyzeResponse, error) {
-	var resp *AnalyzeResponse
-	op := func(ctx context.Context) error {
-		cache := s.cache
-		if cache != nil && !s.breaker.Allow() {
-			cache = nil
-			s.reqs.Degraded()
-			s.logf("circuit open: serving %s without the artifact cache", site)
-		}
-		lab := experiments.NewLabShared(ctx, lcfg, experiments.Shared{
-			Pool: s.pool, Cache: cache, Telemetry: s.tel,
-		})
-		if err := lab.Validate(); err != nil {
-			return resilience.Permanent(&apiError{status: http.StatusBadRequest, code: "bad_config", msg: err.Error()})
-		}
-		err := lab.Attempt(site, "serve/analyze", func() (err error) {
-			resp, err = body(lab)
-			return err
-		})
-		if err != nil && ctx.Err() != nil {
-			// The deadline, not the fault, is what the client should see;
-			// retrying against a dead context cannot succeed.
-			return resilience.Permanent(context.Cause(ctx))
-		}
-		return err
+	cache := s.cache
+	if cache != nil && !s.breaker.Allow() {
+		cache = nil
+		s.reqs.Degraded()
+		s.logf("circuit open: serving %s without the artifact cache", site)
 	}
-	err := resilience.Retry(ctx, s.cfg.Retry, site, op, func(attempt int, delay time.Duration) {
-		s.reqs.Retry()
-		s.logf("retrying %s (attempt %d failed; backing off %v)", site, attempt, delay)
+	lab := experiments.NewLabShared(ctx, lcfg, experiments.Shared{
+		Pool: s.pool, Cache: cache, Telemetry: s.tel,
 	})
-	if err != nil {
-		return nil, err
+	if err := lab.Validate(); err != nil {
+		return nil, &apiError{status: http.StatusBadRequest, code: "bad_config", msg: err.Error()}
 	}
-	return resp, nil
+	var resp *AnalyzeResponse
+	err := lab.Attempt(site, "serve/analyze", func() (err error) {
+		resp, err = body(lab)
+		return err
+	})
+	if err != nil && ctx.Err() != nil {
+		// The deadline, not the work it cut short, is what the client
+		// should see.
+		return nil, context.Cause(ctx)
+	}
+	return resp, err
 }
 
 // knownApp validates an app name against the workload presets.

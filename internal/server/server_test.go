@@ -258,13 +258,14 @@ func TestAnalyzeDeadline(t *testing.T) {
 
 	// A timed-out request leaves nothing behind. A 50 ms latency fault at
 	// the first computation (the profile) makes the 1 ms deadline expire
-	// before anything is stored. The abandoned pipeline runs on under the
-	// dead context, so it must store no cache entry, and its goroutine in
-	// respond must exit once the pipeline ends.
+	// before anything is stored. The abandoned pipeline must store no cache
+	// entry, its goroutine in respond must exit, and it must start no
+	// further computation: the I-SPY run, the pipeline's last, never starts.
 	cfg := testConfig(t)
 	cfg.CacheDir = t.TempDir()
 	cfg.Faults = faults.New(1)
 	cfg.Faults.Enable("compute/profile/wordpress", faults.Rule{Kind: faults.Latency, Delay: 50 * time.Millisecond})
+	cfg.Faults.Enable("compute/ispy-run/wordpress", faults.Rule{Kind: faults.Latency, Delay: time.Millisecond})
 	s = newTestServer(t, cfg)
 	if w := analyze(t, s, `{"app":"wordpress","timeout_millis":1}`); w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline-doomed analyze with a cache = %d: %s", w.Code, w.Body)
@@ -276,6 +277,9 @@ func TestAnalyzeDeadline(t *testing.T) {
 	}
 	for _, e := range entries {
 		t.Errorf("the timed-out request stored %s", e.Name())
+	}
+	if fired := cfg.Faults.Fired("compute/ispy-run/*"); fired != 0 {
+		t.Errorf("the timed-out request went on to its I-SPY run (%d fault(s) fired there)", fired)
 	}
 }
 
@@ -331,9 +335,10 @@ func TestRespondContainsPanics(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversFromTransientFaults: a compute fault that fires exactly
-// once panics the first attempt; the retry layer contains it, rebuilds the
-// lab, and the response is byte-identical to an undisturbed run.
+// TestRetryRecoversFromTransientFaults: the server makes one attempt per
+// request, so the retry is the client's. A panic that fires once answers one
+// structured 500, and the client's next request to the same server computes
+// afresh and answers an undisturbed run's bytes.
 func TestRetryRecoversFromTransientFaults(t *testing.T) {
 	clean := newTestServer(t, testConfig(t))
 	want := analyze(t, clean, `{"app":"tomcat"}`)
@@ -346,39 +351,55 @@ func TestRetryRecoversFromTransientFaults(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Faults = inj
 	s := newTestServer(t, cfg)
+	w := analyze(t, s, `{"app":"tomcat"}`)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("faulted analyze = %d: %s", w.Code, w.Body)
+	}
+	if msg, ok := structuredError(w.Body.Bytes()); !ok || !strings.HasPrefix(msg, "internal: ") {
+		t.Fatalf("faulted body = %s", w.Body)
+	}
+	if fired := inj.Fired("compute/*"); fired != 1 {
+		t.Fatalf("fault fired %d times, want 1 (one attempt)", fired)
+	}
 	got := analyze(t, s, `{"app":"tomcat"}`)
-	if got.Code != http.StatusOK {
-		t.Fatalf("faulted analyze = %d: %s", got.Code, got.Body)
+	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("analyze after the fault = %d, want the clean server's bytes:\n%s", got.Code, got.Body)
 	}
-	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-		t.Fatal("retried response differs from undisturbed response")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statusz", nil))
+	var st Status
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
 	}
-	if inj.Fired("compute/*") != 1 {
-		t.Fatalf("fault fired %d times, want 1", inj.Fired("compute/*"))
-	}
-	if snap := s.Requests().Snapshot(); snap.Retries == 0 || snap.OK != 1 {
-		t.Errorf("retry accounting = %+v", snap)
+	if r := st.Requests; r.ServerError != 1 || r.OK != 1 || r.Retries != 0 {
+		t.Errorf("statusz requests = %+v", r)
 	}
 }
 
-// TestRetriesExhaustedIsStructured: a fault that never stops firing turns
-// into a 503 with the retries_exhausted code — not a panic, not a 200.
+// TestRetriesExhaustedIsStructured: a fault that never clears answers every
+// attempt a client makes with a structured 500, never a 200 or a crash, and
+// fires once per request because the server does not retry.
 func TestRetriesExhaustedIsStructured(t *testing.T) {
 	inj := faults.New(7)
 	inj.Enable("compute/base/tomcat", faults.Rule{Kind: faults.Panic})
 	cfg := testConfig(t)
 	cfg.Faults = inj
 	s := newTestServer(t, cfg)
-	w := analyze(t, s, `{"app":"tomcat"}`)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("exhausted analyze = %d: %s", w.Code, w.Body)
+	const attempts = 3
+	for i := 0; i < attempts; i++ {
+		w := analyze(t, s, `{"app":"tomcat"}`)
+		if w.Code != http.StatusInternalServerError {
+			t.Fatalf("attempt %d: faulted analyze = %d: %s", i, w.Code, w.Body)
+		}
+		if msg, ok := structuredError(w.Body.Bytes()); !ok || !strings.HasPrefix(msg, "internal: ") {
+			t.Fatalf("attempt %d: faulted body = %s", i, w.Body)
+		}
 	}
-	msg, ok := structuredError(w.Body.Bytes())
-	if !ok || !strings.HasPrefix(msg, "retries_exhausted") {
-		t.Fatalf("exhausted body = %s", w.Body)
+	if fired := inj.Fired("compute/*"); fired != attempts {
+		t.Errorf("fault fired %d times, want one per request (%d)", fired, attempts)
 	}
-	if fired := inj.Fired("compute/*"); fired != 3 {
-		t.Errorf("fault fired %d times, want one per attempt (3)", fired)
+	if snap := s.Requests().Snapshot(); snap.ServerError != attempts || snap.OK != 0 || snap.Retries != 0 {
+		t.Errorf("request accounting = %+v", snap)
 	}
 }
 

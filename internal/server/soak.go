@@ -46,7 +46,7 @@ type SoakConfig struct {
 	Instrs uint64
 	// FaultSpec is the faults.ParseSpec chaos specification.
 	FaultSpec string
-	// Seed seeds the injector and the retry jitter.
+	// Seed seeds the injector's firing decisions.
 	Seed uint64
 	// RequestTimeout bounds each chaos request (default 30s).
 	RequestTimeout time.Duration
@@ -102,7 +102,6 @@ func Soak(ctx context.Context, base Config, sc SoakConfig) (*SoakReport, error) 
 		defer os.RemoveAll(dir) // best-effort temp cleanup
 		base.CacheDir = dir
 	}
-	base.Seed = sc.Seed
 	rep := &SoakReport{}
 	logf := func(format string, args ...any) {
 		if sc.Out != nil {

@@ -12,10 +12,6 @@
 //   - operational state: module types named by Config.ImpureTypes
 //     (the circuit breaker, request counters, telemetry) — every struct
 //     field and every method result of such a type is a source.
-//   - attempt counters: functions named by Config.ImpureCallbackFns
-//     (resilience.Retry) report attempt numbers and backoff delays to
-//     caller-supplied observers; the scalar parameters of the
-//     function-literal arguments at each call site are sources.
 //
 // Sinks are the exported fields of the response types named by
 // Config.PuritySinkTypes and the results of the renderers named by
@@ -34,7 +30,6 @@ package vetting
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
@@ -107,9 +102,8 @@ func checkPurity(a *Analysis, cfg Config, ws *waiverSet) []Diagnostic {
 }
 
 // puritySources assembles the impurity origins in deterministic order:
-// impure external call results (per site, in node order), impure-type
-// fields and method results, and the observer-call arguments of the
-// configured callback functions.
+// impure external call results (per site, in node order), then impure-type
+// fields and method results.
 func puritySources(a *Analysis, cfg Config) []taintSource {
 	var out []taintSource
 
@@ -198,74 +192,7 @@ func puritySources(a *Analysis, cfg Config) []taintSource {
 		}
 	}
 
-	// Callback-reporting functions report operational values (attempt
-	// counters, backoff delays) to caller-supplied observers. The observers
-	// are the function-literal arguments at each call site of the
-	// configured function; their scalar parameters are the readings.
-	// Sourcing the literal's own parameters — rather than chasing the
-	// values the callback function forwards through dynamic calls — keeps
-	// unrelated same-signature functions (test drivers, the op closure
-	// itself) out of the taint: only scalars count, so the op literal's
-	// context and error plumbing never becomes a source.
-	cbSpec := make(map[*types.Func]string)
-	for _, spec := range cfg.ImpureCallbackFns {
-		roots, err := a.graph.ResolveRoot(spec)
-		if err != nil {
-			continue // a bad spec surfaces via config review, not a finding
-		}
-		for _, r := range roots {
-			if r.Fn != nil {
-				cbSpec[r.Fn] = spec
-			}
-		}
-	}
-	if len(cbSpec) > 0 {
-		for _, n := range a.graph.moduleNodes() {
-			ir := a.irs[n]
-			if ir == nil {
-				continue
-			}
-			for _, rec := range ir.calls {
-				spec := ""
-				for _, to := range rec.site.Targets {
-					if to.Fn != nil && cbSpec[to.Fn] != "" {
-						spec = cbSpec[to.Fn]
-						break
-					}
-				}
-				if spec == "" {
-					continue
-				}
-				for _, arg := range rec.site.Call.Args {
-					lit, ok := ast.Unparen(arg).(*ast.FuncLit)
-					if !ok || lit.Type.Params == nil {
-						continue
-					}
-					for _, fl := range lit.Type.Params.List {
-						for _, name := range fl.Names {
-							v, ok := n.Pkg.Info.Defs[name].(*types.Var)
-							if !ok || !scalarType(v.Type()) {
-								continue
-							}
-							out = append(out, taintSource{
-								key: objK(v), pos: n.Pkg.Fset.Position(name.Pos()),
-								what: fmt.Sprintf("%s observer value %q", spec, name.Name),
-							})
-						}
-					}
-				}
-			}
-		}
-	}
 	return out
-}
-
-// scalarType reports whether t is a basic scalar (possibly named, like
-// time.Duration): the shape of an operational reading. Interfaces, pointers,
-// funcs and structs are plumbing, not readings.
-func scalarType(t types.Type) bool {
-	_, ok := t.Underlying().(*types.Basic)
-	return ok
 }
 
 // lineRange is one sanctioned function body, as a file/line span.
@@ -313,11 +240,12 @@ func buildFlowGraphExcluding(a *Analysis, sanction sanctionSet, blocked map[flow
 // errorChannelKeys collects the receiver and result keys of every module
 // `Error() string` method. The purity propagation disconnects them: the
 // engine is instance-insensitive and an interface call fans out to every
-// implementation, so one operational datum wrapped in any error (a retry
-// count in an ExhaustedError) would flow into the shared Error result keys
-// and from there into every function that stringifies an error — branding
-// all responses at once. Error strings are the error path's payload, not
-// the measured result; the purity contract is about the latter.
+// implementation, so one operational datum wrapped in any error (say, a
+// clock reading formatted into its message) would flow into the shared
+// Error result keys and from there into every function that stringifies an
+// error — branding all responses at once. Error strings are the error
+// path's payload, not the measured result; the purity contract is about the
+// latter.
 func errorChannelKeys(a *Analysis) map[flowKey]bool {
 	blocked := make(map[flowKey]bool)
 	for _, n := range a.graph.moduleNodes() {

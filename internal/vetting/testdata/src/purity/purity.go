@@ -1,9 +1,9 @@
 // Package purity exercises the response-purity pass: impure readings
-// (wall-clock calls, operational-state counters, retry-observer values)
-// flowing into response bodies and renderer output, plus the waived and
-// sanctioned shapes. Each violating case stores into its own Resp field —
-// taint is tracked per field, first arrival wins — and the clean cases
-// are verified by the absence of findings.
+// (wall-clock calls, operational-state counters) flowing into response
+// bodies and renderer output, plus the waived and sanctioned shapes. Each
+// violating case stores into its own Resp field — taint is tracked per
+// field, first arrival wins — and the clean cases are verified by the
+// absence of findings.
 package purity
 
 import (
@@ -18,7 +18,6 @@ type Resp struct {
 	Val   uint64 // pure payload: derived from the request only
 	Stamp int64  // clock-into-body target
 	Count uint64 // counter-snapshot target
-	N     int    // retry-observer target
 	Debug int64  // waived diagnostic timestamp
 }
 
@@ -42,31 +41,12 @@ func Snap(req uint64, c *purecnt.Counters) *Resp {
 	return r
 }
 
-// Observe retries the request and leaks the attempt number the observer
-// receives into the body.
-func Observe(req uint64) *Resp {
-	r := Build(req)
-	WithRetry(func(n int) {
-		r.N = n // want `impure value reaches response field Resp.N`
-	})
-	return r
-}
-
 // DebugStamp records a deliberate diagnostic timestamp; the arrival is
 // waived with a reason.
 func DebugStamp(req uint64) *Resp {
 	r := Build(req)
 	r.Debug = time.Now().UnixNano() //ispy:pure diagnostic timestamp, stripped before golden comparison
 	return r
-}
-
-// WithRetry drives op and reports each attempt number to it
-// (fixtureConfig.ImpureCallbackFns): the scalar parameter of the literal
-// passed at a call site is an impurity source.
-func WithRetry(op func(n int)) {
-	for i := 0; i < 3; i++ {
-		op(i)
-	}
 }
 
 // Render renders a report for golden comparison

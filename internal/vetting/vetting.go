@@ -28,9 +28,9 @@
 // per-function SSA-lite IR, module-wide flow propagation): hotpath (the
 // steady-state kernel never allocates and calls only pure code), dtaint
 // (map-iteration order never reaches a stat, artifact, or response), and
-// purity (operational state — clocks, attempt counters, breaker and
-// telemetry reads — never reaches a response body or rendered report
-// outside the sanctioned /statusz sink).
+// purity (operational state — clocks, breaker and telemetry reads — never
+// reaches a response body or rendered report outside the sanctioned
+// /statusz sink).
 //
 // Shared state of spawned goroutines, goroutine joins, request contexts and
 // cache-key coverage are guarded by tests instead: `go test -race`, and
@@ -125,10 +125,6 @@ type Config struct {
 	// ("pkgpath.Type"): their fields and method results are impurity
 	// sources.
 	ImpureTypes []string
-	// ImpureCallbackFns are module functions that report operational values
-	// (attempt counters, backoff delays) to caller-supplied observers:
-	// every argument they pass through a function-valued call is a source.
-	ImpureCallbackFns []string
 	// PuritySinkTypes are response types whose exported fields must stay
 	// pure functions of the request.
 	PuritySinkTypes []KeyRule
@@ -198,9 +194,6 @@ func DefaultConfig() Config {
 			"ispy/internal/resilience.Breaker",
 			"ispy/internal/metrics.Requests",
 			"ispy/internal/metrics.Telemetry",
-		},
-		ImpureCallbackFns: []string{
-			"ispy/internal/resilience.Retry",
 		},
 		PuritySinkTypes: []KeyRule{
 			{PkgPath: "ispy/internal/server", Type: "AnalyzeResponse"},

@@ -15,12 +15,11 @@ var fixtureConfig = Config{
 	StatsRules: []StatsRule{
 		{PkgPath: "fixture/statsdef", Type: "Stats"},
 	},
-	HotPathRoots:      []string{"fixture/hot.Run", "fixture/hot.Src.NextN"},
-	PureExternal:      []string{"math"},
-	SinkPkgs:          []string{"fixture/taintsink"},
-	ImpureCalls:       []string{"time.Now"},
-	ImpureTypes:       []string{"fixture/purecnt.Counters"},
-	ImpureCallbackFns: []string{"fixture/purity.WithRetry"},
+	HotPathRoots: []string{"fixture/hot.Run", "fixture/hot.Src.NextN"},
+	PureExternal: []string{"math"},
+	SinkPkgs:     []string{"fixture/taintsink"},
+	ImpureCalls:  []string{"time.Now"},
+	ImpureTypes:  []string{"fixture/purecnt.Counters"},
 	PuritySinkTypes: []KeyRule{
 		{PkgPath: "fixture/purity", Type: "Resp"},
 		{PkgPath: "fixture/purity", Type: "Stat"},
