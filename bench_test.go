@@ -239,6 +239,36 @@ func BenchmarkLabelingPass(b *testing.B) {
 	})
 }
 
+// BenchmarkProfileCollect times profile.Collect, the profiling run with
+// its hooks, on each of the nine presets at the quick budget (500k
+// measured after 250k of warmup). Its custom metric is the size of the
+// record the miss histories are windows into, per sampled history.
+func BenchmarkProfileCollect(b *testing.B) {
+	var ws []*workload.Workload
+	for _, app := range workload.AppNames {
+		ws = append(ws, workload.Preset(app))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	ps := make([]*profile.Profile, len(ws))
+	for i := 0; i < b.N; i++ {
+		for j, w := range ws {
+			scfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
+			scfg.MaxInstrs, scfg.WarmupInstrs = 500_000, 250_000
+			ps[j] = profile.Collect(w, workload.DefaultInput(w), scfg)
+		}
+	}
+	b.StopTimer()
+	var size, samples int
+	for _, p := range ps {
+		size += p.HistoryBytes()
+		for _, s := range p.Graph.Sites {
+			samples += len(s.Samples)
+		}
+	}
+	b.ReportMetric(float64(size)/float64(samples), "hist-B/sample")
+}
+
 // benchServe times ispyd rounds in process: one op is nine analyze
 // requests, one per app, through server.Handler() at the server's default
 // budget. Every response must equal the untimed first round's.

@@ -143,24 +143,26 @@ func (c *Cache) writeEntry(ctx context.Context, k *Key, sections [][]byte) {
 	if c == nil {
 		return
 	}
-	var buf bytes.Buffer
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n]) //ispy:errok bytes.Buffer.Write cannot fail
-	}
-	put(entryMagic)
-	put(entryVersion)
-	put(uint64(len(k.buf)))
-	buf.Write(k.buf) //ispy:errok bytes.Buffer.Write cannot fail
-	put(uint64(len(sections)))
+	// The entry is allocated once, at its largest size: the key and the
+	// sections plus one uvarint each for the magic, the version, the key's
+	// length, the section count, every section's length and the checksum.
+	size := len(k.buf) + (5+len(sections))*binary.MaxVarintLen64
 	for _, s := range sections {
-		put(uint64(len(s)))
-		buf.Write(s) //ispy:errok bytes.Buffer.Write cannot fail
+		size += len(s)
 	}
-	put(hashx.FNV1a64(buf.Bytes()))
+	buf := make([]byte, 0, size)
+	buf = binary.AppendUvarint(buf, entryMagic)
+	buf = binary.AppendUvarint(buf, entryVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(k.buf)))
+	buf = append(buf, k.buf...)
+	buf = binary.AppendUvarint(buf, uint64(len(sections)))
+	for _, s := range sections {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	buf = binary.AppendUvarint(buf, hashx.FNV1a64(buf))
 
-	payload, err := c.inj.WriteBytes("artifacts.write", buf.Bytes())
+	payload, err := c.inj.WriteBytes("artifacts.write", buf)
 	if err != nil {
 		c.ioDone("write", err)
 		return // injected write error: store silently skipped, like ENOSPC

@@ -8,6 +8,11 @@
 // heuristic AsmDB needs, §IV); and misses are aggregated per (block,
 // line-delta) site with a bounded reservoir of 32-predecessor history
 // samples (the PEBS analogue).
+//
+// A history stores its LBR records' cycle and instruction counts, not their
+// distances to the miss, so the histories of one profiling run can share
+// records: each is a read-only window into one record of the run's LBR
+// entries (profile.Collect). A decoded profile's histories share nothing.
 package cfg
 
 import (
@@ -29,22 +34,45 @@ type LineKey struct {
 // String renders the key for diagnostics.
 func (k LineKey) String() string { return fmt.Sprintf("b%d%+d", k.Block, k.Delta) }
 
-// PredEntry is one predecessor record inside a miss sample: the block and
-// how many cycles before the miss it was entered.
+// PredEntry is one LBR record inside a miss history: the block that was
+// entered and, mod 2^32, the cycle and the retired-instruction count at its
+// entry. Its distances to the miss are its sample's CycleDelta and
+// InstrDelta.
 type PredEntry struct {
-	Block int32
-	// CycleDelta is the true cycle distance to the miss (LBR cycle info).
-	CycleDelta uint32
-	// InstrDelta is the retired-instruction distance to the miss; AsmDB's
-	// IPC heuristic estimates cycles from it (§IV).
-	InstrDelta uint32
+	Block  int32
+	Cycle  uint32
+	Instrs uint32
+}
+
+// Pred returns the record of block at the given distances in a history
+// anchored at 0, one whose Sample has Cycle and Instrs 0: the form a
+// decoded history takes.
+func Pred(block int32, cycleDelta, instrDelta uint32) PredEntry {
+	return PredEntry{Block: block, Cycle: -cycleDelta, Instrs: -instrDelta}
 }
 
 // Sample is one PEBS-style miss sample: the (up to) 32 most recent
-// predecessor blocks, oldest first.
+// predecessor blocks, oldest first, and the counts their distances are
+// measured from.
 type Sample struct {
+	// Preds is the history, oldest first, with cap == len. It is read-only:
+	// the histories of a collected profile are windows into one shared
+	// record, so a write through one would change others.
 	Preds []PredEntry
+	// Cycle is the miss's cycle, mod 2^32.
+	Cycle uint32
+	// Instrs is the newest record's retired-instruction count, mod 2^32.
+	Instrs uint32
 }
+
+// CycleDelta returns the true cycle distance from e's entry to the miss
+// (LBR cycle info). The counts wrap, so the uint32 difference is the
+// distance mod 2^32, exactly what a uint32 distance holds.
+func (s Sample) CycleDelta(e PredEntry) uint32 { return s.Cycle - e.Cycle }
+
+// InstrDelta returns the retired-instruction distance from e's entry to the
+// newest record's; AsmDB's IPC heuristic estimates cycles from it (§IV).
+func (s Sample) InstrDelta(e PredEntry) uint32 { return s.Instrs - e.Instrs }
 
 // MissSite aggregates the misses observed for one line.
 type MissSite struct {

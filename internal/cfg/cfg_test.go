@@ -88,11 +88,7 @@ func TestFig2Example(t *testing.T) {
 	for _, p := range paths[:2] {
 		var preds []PredEntry
 		for i, b := range p[:len(p)-1] {
-			preds = append(preds, PredEntry{
-				Block:      b,
-				CycleDelta: uint32((len(p) - 1 - i) * 30),
-				InstrDelta: uint32((len(p) - 1 - i) * 40),
-			})
+			preds = append(preds, Pred(b, uint32((len(p)-1-i)*30), uint32((len(p)-1-i)*40)))
 		}
 		site.Samples = append(site.Samples, Sample{Preds: preds})
 		site.Count++

@@ -59,10 +59,10 @@ func fig2Graph(missCount uint64, gExec uint64) *cfg.Graph {
 	}
 	for i := 0; i < n; i++ {
 		site.Samples = append(site.Samples, cfg.Sample{Preds: []cfg.PredEntry{
-			{Block: 0, CycleDelta: 500, InstrDelta: 900}, // too far
-			{Block: 4, CycleDelta: 150, InstrDelta: 300}, // in window
-			{Block: 6, CycleDelta: 60, InstrDelta: 120},  // in window
-			{Block: 7, CycleDelta: 10, InstrDelta: 20},   // too close
+			cfg.Pred(0, 500, 900), // too far
+			cfg.Pred(4, 150, 300), // in window
+			cfg.Pred(6, 60, 120),  // in window
+			cfg.Pred(7, 10, 20),   // too close
 		}})
 	}
 	return g
@@ -98,8 +98,8 @@ func TestSelectSitesRespectsWindow(t *testing.T) {
 	g.TotalMisses = 10
 	for i := 0; i < 10; i++ {
 		site.Samples = append(site.Samples, cfg.Sample{Preds: []cfg.PredEntry{
-			{Block: 0, CycleDelta: 300}, // beyond max
-			{Block: 1, CycleDelta: 5},   // below min
+			cfg.Pred(0, 300, 0), // beyond max
+			cfg.Pred(1, 5, 0),   // below min
 		}})
 	}
 	g.Exec[0], g.Exec[1] = 10, 10

@@ -77,10 +77,10 @@ func (vt *voteTable) selectSite(g *cfg.Graph, ms *cfg.MissSite, opt Options) (Si
 		// once per sample, at its earliest in-window occurrence.
 		vt.sample++
 		for _, pe := range s.Preds {
-			d := uint64(pe.CycleDelta)
+			d := uint64(s.CycleDelta(pe))
 			if opt.IPCDistance && opt.AvgCPI > 0 {
 				// AsmDB's heuristic: cycles ≈ instructions × mean CPI.
-				d = uint64(float64(pe.InstrDelta) * opt.AvgCPI)
+				d = uint64(float64(s.InstrDelta(pe)) * opt.AvgCPI)
 			}
 			if d < opt.MinDistCycles || d > opt.MaxDistCycles || vt.voted[pe.Block] == vt.sample {
 				continue

@@ -48,10 +48,10 @@ func selectSiteRef(g *cfg.Graph, ms *cfg.MissSite, opt Options) (SiteChoice, boo
 		// once per sample, at its earliest in-window occurrence.
 		seen := make(map[int32]bool, len(s.Preds))
 		for _, pe := range s.Preds {
-			d := uint64(pe.CycleDelta)
+			d := uint64(s.CycleDelta(pe))
 			if opt.IPCDistance && opt.AvgCPI > 0 {
 				// AsmDB's heuristic: cycles ≈ instructions × mean CPI.
-				d = uint64(float64(pe.InstrDelta) * opt.AvgCPI)
+				d = uint64(float64(s.InstrDelta(pe)) * opt.AvgCPI)
 			}
 			if d < opt.MinDistCycles || d > opt.MaxDistCycles || seen[pe.Block] {
 				continue

@@ -7,8 +7,10 @@
 //
 //   - Collect gathers the baseline profile: execution counts, dynamic edges,
 //     per-block cycle costs, and per-line miss aggregates with bounded
-//     reservoirs of 32-predecessor miss histories. The same run records a
-//     compact trace of its measured region (trace.go).
+//     reservoirs of 32-predecessor miss histories. The histories are
+//     read-only windows into one append-only record of the LBR entries the
+//     sampled misses saw, which holds each entry once. The same run records
+//     a compact trace of its measured region (trace.go).
 //   - Label is the context-labeling pass: given the injection sites the
 //     analysis chose, it replays the trace, observes every execution of
 //     each site, and labels its LBR snapshot positive (a targeted miss
@@ -21,6 +23,7 @@
 package profile
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sync"
 
@@ -55,6 +58,9 @@ type Profile struct {
 	// trace is the run's record for Label; nil on a profile that was not
 	// collected in this process.
 	trace *trace
+	// histBytes is the size of the record the miss histories are windows
+	// into; 0 on a profile that was not collected in this process.
+	histBytes int
 	// recorded holds the traces Label recorded, one per configuration, so
 	// every later label at that configuration replays instead of
 	// simulating. mu guards it and is held while one is recorded: labels
@@ -63,8 +69,8 @@ type Profile struct {
 	recorded []*trace
 }
 
-// histSlab is how many miss histories one slab allocation holds.
-const histSlab = 256
+// histChunk is how many LBR entries one chunk of the history record holds.
+const histChunk = 1 << 12
 
 // Collect profiles w under input in with simulator configuration scfg (the
 // Ideal flag is forced off; profiling an ideal cache observes no misses).
@@ -73,10 +79,18 @@ func Collect(w *workload.Workload, in workload.Input, scfg sim.Config) *Profile 
 	g := cfg.NewGraph(len(w.Prog.Blocks))
 	r := rng.New(w.Params.Seed ^ 0x9e3779b9)
 
-	// Successor counts accumulate per block and fill g.Edges after the run;
-	// miss histories are carved from shared slabs of lbr.Depth entries each.
+	// Successor counts accumulate per block and fill g.Edges after the run.
+	// Miss histories are windows into hist, the record of the LBR entries
+	// the sampled misses saw, each appended once, when the first sample
+	// that holds it is taken. next is one more than the instruction count
+	// of the newest entry recorded (0 before the first). Every block
+	// retires at least its terminator, so two pushes never share an
+	// instruction count, and the entries at or above next are the ones
+	// pushed since the previous sample. (Two pushes can share a cycle.)
 	edges := cfg.NewEdgeCounts(len(w.Prog.Blocks))
-	var slab []cfg.PredEntry
+	var hist []cfg.PredEntry
+	var next uint64
+	histBytes := 0
 	var prevBlock int32 = -1
 	var prevCycle uint64
 	var densitySum float64
@@ -105,46 +119,49 @@ func Collect(w *workload.Workload, in workload.Input, scfg sim.Config) *Profile 
 			densitySum += float64(bits.OnesCount64(l.RuntimeHash())) / float64(hashBits)
 			densityN++
 			// Reservoir-sample the history.
-			idx := -1
-			if len(site.Samples) < MaxSamplesPerSite {
-				if len(slab) == 0 {
-					slab = make([]cfg.PredEntry, histSlab*lbr.Depth)
-				}
-				site.Samples = append(site.Samples, cfg.Sample{Preds: slab[:0:lbr.Depth]})
-				slab = slab[lbr.Depth:]
-				idx = len(site.Samples) - 1
-			} else if j := r.Intn(int(site.Count)); j < MaxSamplesPerSite {
-				idx = j
-			}
-			if idx < 0 {
+			idx := len(site.Samples)
+			if idx < MaxSamplesPerSite {
+				site.Samples = append(site.Samples, cfg.Sample{})
+			} else if idx = r.Intn(int(site.Count)); idx >= MaxSamplesPerSite {
 				return
 			}
-			s := &site.Samples[idx]
-			s.Preds = s.Preds[:0]
-			var nowInstr uint64
-			if l.Len() > 0 {
-				nowInstr = l.At(0).Instrs
+			n := l.Len()
+			k := 0 // entries pushed since the previous sample
+			for k < n && l.At(k).Instrs >= next {
+				k++
 			}
-			for i := 0; i < l.Len(); i++ {
-				e := l.At(l.Len() - 1 - i) // oldest first
-				s.Preds = append(s.Preds, cfg.PredEntry{
-					Block:      e.Block,
-					CycleDelta: uint32(cycle - e.Cycle),
-					InstrDelta: uint32(nowInstr - e.Instrs),
-				})
+			if len(hist)+k > cap(hist) {
+				// A window lies in one chunk, so the next chunk starts with
+				// the recorded entries the LBR still holds.
+				hist = append(make([]cfg.PredEntry, 0, histChunk), hist[len(hist)-(n-k):]...)
+				histBytes += histChunk * binary.Size(cfg.PredEntry{})
 			}
+			for i := k - 1; i >= 0; i-- { // oldest first
+				e := l.At(i)
+				hist = append(hist, cfg.PredEntry{Block: e.Block, Cycle: uint32(e.Cycle), Instrs: uint32(e.Instrs)})
+			}
+			s := cfg.Sample{Preds: hist[len(hist)-n : len(hist) : len(hist)], Cycle: uint32(cycle)}
+			if n > 0 {
+				next = l.At(0).Instrs + 1
+				s.Instrs = uint32(l.At(0).Instrs)
+			}
+			site.Samples[idx] = s
 		},
 	}
 
 	ex := workload.NewExecutor(w, in)
 	st := sim.Run(w.Prog, ex, scfg, hooks)
 	edges.Fill(g)
-	p := &Profile{Graph: g, Stats: st, Workload: w, Input: in, trace: rec.finish(scfg)}
+	p := &Profile{Graph: g, Stats: st, Workload: w, Input: in, trace: rec.finish(scfg), histBytes: histBytes}
 	if densityN > 0 {
 		p.AvgHashDensity = densitySum / float64(densityN)
 	}
 	return p
 }
+
+// HistoryBytes returns the size of the record p's miss histories are
+// windows into, or 0 for a profile that was not collected in this process.
+func (p *Profile) HistoryBytes() int { return p.histBytes }
 
 // ResolveLine maps a symbolic line key to its concrete line address under
 // the given (possibly re-laid-out) program.

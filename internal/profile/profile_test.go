@@ -85,7 +85,7 @@ func TestCollectSampleDistancesMonotone(t *testing.T) {
 		for _, sample := range s.Samples {
 			// Preds are oldest-first: cycle deltas must be non-increasing.
 			for i := 1; i < len(sample.Preds); i++ {
-				if sample.Preds[i].CycleDelta > sample.Preds[i-1].CycleDelta {
+				if sample.CycleDelta(sample.Preds[i]) > sample.CycleDelta(sample.Preds[i-1]) {
 					t.Fatal("history cycle deltas are not oldest-first")
 				}
 			}

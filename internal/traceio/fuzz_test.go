@@ -7,6 +7,7 @@ package traceio
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"ispy/internal/cfg"
@@ -44,15 +45,22 @@ func tinyProfile() *ProfileData {
 	g.Edges[0] = map[int32]uint64{1: 3}
 	s := g.Site(cfg.LineKey{Block: 1, Delta: 0})
 	s.Count = 2
-	s.Samples = append(s.Samples, cfg.Sample{Preds: []cfg.PredEntry{
-		{Block: 0, CycleDelta: 40, InstrDelta: 12},
-	}})
+	s.Samples = append(s.Samples, cfg.Sample{Preds: []cfg.PredEntry{cfg.Pred(0, 40, 12)}})
 	g.TotalMisses = 2
 	return &ProfileData{
 		WorkloadName: "w", WorkloadSeed: 1, InputName: "in", InputSeed: 2,
 		TotalMisses: 2, AvgHashDensity: 0.5, BaseCycles: 100, BaseInstrs: 50,
 		Graph: g,
 	}
+}
+
+// encodeProfile returns pd's encoding.
+func encodeProfile(t testing.TB, pd *ProfileData) []byte {
+	var buf bytes.Buffer
+	if err := WriteProfile(&buf, pd); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // decodeAll runs every decoder over data; the only failure mode under test
@@ -67,7 +75,18 @@ func decodeAll(t *testing.T, data []byte) {
 			t.Fatalf("ReadProgram accepted an invalid program: %v", verr)
 		}
 	}
-	_, _ = ReadProfile(bytes.NewReader(data))
+	if pd, err := ReadProfile(bytes.NewReader(data)); err == nil {
+		// encode∘decode is a fixed point: the encoding of an accepted
+		// profile decodes to a profile that encodes to the same bytes.
+		enc := encodeProfile(t, pd)
+		again, err := ReadProfile(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("ReadProfile rejects the encoding of a profile it accepted: %v", err)
+		}
+		if !bytes.Equal(encodeProfile(t, again), enc) {
+			t.Fatal("re-encoding a decoded profile changed its bytes")
+		}
+	}
 	_, _ = ReadStats(bytes.NewReader(data))
 	_, _ = ReadScenario(bytes.NewReader(data))
 	_, _ = ReadScenarioRows(bytes.NewReader(data))
@@ -164,7 +183,44 @@ func TestDecodeHugeCountHeaders(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds arbitrary bytes to every decoder. Run continuously
+// TestDuplicateSiteRejected: a profile stream naming one site twice fails
+// to decode. WriteProfile never writes one, and merging the two would give a
+// profile whose encoding differs from the stream's, so FuzzDecode's fixed
+// point could not hold.
+func TestDuplicateSiteRejected(t *testing.T) {
+	var b bytes.Buffer
+	e := newWriter(&b)
+	e.uvarint(profileMagic)
+	e.uvarint(version)
+	e.str("w")
+	e.uvarint(1)
+	e.str("i")
+	e.uvarint(2)
+	e.uvarint(2) // misses
+	e.float(0)   // density
+	e.uvarint(0) // cycles
+	e.uvarint(0) // instrs
+	e.uvarint(1) // one block, never executed, with no edges
+	e.uvarint(0)
+	e.float(0)
+	e.uvarint(0)
+	e.uvarint(2) // two sites, both b0+0, each one miss without samples
+	for i := 0; i < 2; i++ {
+		e.varint(0)
+		e.varint(0)
+		e.uvarint(1)
+		e.uvarint(0)
+	}
+	if err := e.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadProfile(bytes.NewReader(b.Bytes())); err == nil || !strings.Contains(err.Error(), "appears twice") {
+		t.Fatalf("duplicate site: err = %v", err)
+	}
+}
+
+// FuzzDecode feeds arbitrary bytes to every decoder, and re-encodes every
+// profile ReadProfile accepts (decodeAll). Run continuously
 // with `go test -fuzz=FuzzDecode ./internal/traceio`; `make check` runs a
 // short smoke pass.
 func FuzzDecode(f *testing.F) {

@@ -389,8 +389,8 @@ func WriteProfile(w io.Writer, pd *ProfileData) error {
 			e.uvarint(uint64(len(smp.Preds)))
 			for _, pe := range smp.Preds {
 				e.varint(int64(pe.Block))
-				e.uvarint(uint64(pe.CycleDelta))
-				e.uvarint(uint64(pe.InstrDelta))
+				e.uvarint(uint64(smp.CycleDelta(pe)))
+				e.uvarint(uint64(smp.InstrDelta(pe)))
 			}
 		}
 	}
@@ -448,18 +448,19 @@ func ReadProfile(r io.Reader) (*ProfileData, error) {
 	ns := d.count(1<<24, "site")
 	for i := 0; i < ns && d.err == nil; i++ {
 		key := cfg.LineKey{Block: d.block(nb, "site"), Delta: int32(d.varint())}
+		if d.err == nil && g.Sites[key] != nil {
+			d.err = fmt.Errorf("traceio: site %v appears twice", key)
+			break
+		}
 		s := g.Site(key)
 		s.Count = d.uvarint()
+		// Each decoded history is a window of its own, anchored at 0.
 		nsm := d.count(1<<16, "sample")
 		for j := 0; j < nsm && d.err == nil; j++ {
 			np := d.count(64, "pred")
 			smp := cfg.Sample{Preds: make([]cfg.PredEntry, 0, np)}
 			for k := 0; k < np && d.err == nil; k++ {
-				smp.Preds = append(smp.Preds, cfg.PredEntry{
-					Block:      d.block(nb, "history entry"),
-					CycleDelta: uint32(d.uvarint()),
-					InstrDelta: uint32(d.uvarint()),
-				})
+				smp.Preds = append(smp.Preds, cfg.Pred(d.block(nb, "history entry"), uint32(d.uvarint()), uint32(d.uvarint())))
 			}
 			s.Samples = append(s.Samples, smp)
 		}

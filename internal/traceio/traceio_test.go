@@ -77,6 +77,11 @@ func TestInjectedProgramRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProfileRoundTrip: a decoded profile keeps what was encoded, and
+// encoding it again reproduces the original bytes, both for a collected
+// profile, whose histories share one record, and for tinyProfile, whose one
+// entry has an instruction distance (12) no collected window's newest entry
+// has.
 func TestProfileRoundTrip(t *testing.T) {
 	w := workload.Preset("tomcat")
 	scfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
@@ -84,14 +89,19 @@ func TestProfileRoundTrip(t *testing.T) {
 	scfg.WarmupInstrs = 40_000
 	prof := profile.Collect(w, workload.DefaultInput(w), scfg)
 	pd := ProfileDataOf(prof)
-	var buf bytes.Buffer
-	if err := WriteProfile(&buf, pd); err != nil {
-		t.Fatal(err)
+	roundTrip := func(in *ProfileData) *ProfileData {
+		enc := encodeProfile(t, in)
+		dec, err := ReadProfile(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("%s: %v", in.WorkloadName, err)
+		}
+		if !bytes.Equal(encodeProfile(t, dec), enc) {
+			t.Errorf("%s: re-encoding the decoded profile changed its bytes", in.WorkloadName)
+		}
+		return dec
 	}
-	got, err := ReadProfile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	roundTrip(tinyProfile())
+	got := roundTrip(pd)
 	if got.WorkloadName != w.Name || got.WorkloadSeed != w.Params.Seed {
 		t.Error("workload identity lost")
 	}
