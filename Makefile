@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmtcheck vet ispyvet vetsmoke vet-waivers build test race fuzz faultsmoke chaossmoke scenariosmoke warmsmoke benchtest benchall
+.PHONY: check fmtcheck vet ispyvet vetsmoke vet-waivers build test race fuzz faultsmoke chaossmoke scenariosmoke warmsmoke resultsmoke benchtest benchall
 
 # The full gate: what CI (and every PR) must pass.
-check: fmtcheck vet ispyvet vetsmoke build race fuzz faultsmoke chaossmoke scenariosmoke warmsmoke benchtest
+check: fmtcheck vet ispyvet vetsmoke build race fuzz faultsmoke chaossmoke scenariosmoke warmsmoke resultsmoke benchtest
 
 # gofmt enforcement: fails listing any file that needs formatting.
 fmtcheck:
@@ -115,6 +115,20 @@ warmsmoke:
 	awk '$$1 == "total" { n++; if ($$3 != 0 || $$6 != 0) bad = 1 } END { exit !(n == 1 && !bad) }' "$$d/warm.err" || \
 		{ echo "warmsmoke: the warm run missed or computed:"; grep "^total" "$$d/warm.err"; exit 1; }
 	@echo "warmsmoke: ok (-jobs 1 cold pass: same stdout and entries; warm rerun: same stdout, hits only)"
+
+# Recorded-results smoke: `ispy all` at the default budget must print
+# results_all.txt, the `[… completed in …]` wall-time lines aside. The
+# recording holds on amd64 only: gc fuses multiply-adds on arm64, ppc64le,
+# s390x and riscv64, which can move a discovered context's precision by
+# one ulp (ROADMAP, "Bit-identical on every architecture"). CI runs amd64.
+resultsmoke:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/ispy" ./cmd/ispy && \
+	"$$d/ispy" all > "$$d/out" 2>/dev/null || { echo "resultsmoke: ispy all failed"; exit 1; }; \
+	grep -v "completed in" "$$d/out" > "$$d/got"; grep -v "completed in" results_all.txt > "$$d/want"; \
+	cmp -s "$$d/want" "$$d/got" || { echo "resultsmoke: ispy all stdout differs from results_all.txt:"; \
+		diff "$$d/want" "$$d/got" | head -n 20; exit 1; }
+	@echo "resultsmoke: ok (ispy all stdout equals results_all.txt)"
 
 # The repository benchmark's self-test: bench/ is its own module, so the
 # root `go test ./...` never runs it. It drives every workload and the traced

@@ -2,7 +2,8 @@
 // answers miss-context analysis + coalescing + simulation requests over the
 // same pipeline the batch harness (cmd/ispy) runs, hardened with
 // per-request deadlines and an artifact-layer circuit breaker
-// (internal/server, DESIGN.md §12).
+// (internal/server, DESIGN.md §12). Each request computes on its own
+// goroutine; nothing caps how many compute at once.
 //
 // Usage:
 //
@@ -13,7 +14,6 @@
 //
 //	-addr A        listen address (default 127.0.0.1:7925)
 //	-cache-dir D   persist artifacts in D across requests
-//	-jobs N        worker-pool size shared by all requests
 //	-instrs N      default measured instruction budget per request
 //	-max-timeout D hard per-request deadline cap (default 2m)
 //	-drain D       drain budget after SIGTERM before in-flight work is cut (default 30s)
@@ -75,7 +75,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:7925", "listen address")
 	cacheDir := fs.String("cache-dir", "", "artifact cache directory (shared across requests)")
-	jobs := fs.Int("jobs", 0, "worker-pool size (default: GOMAXPROCS)")
 	instrs := fs.Uint64("instrs", 0, "default measured instruction budget per request")
 	maxTimeout := fs.Duration("max-timeout", 0, "per-request deadline cap (default 2m)")
 	drain := fs.Duration("drain", 30*time.Second, "drain budget after SIGTERM")
@@ -91,7 +90,6 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 
 	cfg := server.Config{
 		CacheDir:   *cacheDir,
-		Jobs:       *jobs,
 		MaxTimeout: *maxTimeout,
 		Log:        stderr,
 	}

@@ -27,6 +27,13 @@ func TestExitContract(t *testing.T) {
 	if code, _, _ := run("serve", "-addr", "256.0.0.1:99999"); code != exitUsage {
 		t.Errorf("bad listen address exits %d, want %d", code, exitUsage)
 	}
+	// A request computes on its own goroutine, so there is no worker pool
+	// for -jobs to size: the flag is unknown. (The bad address keeps a
+	// server that accepted it from serving.)
+	if code, _, errs := run("serve", "-jobs", "2", "-addr", "256.0.0.1:99999"); code != exitUsage ||
+		!strings.Contains(errs, "flag provided but not defined: -jobs") {
+		t.Errorf("serve -jobs 2 exits %d (stderr %q), want %d naming the flag", code, errs, exitUsage)
+	}
 }
 
 // TestSoakCommandPasses runs the full chaos soak through the CLI with small

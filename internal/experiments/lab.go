@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -103,12 +102,12 @@ func (c Config) WithMeasureInstrs(n uint64) Config {
 	return out
 }
 
-// Lab owns the per-application artifact memos, the shared worker pool, the
-// optional on-disk artifact cache, the run telemetry, and the run report.
-// The lab's context governs cancellation: when it is cancelled (SIGINT,
-// -timeout), queued pool tasks and not-yet-started per-app attempts are
-// skipped and reported instead of run, and running attempts stop at their
-// next computation.
+// Lab owns the per-application artifact memos, the worker pool its cells
+// share, the optional on-disk artifact cache, the run telemetry, and the
+// run report. The lab's context governs cancellation: when it is cancelled
+// (SIGINT, -timeout), cells and attempts that have not started are skipped
+// and reported instead of run, and running attempts stop at their next
+// computation.
 type Lab struct {
 	Cfg  Config
 	ctx  context.Context
@@ -128,12 +127,12 @@ type Lab struct {
 func NewLab(cfg Config) *Lab { return NewLabContext(context.Background(), cfg) }
 
 // Shared bundles run infrastructure owned by something longer-lived than one
-// lab — the analysis server shares one pool, one artifact cache, and one
-// telemetry sink across every concurrent request's lab. Nil fields fall back
-// to per-lab defaults (a fresh pool / no cache / a fresh telemetry).
+// lab — the analysis server shares one artifact cache and one telemetry
+// sink across every concurrent request's lab. Nil fields fall back to
+// per-lab defaults (a fresh pool / no cache / a fresh telemetry).
 type Shared struct {
-	// Pool is the worker pool to submit all tasks to. Its size caps the
-	// lab's parallelism regardless of Config.Jobs.
+	// Pool is the worker pool the lab's cells run on (runCells). Its size
+	// caps the lab's parallelism regardless of Config.Jobs.
 	Pool *Pool
 	// Cache is an already-open artifact cache. The owner is responsible for
 	// wiring OnEvict/OnIO/SetFaults once at startup; the lab will not mutate
@@ -195,23 +194,21 @@ func newLab(ctx context.Context, cfg Config, pool *Pool) *Lab {
 	if cfg.SweepWarmup == 0 {
 		cfg.SweepWarmup = d.SweepWarmup
 	}
-	jobs := 1
-	if pool != nil {
-		// A shared pool's size is the whole parallelism budget; Config.Jobs
-		// only sizes pools the lab owns.
-		jobs = pool.Size()
-	} else if cfg.Parallel {
-		jobs = cfg.Jobs
-		if jobs <= 0 {
-			jobs = runtime.GOMAXPROCS(0)
+	if pool == nil {
+		// Config.Jobs only sizes pools the lab owns: a shared pool's size
+		// is the whole parallelism budget.
+		jobs := 1
+		if cfg.Parallel {
+			jobs = cfg.Jobs
+			if jobs <= 0 {
+				jobs = runtime.GOMAXPROCS(0)
+			}
 		}
+		pool = NewPool(jobs)
 	}
 	var out io.Writer
 	if cfg.Verbose {
 		out = os.Stderr
-	}
-	if pool == nil {
-		pool = NewPool(jobs)
 	}
 	return &Lab{
 		Cfg:    cfg,
@@ -265,41 +262,6 @@ func (l *Lab) Attempt(app, stage string, body func() error) (err error) {
 		}
 	}()
 	return body()
-}
-
-// errNotRun is the outcome of a cell that cancellation kept from starting;
-// render paths turn it into a SKIPPED row instead of a zero-valued one.
-var errNotRun = errors.New("not run (canceled)")
-
-// A cell is one unit of a figure grid: body runs on behalf of app under
-// stage.
-type cell struct {
-	app, stage string
-	body       func() error
-}
-
-// runCells runs each cell as one task on the lab's pool, in order, contained
-// by Attempt under the cell's own app and stage, and returns one outcome per
-// cell: Attempt's error, or errNotRun when cancellation kept the cell from
-// starting. Those cells are counted as skipped in the run report. This is
-// the lab's one fan-out: every figure grid, SweepGrid, ForEachApp and Warm
-// run through it.
-func (l *Lab) runCells(cells []cell) []error {
-	out := make([]error, len(cells))
-	g := l.pool.Group(l.ctx)
-	for i, c := range cells {
-		out[i] = errNotRun
-		g.Go(func(context.Context) error {
-			out[i] = l.Attempt(c.app, c.stage, c.body)
-			return nil
-		})
-	}
-	// Attempt contains every failure, so Wait reports only skipped cells.
-	var skip *SkipError
-	if errors.As(g.Wait(), &skip) {
-		l.report.Skip(skip.Skipped, skip.Cause)
-	}
-	return out
 }
 
 // RunExperiments runs specs on one schedule: every experiment starts at

@@ -1,31 +1,22 @@
-// The run-wide worker pool: one bounded set of execution slots shared by
-// every level of the harness — per-app artifact computation and per-sweep-
-// point variant runs alike, across every experiment of a run — so a 9-app ×
-// 6-point sweep saturates all cores instead of idling on the longest app,
-// and one experiment's cells fill the slots another leaves free.
+// The run-wide worker pool and the cell runner. A pool is one bounded set
+// of execution slots that every figure grid's cells share — per-app
+// artifacts and per-sweep-point variant runs alike, across every experiment
+// of a run — so a 9-app × 6-point sweep saturates all cores instead of
+// idling on the longest app, and one experiment's cells fill the slots
+// another leaves free. Lab.runCells is the pool's one user: a cell takes a
+// slot, runs under Lab.Attempt, which contains its panic or error, and
+// frees the slot.
 //
-// The slots bound every running task. Group.Go claims a free slot (async)
-// or queues the task locally; Group.Wait hands each queued task to a slot.
-// A waiter that holds no slot — an experiment's own goroutine, a request
-// handler — waits for one to free up. A waiter inside a pool task already
-// holds one, so when none is free it runs the queued task inline in its own
-// slot: a task that opens a sub-Group on the context it was given and Waits
-// on it therefore always makes progress, and nested fan-outs cannot
-// deadlock.
-//
-// Failure model: tasks are func(ctx) error. A task panic is recovered and
-// converted to a *PanicError carrying the stack; Wait returns the join of
-// every task error. Cancelling the group's context stops queued-but-
-// unstarted tasks — they are counted and reported through Wait as a
-// *SkipError, never silently dropped — while already-running tasks finish
-// (or observe ctx themselves).
+// Cancelling the lab's context stops cells that have not started — they
+// are counted in the run report as skipped and come back errNotRun, never
+// silently dropped — while cells already running stop at their next
+// computation (timed, cached.go).
 package experiments
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 )
 
@@ -52,8 +43,8 @@ func (p *Pool) Size() int {
 	return cap(p.sem)
 }
 
-// PanicError is a task panic converted to an error. Value is the original
-// panic value; Stack is the panicking goroutine's stack at recovery.
+// PanicError is a panic converted to an error. Value is the original panic
+// value; Stack is the panicking goroutine's stack at recovery.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -61,8 +52,8 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// SkipError reports tasks that were queued but never started because the
-// group's context was cancelled.
+// SkipError reports work that was never started, or stopped at its next
+// computation, because the lab's context was cancelled.
 type SkipError struct {
 	Skipped int
 	Cause   error
@@ -74,149 +65,61 @@ func (e *SkipError) Error() string {
 
 func (e *SkipError) Unwrap() error { return e.Cause }
 
-// Group collects related tasks submitted to one pool so the submitter can
-// wait for exactly its own work. Groups are cheap; create one per fan-out.
-type Group struct {
-	p   *Pool
-	ctx context.Context
-	// inSlot is the context tasks run under: ctx, marked as holding one of
-	// p's slots. A group opened on it drains inline when no slot is free.
-	inSlot context.Context
-	wg     sync.WaitGroup
+// errNotRun is the outcome of a cell that cancellation kept from starting;
+// render paths turn it into a SKIPPED row instead of a zero-valued one.
+var errNotRun = errors.New("not run (canceled)")
 
-	mu      sync.Mutex
-	pending []func(context.Context) error
-	errs    []error
-	skipped int
+// A cell is one unit of a figure grid: body runs on behalf of app under
+// stage.
+type cell struct {
+	app, stage string
+	body       func() error
 }
 
-// slotKey marks a task's context with the pool whose slot the task holds.
-type slotKey struct{}
-
-// Group starts an empty task group on the pool. ctx cancellation skips
-// queued-but-unstarted tasks (nil means never cancelled). A task that fans
-// out again opens its group on the context it was given, which tells Wait
-// that the waiter holds a slot.
-func (p *Pool) Group(ctx context.Context) *Group {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	g := &Group{p: p, ctx: ctx, inSlot: ctx}
-	if p != nil && p.sem != nil && ctx.Value(slotKey{}) != p {
-		g.inSlot = context.WithValue(ctx, slotKey{}, p)
-	}
-	return g
-}
-
-// holdsSlot reports whether the group was opened inside one of its pool's
-// tasks, on that task's context.
-func (g *Group) holdsSlot() bool { return g.ctx == g.inSlot }
-
-// Go submits one task. If a pool slot is free the task runs concurrently;
-// otherwise it is queued and executed during Wait (inline in the waiter only
-// when the waiter is itself a pool task). On a sequential pool the task runs
-// inline immediately, preserving submission order. If the group's context is
-// already cancelled the task is skipped and counted.
-func (g *Group) Go(f func(context.Context) error) {
-	if g.ctx.Err() != nil {
-		g.mu.Lock()
-		g.skipped++
-		g.mu.Unlock()
-		return
-	}
-	if g.p == nil || g.p.sem == nil {
-		g.run(g.ctx, f)
-		return
-	}
-	select {
-	case g.p.sem <- struct{}{}:
-		g.spawn(f)
-	default:
-		g.mu.Lock()
-		g.pending = append(g.pending, f)
-		g.mu.Unlock()
-	}
-}
-
-// run executes f under ctx, converting a panic into a recorded *PanicError
-// and an error return into a recorded error.
-func (g *Group) run(ctx context.Context, f func(context.Context) error) {
-	defer func() {
-		if r := recover(); r != nil {
-			g.addErr(&PanicError{Value: r, Stack: debug.Stack()})
+// runCells runs each cell under Attempt, with the cell's own app and stage,
+// and returns one outcome per cell: Attempt's error, or errNotRun when
+// cancellation kept the cell from starting. Those cells are counted as
+// skipped in the run report. Cells start in slice order, each on its own
+// goroutine once it holds one of the pool's slots; on a one-slot pool each
+// runs inline before the next starts. This is the lab's one fan-out: every
+// figure grid, SweepGrid, ForEachApp and Warm run through it, and
+// concurrent calls (the experiments of one run) share the slots.
+//
+// A cell must not call runCells: it holds its slot while it waits, so
+// nested calls could take every slot and wait for a free one forever.
+func (l *Lab) runCells(cells []cell) []error {
+	out := make([]error, len(cells))
+	sem := l.pool.sem
+	var wg sync.WaitGroup
+	n := 0 // cells started
+start:
+	for ; n < len(cells); n++ {
+		if l.ctx.Err() != nil {
+			break
 		}
-	}()
-	if err := f(ctx); err != nil {
-		g.addErr(err)
-	}
-}
-
-func (g *Group) addErr(err error) {
-	g.mu.Lock()
-	g.errs = append(g.errs, err)
-	g.mu.Unlock()
-}
-
-// spawn runs f on its own goroutine; the caller must already hold a slot.
-func (g *Group) spawn(f func(context.Context) error) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer func() { <-g.p.sem }()
-		g.run(g.inSlot, f)
-	}()
-}
-
-// Wait drains the group's queued tasks, handing each to a slot as one
-// frees up, then blocks until every spawned task has finished. A waiter
-// inside a pool task runs a queued task inline in its own slot when none is
-// free; any other waiter waits for a slot. It returns the join of all task
-// errors; if cancellation skipped queued tasks, a *SkipError naming the
-// count and the cancellation cause is included. The group is reusable after
-// Wait (errors and skip counts are consumed).
-func (g *Group) Wait() error {
-	if g.p != nil && g.p.sem != nil {
-		for {
-			g.mu.Lock()
-			if g.ctx.Err() != nil {
-				// Abandon the queue: every not-yet-started task is skipped.
-				g.skipped += len(g.pending)
-				g.pending = nil
-			}
-			if len(g.pending) == 0 {
-				g.mu.Unlock()
-				break
-			}
-			f := g.pending[0]
-			g.pending = g.pending[1:]
-			g.mu.Unlock()
-			if g.holdsSlot() {
-				select {
-				case g.p.sem <- struct{}{}:
-					g.spawn(f)
-				default:
-					g.run(g.ctx, f)
-				}
-				continue
-			}
-			select {
-			case g.p.sem <- struct{}{}:
-				g.spawn(f)
-			case <-g.ctx.Done():
-				g.mu.Lock()
-				g.skipped++
-				g.mu.Unlock()
-			}
+		i, c := n, cells[n]
+		if sem == nil {
+			out[i] = l.Attempt(c.app, c.stage, c.body)
+			continue
 		}
-		g.wg.Wait()
+		select {
+		case sem <- struct{}{}:
+		case <-l.ctx.Done():
+			break start
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			out[i] = l.Attempt(c.app, c.stage, c.body)
+		}()
 	}
-	g.mu.Lock()
-	errs := g.errs
-	skipped := g.skipped
-	g.errs, g.skipped = nil, 0
-	g.mu.Unlock()
-	if skipped > 0 {
-		errs = append(errs, &SkipError{Skipped: skipped, Cause: context.Cause(g.ctx)})
+	for i := n; i < len(cells); i++ {
+		out[i] = errNotRun
 	}
-	return errors.Join(errs...)
+	if n < len(cells) {
+		l.report.Skip(len(cells)-n, context.Cause(l.ctx))
+	}
+	wg.Wait()
+	return out
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -16,9 +15,18 @@ import (
 	"ispy/internal/workload"
 )
 
-// ok wraps an errorless task body in the pool's task signature.
-func ok(f func()) func(context.Context) error {
-	return func(context.Context) error { f(); return nil }
+// poolLab is a lab whose cells run on a pool of size slots, governed by ctx.
+func poolLab(ctx context.Context, size int) *Lab {
+	return NewLabShared(ctx, Config{Apps: []string{"tomcat"}}, Shared{Pool: NewPool(size)})
+}
+
+// cells returns n cells that each call f.
+func cells(n int, f func()) []cell {
+	out := make([]cell, n)
+	for i := range out {
+		out[i] = cell{"tomcat", "pool", func() error { f(); return nil }}
+	}
+	return out
 }
 
 func TestSequentialPoolRunsInlineInOrder(t *testing.T) {
@@ -26,240 +34,145 @@ func TestSequentialPoolRunsInlineInOrder(t *testing.T) {
 	if p.Size() != 1 {
 		t.Fatalf("Size = %d", p.Size())
 	}
+	l := NewLabShared(context.Background(), Config{Apps: []string{"tomcat"}}, Shared{Pool: p})
 	var order []int
-	g := p.Group(context.Background())
+	var cs []cell
 	for i := 0; i < 10; i++ {
-		i := i
-		g.Go(ok(func() { order = append(order, i) }))
+		cs = append(cs, cell{"tomcat", "pool", func() error { order = append(order, i); return nil }})
 	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
+	for i, err := range l.runCells(cs) {
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
 	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("sequential pool reordered tasks: %v", order)
+			t.Fatalf("sequential pool reordered cells: %v", order)
 		}
 	}
 }
 
 func TestPoolBoundsConcurrency(t *testing.T) {
 	const size = 3
-	p := NewPool(size)
+	l := poolLab(context.Background(), size)
 	var live, peak, ran int32
 	var mu sync.Mutex
-	g := p.Group(context.Background())
-	for i := 0; i < 50; i++ {
-		g.Go(ok(func() {
-			n := atomic.AddInt32(&live, 1)
-			mu.Lock()
-			if n > peak {
-				peak = n
-			}
-			mu.Unlock()
-			atomic.AddInt32(&ran, 1)
-			atomic.AddInt32(&live, -1)
-		}))
-	}
-	if err := g.Wait(); err != nil {
+	errs := l.runCells(cells(50, func() {
+		n := atomic.AddInt32(&live, 1)
+		mu.Lock()
+		if n > peak {
+			peak = n
+		}
+		mu.Unlock()
+		time.Sleep(100 * time.Microsecond) // long enough for cells to overlap
+		atomic.AddInt32(&ran, 1)
+		atomic.AddInt32(&live, -1)
+	}))
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 50 {
-		t.Errorf("ran %d of 50 tasks", ran)
+		t.Errorf("ran %d of 50 cells", ran)
 	}
-	// The waiter holds no slot, so it waits for one instead of running a
-	// queued task inline beside the pool.
+	// The caller holds no slot, so it waits for one instead of running a
+	// cell inline beside the pool.
 	if peak > size {
 		t.Errorf("peak concurrency %d exceeds pool size %d", peak, size)
 	}
 }
 
-// TestTopLevelWaitersShareTheBound: many groups whose waiters hold no slot,
-// as the goroutines of experiments running at once, never run more tasks
-// at a time than the pool has slots, however many of them wait.
+// TestTopLevelWaitersShareTheBound: many concurrent runCells calls on one
+// lab, as the goroutines of experiments running at once, never run more
+// cells at a time than the pool has slots, however many of them wait.
 func TestTopLevelWaitersShareTheBound(t *testing.T) {
-	const size, groups, tasks = 2, 8, 10
-	p := NewPool(size)
+	const size, callers, n = 2, 8, 10
+	l := poolLab(context.Background(), size)
 	var live, peak, ran atomic.Int32
-	task := ok(func() {
+	body := func() {
 		n := live.Add(1)
 		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
 		}
-		time.Sleep(200 * time.Microsecond) // long enough for the waiters to overlap
+		time.Sleep(200 * time.Microsecond) // long enough for the callers to overlap
 		ran.Add(1)
 		live.Add(-1)
-	})
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < groups; i++ {
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g := p.Group(context.Background())
-			for j := 0; j < tasks; j++ {
-				g.Go(task)
-			}
-			if err := g.Wait(); err != nil {
+			if err := errors.Join(l.runCells(cells(n, body))...); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if ran.Load() != groups*tasks {
-		t.Errorf("ran %d of %d tasks", ran.Load(), groups*tasks)
+	if ran.Load() != callers*n {
+		t.Errorf("ran %d of %d cells", ran.Load(), callers*n)
 	}
 	if peak.Load() > size {
 		t.Errorf("peak concurrency %d exceeds pool size %d", peak.Load(), size)
 	}
 }
 
-// TestNestedGroupsDoNotDeadlock is the regression test for the scheduler's
-// core property: a pool task that opens its own group and waits on it must
-// always make progress, even when every slot is busy doing exactly that.
-func TestNestedGroupsDoNotDeadlock(t *testing.T) {
-	p := NewPool(2)
-	var ran int32
-	outer := p.Group(context.Background())
-	for i := 0; i < 8; i++ {
-		outer.Go(func(ctx context.Context) error {
-			inner := p.Group(ctx)
-			for j := 0; j < 8; j++ {
-				inner.Go(ok(func() { atomic.AddInt32(&ran, 1) }))
-			}
-			return inner.Wait()
-		})
-	}
-	if err := outer.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 64 {
-		t.Errorf("ran %d of 64 nested tasks", ran)
-	}
-}
-
-func TestGroupWaitDrainsQueuedTasks(t *testing.T) {
-	p := NewPool(2)
-	var ran int32
-	g := p.Group(context.Background())
-	// Submit far more tasks than slots so most of them land in the queue.
-	for i := 0; i < 200; i++ {
-		g.Go(ok(func() { atomic.AddInt32(&ran, 1) }))
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 200 {
-		t.Errorf("ran %d of 200 tasks", ran)
-	}
-	// A drained group is reusable for a second round.
-	for i := 0; i < 10; i++ {
-		g.Go(ok(func() { atomic.AddInt32(&ran, 1) }))
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 210 {
-		t.Errorf("second round ran %d of 210 total", ran)
-	}
-}
-
-// TestGroupPanicBecomesError: a panicking task must not take down the run —
-// its panic is converted to a *PanicError with a stack trace, and every
-// other task still executes.
-func TestGroupPanicBecomesError(t *testing.T) {
-	for _, size := range []int{1, 4} {
-		p := NewPool(size)
-		var ran int32
-		g := p.Group(context.Background())
-		for i := 0; i < 20; i++ {
-			i := i
-			g.Go(func(context.Context) error {
-				if i == 7 {
-					panic("boom 7")
-				}
-				atomic.AddInt32(&ran, 1)
-				return nil
-			})
-		}
-		err := g.Wait()
-		if ran != 19 {
-			t.Errorf("size %d: ran %d of 19 surviving tasks", size, ran)
-		}
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("size %d: Wait = %v, want PanicError", size, err)
-		}
-		if fmt.Sprint(pe.Value) != "boom 7" || len(pe.Stack) == 0 {
-			t.Errorf("size %d: PanicError = %v (stack %d bytes)", size, pe.Value, len(pe.Stack))
-		}
-		if !strings.Contains(err.Error(), "boom 7") {
-			t.Errorf("error text %q does not name the panic", err)
-		}
-	}
-}
-
-// TestGroupErrorsJoined: every task error survives into Wait's result.
-func TestGroupErrorsJoined(t *testing.T) {
-	p := NewPool(2)
-	g := p.Group(context.Background())
-	e1, e2 := errors.New("first"), errors.New("second")
-	g.Go(func(context.Context) error { return e1 })
-	g.Go(ok(func() {}))
-	g.Go(func(context.Context) error { return e2 })
-	err := g.Wait()
-	if !errors.Is(err, e1) || !errors.Is(err, e2) {
-		t.Errorf("Wait = %v, want both task errors", err)
-	}
-	// After a Wait the error state is consumed.
-	g.Go(ok(func() {}))
-	if err := g.Wait(); err != nil {
-		t.Errorf("second Wait = %v, want nil", err)
-	}
-}
-
-// TestCancelSkipsQueuedTasks: cancellation must abandon queued-but-unstarted
-// tasks and report them (SkipError), while started tasks finish.
+// TestCancelSkipsQueuedTasks: cancellation stops the cells that have not
+// started — each comes back errNotRun and is counted skipped in the run
+// report — while started cells finish, and no goroutine outlives the call.
 func TestCancelSkipsQueuedTasks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancelCause(context.Background())
-	p := NewPool(2)
-	g := p.Group(ctx)
+	l := poolLab(ctx, 2)
+	started := make(chan struct{})
 	release := make(chan struct{})
-	var started, ran int32
-	for i := 0; i < 2; i++ {
-		g.Go(func(c context.Context) error {
-			atomic.AddInt32(&started, 1)
-			<-release
-			return c.Err()
-		})
-	}
-	for i := 0; i < 10; i++ {
-		g.Go(ok(func() { atomic.AddInt32(&ran, 1) }))
-	}
+	var finished, ran atomic.Int32
+	holder := cell{"tomcat", "pool", func() error {
+		started <- struct{}{}
+		<-release
+		finished.Add(1)
+		return nil
+	}}
+	cs := append([]cell{holder, holder}, cells(10, func() { ran.Add(1) })...)
+	done := make(chan []error)
+	go func() { done <- l.runCells(cs) }()
+	// Both slots are held until release, so no later cell can start.
+	<-started
+	<-started
 	cause := errors.New("operator interrupt")
 	cancel(cause)
+	// runCells counts the cells it will not start before it joins the two
+	// it started.
+	for deadline := time.Now().Add(10 * time.Second); l.Report().Skipped() < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
-	err := g.Wait()
-	if started != 2 {
-		t.Fatalf("started %d of 2 slot tasks", started)
+	errs := <-done
+	if finished.Load() != 2 {
+		t.Errorf("%d of 2 started cells finished", finished.Load())
 	}
-	if ran != 0 {
-		t.Errorf("%d queued tasks ran after cancellation", ran)
+	if ran.Load() != 0 {
+		t.Errorf("%d queued cells ran after cancellation", ran.Load())
 	}
-	var se *SkipError
-	if !errors.As(err, &se) || se.Skipped != 10 {
-		t.Fatalf("Wait = %v, want SkipError{Skipped:10}", err)
+	if errs[0] != nil || errs[1] != nil {
+		t.Errorf("started cells: outcomes %v and %v, want nil", errs[0], errs[1])
 	}
-	if !errors.Is(se, cause) {
-		t.Errorf("SkipError cause = %v, want the cancellation cause", se.Cause)
+	for i, err := range errs[2:] {
+		if !errors.Is(err, errNotRun) {
+			t.Errorf("cell %d: outcome %v, want errNotRun", i+2, err)
+		}
 	}
-	// Submissions after cancellation are skipped too (and freshly reported).
-	g.Go(ok(func() { atomic.AddInt32(&ran, 1) }))
-	if err := g.Wait(); !errors.As(err, &se) || se.Skipped != 1 {
-		t.Errorf("post-cancel Wait = %v, want SkipError{Skipped:1}", err)
+	rep := l.Report()
+	if rep.Skipped() != 10 || len(rep.Failures()) != 0 {
+		t.Errorf("report: %d skipped, failures %v; want 10 skipped and no failure", rep.Skipped(), rep.Failures())
 	}
-	if ran != 0 {
-		t.Error("task ran on a cancelled group")
+	if !strings.Contains(rep.Summary(), cause.Error()) {
+		t.Errorf("report does not name the cancellation cause:\n%s", rep.Summary())
 	}
-	// No goroutine leaks: everything the pool spawned has exited.
+	// A call after cancellation starts nothing and counts every cell.
+	errs = l.runCells(cells(1, func() { ran.Add(1) }))
+	if !errors.Is(errs[0], errNotRun) || rep.Skipped() != 11 || ran.Load() != 0 {
+		t.Errorf("post-cancel call: outcome %v, %d skipped, %d ran; want errNotRun, 11, 0", errs[0], rep.Skipped(), ran.Load())
+	}
+	// No goroutine leaks: every cell goroutine has exited.
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= before {
 			break
@@ -271,22 +184,24 @@ func TestCancelSkipsQueuedTasks(t *testing.T) {
 	}
 }
 
-// TestSequentialCancelSkips: the one-slot (inline) pool honors cancellation the
-// same way.
+// TestSequentialCancelSkips: the one-slot (inline) pool honors cancellation
+// the same way.
 func TestSequentialCancelSkips(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	g := NewPool(1).Group(ctx)
+	l := poolLab(ctx, 1)
 	var ran int32
-	g.Go(ok(func() { atomic.AddInt32(&ran, 1) }))
-	cancel()
-	g.Go(ok(func() { atomic.AddInt32(&ran, 1) }))
-	err := g.Wait()
+	errs := l.runCells([]cell{
+		{"tomcat", "pool", func() error { atomic.AddInt32(&ran, 1); cancel(); return nil }},
+		{"tomcat", "pool", func() error { atomic.AddInt32(&ran, 1); return nil }},
+	})
 	if ran != 1 {
-		t.Errorf("ran %d tasks, want 1 (pre-cancel only)", ran)
+		t.Errorf("ran %d cells, want 1 (pre-cancel only)", ran)
 	}
-	var se *SkipError
-	if !errors.As(err, &se) || se.Skipped != 1 {
-		t.Errorf("Wait = %v, want SkipError{Skipped:1}", err)
+	if errs[0] != nil || !errors.Is(errs[1], errNotRun) {
+		t.Errorf("outcomes %v, want [nil errNotRun]", errs)
+	}
+	if n := l.Report().Skipped(); n != 1 {
+		t.Errorf("report counts %d skipped cells, want 1", n)
 	}
 }
 
@@ -332,7 +247,7 @@ func TestRunCells(t *testing.T) {
 		{"tomcat", "t/0", body(0, nil)},
 		{"tomcat", "t/1", body(1, errCell)},
 		{"wordpress", "t/2", func() error { order = append(order, 2); panic("boom") }},
-		// Cell 4's two checks are the pool's, then Attempt's: the second cancels.
+		// Cell 4's two checks are runCells', then Attempt's: the second cancels.
 		{"tomcat", "t/3", func() error { order = append(order, 3); ctx.arm(2); return nil }},
 		{"tomcat", "t/4", body(4, nil)},
 		{"tomcat", "t/5", body(5, nil)},

@@ -249,15 +249,18 @@ func (s *Server) instrument(h func(w http.ResponseWriter, r *http.Request) (stat
 }
 
 // deadline derives the request context: the client's requested timeout,
-// clamped to the server's maximum, default when unspecified.
+// clamped to the server's maximum, default when unspecified. The clamp
+// comes before the conversion, which would overflow time.Duration for a
+// huge millis.
 func (s *Server) deadline(r *http.Request, millis int64) (context.Context, context.CancelFunc, time.Duration) {
 	d := s.cfg.DefaultTimeout
 	if millis > 0 {
-		d = time.Duration(millis) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
+		if millis <= d.Milliseconds() {
+			d = time.Duration(millis) * time.Millisecond
+		}
 	}
+	d = min(d, s.cfg.MaxTimeout)
 	ctx, cancel := context.WithTimeoutCause(r.Context(), d,
 		fmt.Errorf("server: request exceeded its %v deadline: %w", d, context.DeadlineExceeded))
 	return ctx, cancel, d

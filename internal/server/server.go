@@ -1,9 +1,11 @@
 // Package server is ispy-as-a-service: a long-running HTTP front end over
 // the experiments harness. Each request builds a short-lived Lab on shared
-// infrastructure (one worker pool, one artifact cache, one telemetry sink —
-// experiments.Shared), so concurrent requests contend for cores in one place
-// and share warm artifacts, while per-request state (memos, report) stays
-// isolated — a panicking request can never poison a later one.
+// infrastructure (one artifact cache and one telemetry sink —
+// experiments.Shared), so concurrent requests share warm artifacts, while
+// per-request state (memos, report) stays isolated — a panicking request can
+// never poison a later one. A request computes on its own goroutine, one
+// Lab.Attempt that runs no cells, so the server has no worker pool: nothing
+// bounds how many requests compute at once.
 //
 // Robustness model (DESIGN.md §12):
 //
@@ -29,7 +31,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -51,8 +52,6 @@ type Config struct {
 	Lab experiments.Config
 	// CacheDir, when non-empty, persists artifacts across requests.
 	CacheDir string
-	// Jobs sizes the shared worker pool (default GOMAXPROCS).
-	Jobs int
 	// DefaultTimeout/MaxTimeout bound per-request deadlines: requests that
 	// name no timeout get DefaultTimeout (30s), and no request may exceed
 	// MaxTimeout (2m).
@@ -73,7 +72,6 @@ type Config struct {
 // Serve. All methods are safe for concurrent use.
 type Server struct {
 	cfg     Config
-	pool    *experiments.Pool
 	cache   *artifacts.Cache
 	tel     *metrics.Telemetry
 	reqs    *metrics.Requests
@@ -83,13 +81,10 @@ type Server struct {
 	draining atomic.Bool
 }
 
-// New builds a server: defaults applied, pool created, cache opened (with
-// the breaker wired to its I/O observer and chaos armed, once — labs never
-// mutate a shared cache's hooks).
+// New builds a server: defaults applied, cache opened (with the breaker
+// wired to its I/O observer and chaos armed, once — labs never mutate a
+// shared cache's hooks).
 func New(cfg Config) (*Server, error) {
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = runtime.GOMAXPROCS(0)
-	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 30 * time.Second
 	}
@@ -112,7 +107,6 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:     cfg,
-		pool:    experiments.NewPool(cfg.Jobs),
 		tel:     metrics.NewTelemetry(nil),
 		reqs:    metrics.NewRequests(),
 		breaker: resilience.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
@@ -184,12 +178,12 @@ func (s *Server) logf(format string, args ...any) {
 
 // labConfig derives the per-request lab configuration: the request's apps,
 // the shared budgets (rescaled when the request names an instruction
-// budget), chaos armed at compute sites.
+// budget), chaos armed at compute sites, and a one-slot pool, since a
+// request runs no cells.
 func (s *Server) labConfig(apps []string, instrs uint64) experiments.Config {
 	lcfg := s.cfg.Lab
 	lcfg.Apps = apps
-	lcfg.Parallel = true
-	lcfg.Jobs = 0
+	lcfg.Jobs = 1
 	lcfg.CacheDir = ""
 	lcfg.Verbose = false
 	lcfg.Faults = s.cfg.Faults
@@ -241,9 +235,7 @@ func (s *Server) analyze(ctx context.Context, lcfg experiments.Config, site stri
 		s.reqs.Degraded()
 		s.logf("circuit open: serving %s without the artifact cache", site)
 	}
-	lab := experiments.NewLabShared(ctx, lcfg, experiments.Shared{
-		Pool: s.pool, Cache: cache, Telemetry: s.tel,
-	})
+	lab := experiments.NewLabShared(ctx, lcfg, experiments.Shared{Cache: cache, Telemetry: s.tel})
 	if err := lab.Validate(); err != nil {
 		return nil, &apiError{status: http.StatusBadRequest, code: "bad_config", msg: err.Error()}
 	}

@@ -124,6 +124,13 @@ func TestAnalyzeDeterministicAndCached(t *testing.T) {
 	if !bytes.Equal(w1.Body.Bytes(), w3.Body.Bytes()) {
 		t.Fatal("response across server restarts differs")
 	}
+
+	// A timeout too large for time.Duration in nanoseconds is clamped to
+	// the server's maximum, not overflowed into an expired deadline.
+	w4 := analyze(t, s2, `{"app":"wordpress","timeout_millis":10000000000000}`)
+	if w4.Code != http.StatusOK || !bytes.Equal(w1.Body.Bytes(), w4.Body.Bytes()) {
+		t.Fatalf("analyze with a huge timeout_millis = %d: %s", w4.Code, w4.Body)
+	}
 }
 
 func TestAnalyzeValidation(t *testing.T) {
@@ -480,12 +487,12 @@ func TestProfileUploadMatchesCollectedProfile(t *testing.T) {
 	prof := profile.Collect(w, in, scfg)
 
 	s := newTestServer(t, testConfig(t))
-	post := func(pd *traceio.ProfileData) *httptest.ResponseRecorder {
+	post := func(pd *traceio.ProfileData, query ...string) *httptest.ResponseRecorder {
 		var buf bytes.Buffer
 		if err := traceio.WriteProfile(&buf, pd); err != nil {
 			t.Fatal(err)
 		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/profile/analyze?instrs=60000", &buf)
+		req := httptest.NewRequest(http.MethodPost, "/v1/profile/analyze?instrs=60000"+strings.Join(query, ""), &buf)
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)
 		return rec
@@ -502,9 +509,11 @@ func TestProfileUploadMatchesCollectedProfile(t *testing.T) {
 	if resp.App != "verilator" || resp.ISPY.Cycles == 0 || resp.Plan.Prefetches == 0 {
 		t.Fatalf("profile response = %+v", resp)
 	}
-	r2 := post(pd)
+	// The second upload names a timeout too large for time.Duration in
+	// nanoseconds, which the server clamps to its maximum.
+	r2 := post(pd, "&timeout_millis=10000000000000")
 	if !bytes.Equal(r1.Body.Bytes(), r2.Body.Bytes()) {
-		t.Fatal("identical profile uploads produced different bytes")
+		t.Fatalf("identical profile uploads produced different bytes: %d %s", r2.Code, r2.Body)
 	}
 
 	// A moved preset seed, an unknown preset, a history naming a block
@@ -564,7 +573,7 @@ func TestProfileUploadMatchesCollectedProfile(t *testing.T) {
 
 // TestConcurrentMixedRequestsShareOnePool: distinct apps analyzed
 // concurrently against one server must each match their sequential bytes —
-// cross-request isolation despite the shared pool, cache, and telemetry.
+// cross-request isolation despite the shared cache and telemetry.
 func TestConcurrentMixedRequestsShareOnePool(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.CacheDir = t.TempDir()

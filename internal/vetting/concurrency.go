@@ -1,16 +1,8 @@
-// The concurrency-hygiene pass, module-wide. Two checks:
-//
-//  1. Pool-task context discipline: a pool task (resolved through the
-//     pool-task inventory, spawn.go) that names its context parameter
-//     but never uses it almost always means cancellation was forgotten —
-//     the task will run to completion after the run is cancelled. Tasks
-//     with an unnamed or underscore parameter are an explicit opt-out and
-//     stay silent.
-//  2. Locks held across blocking points: a linear scan of each statement
-//     list tracks mu.Lock()/mu.Unlock() pairs (keyed by receiver
-//     expression) and reports WaitGroup.Wait calls and channel operations
-//     made while a lock is held — the standing deadlock shape the
-//     fault-tolerant run engine must never reintroduce.
+// The concurrency-hygiene pass, module-wide: locks held across blocking
+// points. A linear scan of each statement list tracks mu.Lock()/mu.Unlock()
+// pairs (keyed by receiver expression) and reports WaitGroup.Wait calls and
+// channel operations made while a lock is held — the standing deadlock
+// shape the fault-tolerant run engine must never reintroduce.
 //
 // Lock values copied by assignment, argument or range are go vet's
 // copylocks check, which `make check` already runs.
@@ -21,114 +13,26 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-func checkConcurrency(a *Analysis) []Diagnostic {
-	diags := concPoolCtx(a)
-	for _, p := range a.pkgs {
-		diags = append(diags, concHeldLocks(p)...)
-	}
-	return diags
-}
-
-// --- check 1: Pool tasks ignoring their ctx parameter ---
-
-// concPoolCtx flags pool tasks that name a context parameter but never use
-// it. The pool-task inventory resolves each task to its body: a func
-// literal, a named function (identifier or selector), or a function-valued
-// variable bound to a literal in the same package.
-func concPoolCtx(a *Analysis) []Diagnostic {
+func checkConcurrency(pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
-	for _, t := range poolTasks(a) {
-		if t.body == nil {
-			continue
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					body = n.Body
+				case *ast.FuncLit:
+					body = n.Body
+				}
+				if body != nil {
+					diags = append(diags, p.scanHeld(body.List, map[string]token.Position{})...)
+				}
+				return true
+			})
 		}
-		if ctx := namedCtxParam(t.fnPkg, t.fn); ctx != nil && !identUsed(t.fnPkg, t.body, ctx) {
-			diags = append(diags, Diagnostic{Pos: t.pos, Pass: PassConcurrency,
-				Message: fmt.Sprintf("%s names its context parameter %q but never uses it; honor cancellation or use an unnamed parameter", t.desc, ctx.Name())})
-		}
-	}
-	return diags
-}
-
-// isPoolGo reports whether call is a Go method on a type from
-// internal/experiments (Pool or Group).
-func isPoolGo(p *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Go" {
-		return false
-	}
-	s := p.Info.Selections[sel]
-	if s == nil {
-		return false
-	}
-	fn, ok := s.Obj().(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return strings.HasSuffix(fn.Pkg().Path(), "internal/experiments")
-}
-
-// namedCtxParam returns the object of the first parameter whose type is
-// context.Context, when it has a real name.
-func namedCtxParam(p *Package, ft *ast.FuncType) types.Object {
-	if ft.Params == nil {
-		return nil
-	}
-	for _, field := range ft.Params.List {
-		t := p.Info.TypeOf(field.Type)
-		if t == nil || !isContextType(t) {
-			continue
-		}
-		for _, name := range field.Names {
-			if name.Name == "_" {
-				continue
-			}
-			return p.Info.Defs[name]
-		}
-	}
-	return nil
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-func identUsed(p *Package, body ast.Node, obj types.Object) bool {
-	used := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && p.Info.Uses[id] == obj {
-			used = true
-		}
-		return !used
-	})
-	return used
-}
-
-// --- check 2: locks held across Wait / channel operations ---
-
-func concHeldLocks(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				body = n.Body
-			case *ast.FuncLit:
-				body = n.Body
-			}
-			if body != nil {
-				diags = append(diags, p.scanHeld(body.List, map[string]token.Position{})...)
-			}
-			return true
-		})
 	}
 	return diags
 }

@@ -19,8 +19,7 @@
 //   - stats: every exported field of sim.Stats must be read somewhere
 //     outside package sim, so a new counter cannot silently escape the
 //     golden comparison and the artifact serializer.
-//   - concurrency: experiments.Pool tasks with a named-but-unused ctx
-//     parameter, and locks held across Wait calls or channel operations.
+//   - concurrency: locks held across Wait calls or channel operations.
 //   - errors: unchecked or blank-assigned error returns in the I/O-handling
 //     packages (traceio, artifacts, faults, resilience).
 //
@@ -241,10 +240,9 @@ type passResult struct {
 // Run executes every pass over the loaded packages and returns the sorted
 // findings. Waivers are collected from all packages first so each pass can
 // consult them; unused and malformed waivers become diagnostics themselves.
-// The inter-procedural passes (hotpath, dtaint, purity) and the
-// concurrency pass share one Analysis — the call graph and IR are built
-// once, single-threaded, before the passes fan out over a bounded worker
-// group.
+// The inter-procedural passes (hotpath, dtaint, purity) share one
+// Analysis — the call graph and IR are built once, single-threaded, before
+// the passes fan out over a bounded worker group.
 // The fan-out is read-only: the loaded module, call graph, and IR are
 // immutable by then, and the waiver set locks its use-marking internally.
 // Findings are concatenated in canonical pass order and then
@@ -265,7 +263,7 @@ func Run(pkgs []*Package, cfg Config) *Result {
 	}
 	add(PassDeterminism, true, func() []Diagnostic { return checkDeterminism(pkgs, cfg, ws) })
 	add(PassStats, true, func() []Diagnostic { return checkStats(pkgs, cfg) })
-	add(PassConcurrency, true, func() []Diagnostic { return checkConcurrency(a) })
+	add(PassConcurrency, true, func() []Diagnostic { return checkConcurrency(pkgs) })
 	add(PassErrors, true, func() []Diagnostic { return checkErrors(pkgs, cfg, ws) })
 	add(PassHotPath, len(cfg.HotPathRoots) > 0, func() []Diagnostic { return checkHotPath(a, cfg, ws) })
 	add(PassDTaint, len(cfg.StatsRules) > 0 || len(cfg.SinkPkgs) > 0,

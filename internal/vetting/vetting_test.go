@@ -32,7 +32,6 @@ var fixturePkgs = []string{
 	"fixture/det",
 	"fixture/statsdef",
 	"fixture/statsreader",
-	"fixture/internal/experiments",
 	"fixture/conc",
 	"fixture/errs",
 	"fixture/hot",
