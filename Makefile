@@ -47,13 +47,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short continuous-fuzzing passes over the trace decoders, over context
-# discovery and context labeling by replay against their references, and
-# over the cache (Resets included) against its frozen reference; regressions
-# land in the package's testdata/fuzz and replay as ordinary tests forever
-# after.
+# Short continuous-fuzzing passes over the trace decoders, over the
+# artifact-cache container parser (it reads whatever a cache file holds),
+# over context discovery and context labeling by replay against their
+# references, and over the cache (Resets included) against its frozen
+# reference; regressions land in the package's testdata/fuzz and replay as
+# ordinary tests forever after.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=5s ./internal/traceio
+	$(GO) test -run=NONE -fuzz=FuzzParseEntry -fuzztime=5s ./internal/artifacts
 	$(GO) test -run=NONE -fuzz=FuzzDiscoverContext -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzLabelReplay -fuzztime=5s ./internal/profile
 	$(GO) test -run=NONE -fuzz=FuzzRefCacheEquivalence -fuzztime=5s ./internal/cache

@@ -257,13 +257,12 @@ func runScenario(lab *experiments.Lab, arg, record string, stdout, stderr io.Wri
 	// A readable file is a recorded trace; anything else parses as a spec.
 	var trace *traceio.ScenarioTrace
 	if st, err := os.Stat(arg); err == nil && !st.IsDir() {
-		f, err := os.Open(arg)
+		data, err := os.ReadFile(arg)
 		if err != nil {
 			fmt.Fprintf(stderr, "ispy scenario: %v\n", err)
 			return exitUsage
 		}
-		trace, err = traceio.ReadScenario(f)
-		f.Close()
+		trace, err = traceio.DecodeScenario(data)
 		if err != nil {
 			fmt.Fprintf(stderr, "ispy scenario: %s: %v\n", arg, err)
 			return exitUsage
@@ -300,26 +299,13 @@ func runScenario(lab *experiments.Lab, arg, record string, stdout, stderr io.Wri
 	fmt.Fprint(stdout, res.Render())
 
 	if record != "" {
-		if err := writeTrace(record, res.Trace); err != nil {
+		if err := os.WriteFile(record, traceio.AppendScenario(nil, res.Trace), 0o666); err != nil {
 			fmt.Fprintf(stderr, "ispy scenario: -scenario-record: %v\n", err)
 			return exitPartial
 		}
 		fmt.Fprintf(stderr, "ispy: recorded scenario trace to %s\n", record)
 	}
 	return exitOK
-}
-
-// writeTrace persists a composed trace for later replay.
-func writeTrace(path string, tr *traceio.ScenarioTrace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := traceio.WriteScenario(f, tr); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runExperiments validates every id up front (an unknown id is a usage

@@ -12,11 +12,13 @@
 //
 // Entries are serialized through the internal/traceio varint encoders inside
 // a small container: magic, format version, an echo of the full key material
-// (collision guard), length-prefixed sections, and a trailing FNV-1a
-// checksum. Every load failure — missing file, truncation, corruption, stale
-// format version, key-echo mismatch, invalid payload — is reported as a
-// cache miss so the caller falls back to recomputing; the cache can never
-// make a run fail, only make it faster.
+// (collision guard), length-prefixed sections, and a trailing XXH64
+// checksum over every byte before it (version 2). Version 1 entries, closed
+// by FNV-1a over the same bytes, are still read. Every load failure —
+// missing file, truncation, corruption, stale format version, key-echo
+// mismatch, invalid payload — is reported as a cache miss so the caller
+// falls back to recomputing; the cache can never make a run fail, only make
+// it faster.
 package artifacts
 
 import (
@@ -40,8 +42,11 @@ import (
 
 // Container constants.
 const (
-	entryMagic   = 0x49534143 // "ISAC"
-	entryVersion = 1
+	entryMagic = 0x49534143 // "ISAC"
+	// entryVersion closes an entry with XXH64. Version 1 closed the same
+	// layout with FNV-1a, which reads a byte per multiply; parseEntry still
+	// verifies it, so a cache written before keeps hitting.
+	entryVersion = 2
 	// maxSectionBytes guards section allocations against corrupt headers.
 	maxSectionBytes = 1 << 30
 )
@@ -132,37 +137,42 @@ func (c *Cache) Enabled() bool { return c != nil }
 
 // --- container encoding ---
 
-// writeEntry persists sections under k, atomically (write temp + rename).
+// section appends the encoding of one section of an entry to b.
+type section func(b []byte) []byte
+
+// encodeEntry lays out the entry for k in one buffer: the header, each
+// section behind its length, and the checksum over all of it.
+func encodeEntry(k *Key, sections ...section) []byte {
+	buf := make([]byte, 0, len(k.buf)+(4+len(sections))*binary.MaxVarintLen64)
+	buf = binary.AppendUvarint(buf, entryMagic)
+	buf = binary.AppendUvarint(buf, entryVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(k.buf)))
+	buf = append(buf, k.buf...)
+	buf = binary.AppendUvarint(buf, uint64(len(sections)))
+	for _, enc := range sections {
+		// Encode the section behind room for the longest length, then write
+		// its length and move the section up against it.
+		at := len(buf)
+		body := at + binary.MaxVarintLen64
+		buf = enc(append(buf, make([]byte, binary.MaxVarintLen64)...))
+		n := binary.PutUvarint(buf[at:], uint64(len(buf)-body))
+		buf = buf[:at+n+copy(buf[at+n:], buf[body:])]
+	}
+	return binary.AppendUvarint(buf, hashx.XXH64(buf))
+}
+
+// writeEntry persists the entry for k, atomically (write temp + rename).
 // Store errors are deliberately swallowed (after notifying the OnIO
 // observer): a read-only or full cache directory degrades to
 // recompute-every-time, it does not fail the run. The write is bounded by
 // ctx: once the run context ends, the caller stops waiting — the background
 // write still finishes or cleans up after itself, so an expired deadline can
 // never leave a partial entry visible (the rename is what publishes it).
-func (c *Cache) writeEntry(ctx context.Context, k *Key, sections [][]byte) {
+func (c *Cache) writeEntry(ctx context.Context, k *Key, sections ...section) {
 	if c == nil {
 		return
 	}
-	// The entry is allocated once, at its largest size: the key and the
-	// sections plus one uvarint each for the magic, the version, the key's
-	// length, the section count, every section's length and the checksum.
-	size := len(k.buf) + (5+len(sections))*binary.MaxVarintLen64
-	for _, s := range sections {
-		size += len(s)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, entryMagic)
-	buf = binary.AppendUvarint(buf, entryVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(k.buf)))
-	buf = append(buf, k.buf...)
-	buf = binary.AppendUvarint(buf, uint64(len(sections)))
-	for _, s := range sections {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	buf = binary.AppendUvarint(buf, hashx.FNV1a64(buf))
-
-	payload, err := c.inj.WriteBytes("artifacts.write", buf)
+	payload, err := c.inj.WriteBytes("artifacts.write", encodeEntry(k, sections...))
 	if err != nil {
 		c.ioDone("write", err)
 		return // injected write error: store silently skipped, like ENOSPC
@@ -279,6 +289,18 @@ func (c *Cache) readEntry(ctx context.Context, k *Key) [][]byte {
 		return nil // injected read error: miss, but the entry may be fine
 	}
 	c.ioDone("read", nil)
+	sections, ok := parseEntry(data, k.buf)
+	if !ok {
+		return c.corrupt(k)
+	}
+	return sections
+}
+
+// parseEntry verifies data as an entry written under the key material key
+// and returns its sections, which alias data. It reports false unless data
+// is one whole entry of a version this package reads, under key, whose
+// checksum matches every byte before it.
+func parseEntry(data, key []byte) ([][]byte, bool) {
 	rest := data
 	take := func() (uint64, bool) {
 		v, n := binary.Uvarint(rest)
@@ -297,41 +319,45 @@ func (c *Cache) readEntry(ctx context.Context, k *Key) [][]byte {
 		return b, true
 	}
 	if m, ok := take(); !ok || m != entryMagic {
-		return c.corrupt(k)
+		return nil, false
 	}
-	if v, ok := take(); !ok || v != entryVersion {
-		return c.corrupt(k) // stale format version
+	version, ok := take()
+	if !ok || (version != 1 && version != entryVersion) {
+		return nil, false // stale format version
 	}
 	klen, ok := take()
 	if !ok {
-		return c.corrupt(k)
+		return nil, false
 	}
 	kecho, ok := takeBytes(klen)
-	if !ok || !bytes.Equal(kecho, k.buf) {
-		return c.corrupt(k) // hash collision or stale key layout
+	if !ok || !bytes.Equal(kecho, key) {
+		return nil, false // hash collision or stale key layout
 	}
 	nsec, ok := take()
 	if !ok || nsec > 64 {
-		return c.corrupt(k)
+		return nil, false
 	}
 	sections := make([][]byte, 0, nsec)
 	for i := uint64(0); i < nsec; i++ {
 		slen, ok := take()
 		if !ok {
-			return c.corrupt(k)
+			return nil, false
 		}
 		s, ok := takeBytes(slen)
 		if !ok {
-			return c.corrupt(k)
+			return nil, false
 		}
 		sections = append(sections, s)
 	}
-	payloadEnd := len(data) - len(rest)
-	sum, ok := take()
-	if !ok || len(rest) != 0 || sum != hashx.FNV1a64(data[:payloadEnd]) {
-		return c.corrupt(k)
+	payload := data[:len(data)-len(rest)]
+	checksum := hashx.XXH64
+	if version == 1 {
+		checksum = hashx.FNV1a64
 	}
-	return sections
+	if sum, ok := take(); !ok || len(rest) != 0 || sum != checksum(payload) {
+		return nil, false
+	}
+	return sections, true
 }
 
 // --- typed entries ---
@@ -346,11 +372,7 @@ func (c *Cache) StoreStats(ctx context.Context, k *Key, s *sim.Stats) {
 	if c == nil || s == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := traceio.WriteStats(&buf, s); err != nil {
-		return
-	}
-	c.writeEntry(ctx, k, [][]byte{buf.Bytes()})
+	c.writeEntry(ctx, k, func(b []byte) []byte { return traceio.AppendStats(b, s) })
 }
 
 // LoadStats returns the cached statistics for k, if valid.
@@ -359,7 +381,7 @@ func (c *Cache) LoadStats(ctx context.Context, k *Key) (*sim.Stats, bool) {
 	if len(sections) != 1 {
 		return nil, false
 	}
-	s, err := traceio.ReadStats(bytes.NewReader(sections[0]))
+	s, err := traceio.DecodeStats(sections[0])
 	if err != nil {
 		return nil, false
 	}
@@ -372,7 +394,7 @@ func (c *Cache) StoreUint(ctx context.Context, k *Key, v uint64) {
 	if c == nil {
 		return
 	}
-	c.writeEntry(ctx, k, [][]byte{binary.AppendUvarint(nil, v)})
+	c.writeEntry(ctx, k, func(b []byte) []byte { return binary.AppendUvarint(b, v) })
 }
 
 // LoadUint returns the integer cached under k, if valid.
@@ -395,14 +417,9 @@ func (c *Cache) StoreProfile(ctx context.Context, k *Key, p *profile.Profile) {
 	if c == nil || p == nil {
 		return
 	}
-	var pbuf, sbuf bytes.Buffer
-	if err := traceio.WriteProfile(&pbuf, traceio.ProfileDataOf(p)); err != nil {
-		return
-	}
-	if err := traceio.WriteStats(&sbuf, p.Stats); err != nil {
-		return
-	}
-	c.writeEntry(ctx, k, [][]byte{pbuf.Bytes(), sbuf.Bytes()})
+	c.writeEntry(ctx, k,
+		func(b []byte) []byte { return traceio.AppendProfile(b, traceio.ProfileDataOf(p)) },
+		func(b []byte) []byte { return traceio.AppendStats(b, p.Stats) })
 }
 
 // LoadProfile returns the cached profile for k rebound to the live workload
@@ -413,7 +430,7 @@ func (c *Cache) LoadProfile(ctx context.Context, k *Key, w *workload.Workload, i
 	if len(sections) != 2 {
 		return nil, false
 	}
-	pd, err := traceio.ReadProfile(bytes.NewReader(sections[0]))
+	pd, err := traceio.DecodeProfile(sections[0])
 	if err != nil {
 		return nil, false
 	}
@@ -421,7 +438,7 @@ func (c *Cache) LoadProfile(ctx context.Context, k *Key, w *workload.Workload, i
 		pd.InputName != in.Name || pd.InputSeed != in.Seed {
 		return nil, false
 	}
-	st, err := traceio.ReadStats(bytes.NewReader(sections[1]))
+	st, err := traceio.DecodeStats(sections[1])
 	if err != nil {
 		return nil, false
 	}
@@ -448,14 +465,9 @@ func (c *Cache) StoreScenario(ctx context.Context, k *Key, r ScenarioRun) {
 	if c == nil || r.St == nil {
 		return
 	}
-	var sbuf, rbuf bytes.Buffer
-	if err := traceio.WriteStats(&sbuf, r.St); err != nil {
-		return
-	}
-	if err := traceio.WriteScenarioRows(&rbuf, r.Rows); err != nil {
-		return
-	}
-	c.writeEntry(ctx, k, [][]byte{sbuf.Bytes(), rbuf.Bytes()})
+	c.writeEntry(ctx, k,
+		func(b []byte) []byte { return traceio.AppendStats(b, r.St) },
+		func(b []byte) []byte { return traceio.AppendScenarioRows(b, r.Rows) })
 }
 
 // LoadScenario returns the cached scenario run for k, if valid.
@@ -464,11 +476,11 @@ func (c *Cache) LoadScenario(ctx context.Context, k *Key) (ScenarioRun, bool) {
 	if len(sections) != 2 {
 		return ScenarioRun{}, false
 	}
-	s, err := traceio.ReadStats(bytes.NewReader(sections[0]))
+	s, err := traceio.DecodeStats(sections[0])
 	if err != nil {
 		return ScenarioRun{}, false
 	}
-	rows, err := traceio.ReadScenarioRows(bytes.NewReader(sections[1]))
+	rows, err := traceio.DecodeScenarioRows(sections[1])
 	if err != nil {
 		return ScenarioRun{}, false
 	}
@@ -485,14 +497,9 @@ func (c *Cache) StoreBuild(ctx context.Context, k *Key, b *core.Build) {
 	if c == nil || b == nil {
 		return
 	}
-	var pbuf, plan bytes.Buffer
-	if err := traceio.WriteProgram(&pbuf, b.Prog); err != nil {
-		return
-	}
-	if err := traceio.WritePlan(&plan, b.Plan); err != nil {
-		return
-	}
-	c.writeEntry(ctx, k, [][]byte{pbuf.Bytes(), plan.Bytes()})
+	c.writeEntry(ctx, k,
+		func(buf []byte) []byte { return traceio.AppendProgram(buf, b.Prog) },
+		func(buf []byte) []byte { return traceio.AppendPlan(buf, b.Plan) })
 }
 
 // LoadBuild returns the cached build for k, if valid. The returned Build
@@ -503,11 +510,11 @@ func (c *Cache) LoadBuild(ctx context.Context, k *Key) (*core.Build, bool) {
 	if len(sections) != 2 {
 		return nil, false
 	}
-	prog, err := traceio.ReadProgram(bytes.NewReader(sections[0]))
+	prog, err := traceio.DecodeProgram(sections[0])
 	if err != nil {
 		return nil, false
 	}
-	plan, err := traceio.ReadPlan(bytes.NewReader(sections[1]))
+	plan, err := traceio.DecodePlan(sections[1])
 	if err != nil {
 		return nil, false
 	}
@@ -523,10 +530,10 @@ func (c *Cache) LoadPlan(ctx context.Context, k *Key) (*core.Plan, bool) {
 	if len(sections) != 2 {
 		return nil, false
 	}
-	if err := traceio.ReadProgramHeader(bytes.NewReader(sections[0])); err != nil {
+	if err := traceio.CheckProgramHeader(sections[0]); err != nil {
 		return nil, false
 	}
-	plan, err := traceio.ReadPlan(bytes.NewReader(sections[1]))
+	plan, err := traceio.DecodePlan(sections[1])
 	if err != nil {
 		return nil, false
 	}

@@ -3,12 +3,15 @@ package artifacts
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"ispy/internal/cfg"
 	"ispy/internal/core"
+	"ispy/internal/hashx"
 	"ispy/internal/isa"
 	"ispy/internal/profile"
 	"ispy/internal/sim"
@@ -234,16 +237,14 @@ func TestCorruptEntriesFallBackToMiss(t *testing.T) {
 		}
 	}
 
-	var prog, plan bytes.Buffer
+	var prog bytes.Buffer
 	if err := traceio.WriteProgram(&prog, b.Prog); err != nil {
 		t.Fatal(err)
 	}
-	if err := traceio.WritePlan(&plan, b.Plan); err != nil {
-		t.Fatal(err)
-	}
+	plan := traceio.AppendPlan(nil, b.Plan)
 	stale := append([]byte(nil), prog.Bytes()...)
 	stale[5]++ // the traceio version is a one-byte varint after the 5-byte program magic
-	c.writeEntry(ctx, bk, [][]byte{stale, plan.Bytes()})
+	c.writeEntry(ctx, bk, raw(stale), raw(plan))
 	if c.readEntry(ctx, bk) == nil {
 		t.Fatal("the container rejected the stale-version entry; the case tests nothing")
 	}
@@ -252,6 +253,113 @@ func TestCorruptEntriesFallBackToMiss(t *testing.T) {
 	}
 	if _, ok := c.LoadPlan(ctx, bk); ok {
 		t.Error("LoadPlan served the plan of a build whose program has a stale traceio version")
+	}
+
+	// Version-1 entries, closed by FNV-1a, are what a cache written before
+	// XXH64 holds. Intact, every Load* hits them and returns what was
+	// stored; damaged, each misses and is evicted.
+	for _, e := range v1Entries(t) {
+		path := filepath.Join(c.Dir(), e.key.Filename())
+		intact := v1Entry(e.key, e.sections...)
+		if err := os.WriteFile(path, intact, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if !e.hit(ctx, c) {
+			t.Errorf("intact version-1 %s entry missed or served other data", e.key.Kind())
+		}
+		for name, data := range corruptions(intact) {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if e.hit(ctx, c) {
+				t.Errorf("%s version-1 %s entry served as a hit", name, e.key.Kind())
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("%s version-1 %s entry not evicted (stat err=%v)", name, e.key.Kind(), err)
+			}
+		}
+	}
+}
+
+// raw returns a section that appends b as it is.
+func raw(b []byte) section {
+	return func(dst []byte) []byte { return append(dst, b...) }
+}
+
+// v1Entry lays out sections under k as container version 1 did: the layout
+// of version 2, closed by FNV-1a over the same bytes instead of XXH64.
+func v1Entry(k *Key, sections ...[]byte) []byte {
+	buf := binary.AppendUvarint(nil, entryMagic)
+	buf = binary.AppendUvarint(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(len(k.buf)))
+	buf = append(buf, k.buf...)
+	buf = binary.AppendUvarint(buf, uint64(len(sections)))
+	for _, s := range sections {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	return binary.AppendUvarint(buf, hashx.FNV1a64(buf))
+}
+
+// v1Case is one kind of entry as a version-1 cache holds it: its key, its
+// sections, and a load through the typed reader that reports a hit
+// returning exactly what the sections hold.
+type v1Case struct {
+	key      *Key
+	sections [][]byte
+	hit      func(ctx context.Context, c *Cache) bool
+}
+
+// v1Entries returns one case per typed reader: LoadStats, LoadUint,
+// LoadProfile, LoadScenario, LoadBuild and LoadPlan.
+func v1Entries(t *testing.T) []v1Case {
+	t.Helper()
+	w := workload.Preset("tomcat")
+	in := workload.DefaultInput(w)
+	st := &sim.Stats{Cycles: 4321, BaseInstrs: 1234, L1IMisses: 56}
+	g := cfg.NewGraph(2)
+	g.Exec[0], g.Exec[1] = 5, 3
+	g.Edges[0] = map[int32]uint64{1: 3}
+	g.Site(cfg.LineKey{Block: 1}).Count = 2
+	g.TotalMisses = 2
+	pd := &traceio.ProfileData{
+		WorkloadName: w.Name, WorkloadSeed: w.Params.Seed, InputName: in.Name, InputSeed: in.Seed,
+		TotalMisses: 2, AvgHashDensity: 0.25, Graph: g,
+	}
+	rows := []traceio.ScenarioRow{{Name: "a", App: "tomcat", SLO: "batch", Weight: 1, Requests: 3, Blocks: 9, Instrs: 90, Misses: 4}}
+	b := &core.Build{Prog: w.Prog, Plan: &core.Plan{
+		MissesTotal: 9, MissesPlanned: 7, CoalescedLineCounts: []int{2}, CoalesceDistances: []int{1},
+		Prefetches: []core.PlannedPrefetch{{Site: 5, Kind: isa.KindCLprefetch, MissCount: 7,
+			Targets: []cfg.LineKey{{Block: 9}, {Block: 9, Delta: 2}}, CtxBlocks: []int32{1, 4}}},
+	}}
+	prog := traceio.AppendProgram(nil, b.Prog)
+	plan := traceio.AppendPlan(nil, b.Plan)
+	sameProg := func(p *isa.Program) bool { return bytes.Equal(traceio.AppendProgram(nil, p), prog) }
+	return []v1Case{
+		{statsKey("v1-stats"), [][]byte{traceio.AppendStats(nil, st)}, func(ctx context.Context, c *Cache) bool {
+			got, ok := c.LoadStats(ctx, statsKey("v1-stats"))
+			return ok && *got == *st
+		}},
+		{statsKey("v1-uint"), [][]byte{binary.AppendUvarint(nil, 1<<40)}, func(ctx context.Context, c *Cache) bool {
+			got, ok := c.LoadUint(ctx, statsKey("v1-uint"))
+			return ok && got == 1<<40
+		}},
+		{statsKey("v1-profile"), [][]byte{traceio.AppendProfile(nil, pd), traceio.AppendStats(nil, st)}, func(ctx context.Context, c *Cache) bool {
+			got, ok := c.LoadProfile(ctx, statsKey("v1-profile"), w, in)
+			return ok && *got.Stats == *st && got.AvgHashDensity == pd.AvgHashDensity && reflect.DeepEqual(got.Graph, g)
+		}},
+		{statsKey("v1-scenario"), [][]byte{traceio.AppendStats(nil, st), traceio.AppendScenarioRows(nil, rows)}, func(ctx context.Context, c *Cache) bool {
+			got, ok := c.LoadScenario(ctx, statsKey("v1-scenario"))
+			return ok && *got.St == *st && reflect.DeepEqual(got.Rows, rows)
+		}},
+		{statsKey("v1-build"), [][]byte{prog, plan}, func(ctx context.Context, c *Cache) bool {
+			got, ok := c.LoadBuild(ctx, statsKey("v1-build"))
+			return ok && sameProg(got.Prog) && reflect.DeepEqual(got.Plan, b.Plan)
+		}},
+		{statsKey("v1-plan"), [][]byte{prog, plan}, func(ctx context.Context, c *Cache) bool {
+			got, ok := c.LoadPlan(ctx, statsKey("v1-plan"))
+			return ok && reflect.DeepEqual(got, b.Plan)
+		}},
 	}
 }
 

@@ -88,7 +88,7 @@ func TestWarmAnalyzePathOnlyReadsEntries(t *testing.T) {
 	if got := w.Base(); *got != *base {
 		t.Errorf("warm base = %+v, want %+v", got, base)
 	}
-	if got, want := planBytes(t, w.ISPYPlan()), planBytes(t, plan); !bytes.Equal(got, want) {
+	if got, want := traceio.AppendPlan(nil, w.ISPYPlan()), traceio.AppendPlan(nil, plan); !bytes.Equal(got, want) {
 		t.Error("warm plan differs from the cold plan")
 	}
 	if got := w.ISPYStats(); *got != *ispy {
@@ -146,15 +146,6 @@ func TestWarmFig16OnlyReadsEntries(t *testing.T) {
 			t.Errorf("%s: warm Fig. 16 loaded the I-SPY build", name)
 		}
 	}
-}
-
-func planBytes(t *testing.T, p *core.Plan) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := traceio.WritePlan(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // TestArtifactKeysPinned pins the file names of the entries a cold `ispy

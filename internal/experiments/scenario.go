@@ -13,7 +13,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -120,11 +119,7 @@ func (l *Lab) scenarioKeys(spec *traffic.Spec, tr *traceio.ScenarioTrace) (cfg s
 	if err != nil {
 		return cfg, nil, nil, err
 	}
-	var tbuf bytes.Buffer
-	if err := traceio.WriteScenario(&tbuf, tr); err != nil {
-		return cfg, nil, nil, err
-	}
-	traceHash := hashx.FNV1a64(tbuf.Bytes())
+	traceHash := hashx.FNV1a64(traceio.AppendScenario(nil, tr))
 	cfg = l.Cfg.SimConfig(cpi)
 	base = artifacts.NewKey("scenario-base", spec.Name).Str(spec.Material()).Uint(traceHash).SimConfig(cfg)
 	ispy = artifacts.NewKey("scenario-ispy", spec.Name).Str(spec.Material()).Uint(traceHash).SimConfig(cfg)

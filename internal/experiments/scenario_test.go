@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
 	"ispy/internal/traceio"
@@ -63,11 +62,7 @@ func TestScenarioReplayMatchesCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := traceio.WriteScenario(&buf, direct.Trace); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := traceio.ReadScenario(bytes.NewReader(buf.Bytes()))
+	tr, err := traceio.DecodeScenario(traceio.AppendScenario(nil, direct.Trace))
 	if err != nil {
 		t.Fatal(err)
 	}

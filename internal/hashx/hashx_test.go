@@ -164,3 +164,23 @@ func TestUniformPinned(t *testing.T) {
 		}
 	}
 }
+
+// XXH64 at seed 0 against published vectors. The 63-byte input runs the
+// four-lane loop over one stripe, then three 8-byte lanes, the 4-byte step
+// and three single bytes.
+func TestXXH64KnownVectors(t *testing.T) {
+	cases := []struct {
+		in   string
+		want uint64
+	}{
+		{"", 0xef46db3751d8e999},
+		{"a", 0xd24ec4f1a98c6e5b},
+		{"abc", 0x44bc2cf5ad770999},
+		{"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789$", 0x1032d841e824f998},
+	}
+	for _, c := range cases {
+		if got := XXH64([]byte(c.in)); got != c.want {
+			t.Errorf("XXH64(%q) = %#x, want %#x", c.in, got, c.want)
+		}
+	}
+}

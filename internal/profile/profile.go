@@ -118,9 +118,13 @@ func Collect(w *workload.Workload, in workload.Input, scfg sim.Config) *Profile 
 			g.TotalMisses++
 			densitySum += float64(bits.OnesCount64(l.RuntimeHash())) / float64(hashBits)
 			densityN++
-			// Reservoir-sample the history.
+			// Reservoir-sample the history. The reservoir doubles up to
+			// MaxSamplesPerSite, where append would double a full 32 to 64.
 			idx := len(site.Samples)
 			if idx < MaxSamplesPerSite {
+				if idx == cap(site.Samples) {
+					site.Samples = append(make([]cfg.Sample, 0, min(max(2*idx, 1), MaxSamplesPerSite)), site.Samples...)
+				}
 				site.Samples = append(site.Samples, cfg.Sample{})
 			} else if idx = r.Intn(int(site.Count)); idx >= MaxSamplesPerSite {
 				return

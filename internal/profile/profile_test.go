@@ -66,15 +66,30 @@ func TestCollectExecCounts(t *testing.T) {
 	}
 }
 
+// TestCollectSampleBound: no reservoir holds or keeps room for more than
+// MaxSamplesPerSite samples. Tomcat at testCfg's budget misses at most 5
+// times per site; wordpress at 2M instructions fills hundreds of
+// reservoirs, which then sample.
 func TestCollectSampleBound(t *testing.T) {
-	p := collectTomcat(t)
-	for key, s := range p.Graph.Sites {
-		if len(s.Samples) > MaxSamplesPerSite {
-			t.Fatalf("site %v holds %d samples (cap %d)", key, len(s.Samples), MaxSamplesPerSite)
+	w := workload.Preset("wordpress")
+	c := testCfg().WithWorkloadCPI(w.Params.BackendCPI)
+	c.MaxInstrs = 2_000_000
+	full := 0
+	for _, p := range []*Profile{collectTomcat(t), Collect(w, workload.DefaultInput(w), c)} {
+		for key, s := range p.Graph.Sites {
+			if len(s.Samples) > MaxSamplesPerSite || cap(s.Samples) > MaxSamplesPerSite {
+				t.Fatalf("site %v holds %d samples in %d slots (cap %d)", key, len(s.Samples), cap(s.Samples), MaxSamplesPerSite)
+			}
+			if s.Count > 0 && len(s.Samples) == 0 {
+				t.Fatalf("site %v has misses but no samples", key)
+			}
+			if s.Count > MaxSamplesPerSite {
+				full++
+			}
 		}
-		if s.Count > 0 && len(s.Samples) == 0 {
-			t.Fatalf("site %v has misses but no samples", key)
-		}
+	}
+	if full == 0 {
+		t.Fatal("no site missed more often than its reservoir holds; the bound is untested")
 	}
 }
 

@@ -54,20 +54,11 @@ func tinyProfile() *ProfileData {
 	}
 }
 
-// encodeProfile returns pd's encoding.
-func encodeProfile(t testing.TB, pd *ProfileData) []byte {
-	var buf bytes.Buffer
-	if err := WriteProfile(&buf, pd); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // decodeAll runs every decoder over data; the only failure mode under test
 // is a panic (or an allocation large enough to abort the process).
 func decodeAll(t *testing.T, data []byte) {
 	t.Helper()
-	if p, err := ReadProgram(bytes.NewReader(data)); err == nil {
+	if p, err := DecodeProgram(data); err == nil {
 		// A successfully decoded program must be internally consistent —
 		// ReadProgram validates before layout, so this can't fail unless
 		// that ordering regresses.
@@ -75,22 +66,23 @@ func decodeAll(t *testing.T, data []byte) {
 			t.Fatalf("ReadProgram accepted an invalid program: %v", verr)
 		}
 	}
-	if pd, err := ReadProfile(bytes.NewReader(data)); err == nil {
+	if pd, err := DecodeProfile(data); err == nil {
 		// encode∘decode is a fixed point: the encoding of an accepted
 		// profile decodes to a profile that encodes to the same bytes.
-		enc := encodeProfile(t, pd)
-		again, err := ReadProfile(bytes.NewReader(enc))
+		enc := AppendProfile(nil, pd)
+		again, err := DecodeProfile(enc)
 		if err != nil {
-			t.Fatalf("ReadProfile rejects the encoding of a profile it accepted: %v", err)
+			t.Fatalf("DecodeProfile rejects the encoding of a profile it accepted: %v", err)
 		}
-		if !bytes.Equal(encodeProfile(t, again), enc) {
+		if !bytes.Equal(AppendProfile(nil, again), enc) {
 			t.Fatal("re-encoding a decoded profile changed its bytes")
 		}
 	}
-	_, _ = ReadStats(bytes.NewReader(data))
-	_, _ = ReadScenario(bytes.NewReader(data))
-	_, _ = ReadScenarioRows(bytes.NewReader(data))
-	_, _ = ReadPlan(bytes.NewReader(data))
+	_ = CheckProgramHeader(data)
+	_, _ = DecodeStats(data)
+	_, _ = DecodeScenario(data)
+	_, _ = DecodeScenarioRows(data)
+	_, _ = DecodePlan(data)
 }
 
 // tinyScenario builds a small two-tenant scenario trace.
@@ -108,30 +100,15 @@ func tinyScenario() *ScenarioTrace {
 
 // encodings returns one valid byte stream per format.
 func encodings(t testing.TB) map[string][]byte {
-	var pbuf, prbuf, sbuf, scbuf, rbuf, plbuf bytes.Buffer
-	if err := WriteProgram(&pbuf, tinyProgram(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteProfile(&prbuf, tinyProfile()); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteStats(&sbuf, &sim.Stats{Instrs: 100, BaseInstrs: 90, Cycles: 250, L1IMisses: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteScenario(&scbuf, tinyScenario()); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteScenarioRows(&rbuf, []ScenarioRow{
-		{Name: "a", App: "wordpress", SLO: "interactive", Weight: 2, Requests: 9, Blocks: 40, Instrs: 500, Misses: 6},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePlan(&plbuf, tinyPlan()); err != nil {
-		t.Fatal(err)
-	}
 	return map[string][]byte{
-		"program": pbuf.Bytes(), "profile": prbuf.Bytes(), "stats": sbuf.Bytes(),
-		"scenario": scbuf.Bytes(), "scenario-rows": rbuf.Bytes(), "plan": plbuf.Bytes(),
+		"program":  AppendProgram(nil, tinyProgram(t)),
+		"profile":  AppendProfile(nil, tinyProfile()),
+		"stats":    AppendStats(nil, &sim.Stats{Instrs: 100, BaseInstrs: 90, Cycles: 250, L1IMisses: 3}),
+		"scenario": AppendScenario(nil, tinyScenario()),
+		"scenario-rows": AppendScenarioRows(nil, []ScenarioRow{
+			{Name: "a", App: "wordpress", SLO: "interactive", Weight: 2, Requests: 9, Blocks: 40, Instrs: 500, Misses: 6},
+		}),
+		"plan": AppendPlan(nil, tinyPlan()),
 	}
 }
 
@@ -158,12 +135,11 @@ func TestDecodeTruncationsAndFlipsNeverPanic(t *testing.T) {
 func TestDecodeHugeCountHeaders(t *testing.T) {
 	// programMagic, version, then a giant func count with no backing data.
 	huge := []byte{0xd9, 0xa0, 0xcd, 0xca, 0x04, 0x02, 0xff, 0xff, 0xff, 0x0f}
-	if _, err := ReadProgram(bytes.NewReader(huge)); err == nil {
+	if _, err := DecodeProgram(huge); err == nil {
 		t.Fatal("giant unbacked func count decoded without error")
 	}
 	// profileMagic, version, tiny header strings, then a giant block count.
-	var b bytes.Buffer
-	e := newWriter(&b)
+	var e writer
 	e.uvarint(profileMagic)
 	e.uvarint(version)
 	e.str("w")
@@ -175,10 +151,7 @@ func TestDecodeHugeCountHeaders(t *testing.T) {
 	e.uvarint(0)       // cycles
 	e.uvarint(0)       // instrs
 	e.uvarint(1 << 24) // block count with no backing data
-	if err := e.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadProfile(bytes.NewReader(b.Bytes())); err == nil {
+	if _, err := DecodeProfile(e.b); err == nil {
 		t.Fatal("giant unbacked block count decoded without error")
 	}
 }
@@ -188,8 +161,7 @@ func TestDecodeHugeCountHeaders(t *testing.T) {
 // profile whose encoding differs from the stream's, so FuzzDecode's fixed
 // point could not hold.
 func TestDuplicateSiteRejected(t *testing.T) {
-	var b bytes.Buffer
-	e := newWriter(&b)
+	var e writer
 	e.uvarint(profileMagic)
 	e.uvarint(version)
 	e.str("w")
@@ -211,10 +183,7 @@ func TestDuplicateSiteRejected(t *testing.T) {
 		e.uvarint(1)
 		e.uvarint(0)
 	}
-	if err := e.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadProfile(bytes.NewReader(b.Bytes())); err == nil || !strings.Contains(err.Error(), "appears twice") {
+	if _, err := DecodeProfile(e.b); err == nil || !strings.Contains(err.Error(), "appears twice") {
 		t.Fatalf("duplicate site: err = %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package traceio
 
 import (
-	"bytes"
 	"encoding/hex"
 	"reflect"
 	"strings"
@@ -39,18 +38,15 @@ const tinyPlanHex = "ac02c80164010202030301028201020a0b9601021200120402020890030
 // TestPlanBytesPinned: WritePlan emits exactly the pinned bytes, ReadPlan
 // inverts them, and a trailing byte is rejected.
 func TestPlanBytesPinned(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePlan(&buf, tinyPlan()); err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(buf.Bytes()); got != tinyPlanHex {
+	enc := AppendPlan(nil, tinyPlan())
+	if got := hex.EncodeToString(enc); got != tinyPlanHex {
 		t.Fatalf("plan encoding drifted:\n got %s\nwant %s", got, tinyPlanHex)
 	}
-	got, err := ReadPlan(bytes.NewReader(buf.Bytes()))
+	got, err := DecodePlan(enc)
 	if err != nil || !reflect.DeepEqual(got, tinyPlan()) {
 		t.Fatalf("round trip: got %+v, err %v; want %+v", got, err, tinyPlan())
 	}
-	if _, err := ReadPlan(bytes.NewReader(append(buf.Bytes(), 0))); err == nil {
+	if _, err := DecodePlan(append(enc, 0)); err == nil {
 		t.Fatal("plan followed by a trailing byte decoded without error")
 	}
 }
@@ -90,5 +86,30 @@ func TestProfileRebind(t *testing.T) {
 	pd.WorkloadName = "bogus"
 	if _, err := pd.Rebind(); err == nil || !strings.Contains(err.Error(), "unknown app preset") {
 		t.Fatalf("unknown preset: err = %v", err)
+	}
+}
+
+// TestDecodePlanAllocations: decoding a plan allocates a fixed number of
+// times however many prefetches it holds, because every prefetch's targets
+// and context blocks are windows into one array each. A window's capacity
+// ends where it does, so an append to one cannot overwrite the next.
+func TestDecodePlanAllocations(t *testing.T) {
+	p := tinyPlan()
+	for i := 0; i < 1000; i++ {
+		p.Prefetches = append(p.Prefetches, p.Prefetches[i%2])
+	}
+	enc := AppendPlan(nil, p)
+	got, err := DecodePlan(enc)
+	if err != nil || !reflect.DeepEqual(got, p) {
+		t.Fatalf("round trip of %d prefetches: err %v, equal %v", len(p.Prefetches), err, err == nil && reflect.DeepEqual(got, p))
+	}
+	for i, pf := range got.Prefetches {
+		if cap(pf.Targets) != len(pf.Targets) || cap(pf.CtxBlocks) != len(pf.CtxBlocks) {
+			t.Fatalf("prefetch %d: windows of cap %d and %d hold %d and %d", i,
+				cap(pf.Targets), cap(pf.CtxBlocks), len(pf.Targets), len(pf.CtxBlocks))
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { DecodePlan(enc) }); n > 6 {
+		t.Errorf("decoding %d prefetches allocated %.0f times, want at most 6", len(p.Prefetches), n)
 	}
 }

@@ -10,13 +10,10 @@
 // arrival. Gaps and phases are recorded for analysis and reproducibility;
 // the cycle-level simulator consumes only the tenant order.
 //
-// Version 2 is the only framing ever written; ReadScenario rejects any other.
+// Version 2 is the only framing ever written; DecodeScenario rejects any other.
 package traceio
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Magic numbers for the scenario formats.
 const (
@@ -74,9 +71,9 @@ type ScenarioRow struct {
 	Misses   uint64
 }
 
-// WriteScenario serializes a scenario trace in the v2 framing.
-func WriteScenario(w io.Writer, t *ScenarioTrace) error {
-	e := newWriter(w)
+// AppendScenario appends the v2 encoding of a scenario trace to b.
+func AppendScenario(b []byte, t *ScenarioTrace) []byte {
+	e := writer{b: b}
 	e.uvarint(scenarioMagic)
 	e.uvarint(scenarioV2)
 	e.str(t.Name)
@@ -103,47 +100,46 @@ func WriteScenario(w io.Writer, t *ScenarioTrace) error {
 		e.uvarint(uint64(r.Phase))
 		e.uvarint(r.Gap)
 	}
-	return e.flush()
+	return e.b
 }
 
-// ReadScenario deserializes a scenario trace written by WriteScenario.
-func ReadScenario(r io.Reader) (*ScenarioTrace, error) {
-	d := newReader(r)
-	if m := d.uvarint(); d.err == nil && m != scenarioMagic {
+// DecodeScenario deserializes a scenario trace encoded by AppendScenario.
+func DecodeScenario(b []byte) (*ScenarioTrace, error) {
+	d := &reader{b: b}
+	if m := d.uvarint(); d.ok() && m != scenarioMagic {
 		return nil, fmt.Errorf("traceio: bad scenario magic %#x", m)
 	}
-	if v := d.uvarint(); d.err == nil && v != scenarioV2 {
+	if v := d.uvarint(); d.ok() && v != scenarioV2 {
 		return nil, fmt.Errorf("traceio: unsupported scenario version %d", v)
 	}
 	t := &ScenarioTrace{Name: d.str(), Seed: d.uvarint(), Arrival: d.str(), ArrivalShape: d.float()}
-	np := d.count(1<<12, "scenario phase")
-	t.Phases = make([]float64, 0, capHint(np, 256))
-	for i := 0; i < np && d.err == nil; i++ {
-		t.Phases = append(t.Phases, d.float())
+	t.Phases = make([]float64, d.count(1<<12, "scenario phase"))
+	for i := range t.Phases {
+		t.Phases[i] = d.float()
 	}
 	nt := d.count(1<<12, "scenario tenant")
-	t.Tenants = make([]ScenarioTenant, 0, capHint(nt, 256))
-	for i := 0; i < nt && d.err == nil; i++ {
+	t.Tenants = make([]ScenarioTenant, 0, nt)
+	for i := 0; i < nt && d.ok(); i++ {
 		t.Tenants = append(t.Tenants, ScenarioTenant{
 			Name: d.str(), App: d.str(), SLO: d.str(), Weight: d.float(), Seed: d.uvarint(),
 		})
 	}
 	nr := d.count(1<<26, "scenario record")
-	t.Recs = make([]ScenarioRec, 0, capHint(nr, 1<<16))
-	for i := 0; i < nr && d.err == nil; i++ {
+	t.Recs = make([]ScenarioRec, 0, nr)
+	for i := 0; i < nr && d.ok(); i++ {
 		rec := ScenarioRec{Tenant: uint32(d.uvarint()), Phase: uint32(d.uvarint()), Gap: d.uvarint()}
-		if d.err == nil && int(rec.Tenant) >= len(t.Tenants) {
+		if d.ok() && int(rec.Tenant) >= len(t.Tenants) {
 			return nil, fmt.Errorf("traceio: scenario record %d names tenant %d of %d",
 				i, rec.Tenant, len(t.Tenants))
 		}
-		if d.err == nil && len(t.Phases) > 0 && int(rec.Phase) >= len(t.Phases) {
+		if d.ok() && len(t.Phases) > 0 && int(rec.Phase) >= len(t.Phases) {
 			return nil, fmt.Errorf("traceio: scenario record %d names phase %d of %d",
 				i, rec.Phase, len(t.Phases))
 		}
 		t.Recs = append(t.Recs, rec)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.failure(); err != nil {
+		return nil, err
 	}
 	if len(t.Tenants) == 0 {
 		return nil, fmt.Errorf("traceio: scenario has no tenants")
@@ -151,9 +147,10 @@ func ReadScenario(r io.Reader) (*ScenarioTrace, error) {
 	return t, nil
 }
 
-// WriteScenarioRows serializes the per-tenant report rows of a scenario run.
-func WriteScenarioRows(w io.Writer, rows []ScenarioRow) error {
-	e := newWriter(w)
+// AppendScenarioRows appends the encoding of a scenario run's per-tenant
+// report rows to b.
+func AppendScenarioRows(b []byte, rows []ScenarioRow) []byte {
+	e := writer{b: b}
 	e.uvarint(scenarioRowsMagic)
 	e.uvarint(scenarioV2)
 	e.uvarint(uint64(len(rows)))
@@ -168,21 +165,21 @@ func WriteScenarioRows(w io.Writer, rows []ScenarioRow) error {
 		e.uvarint(r.Instrs)
 		e.uvarint(r.Misses)
 	}
-	return e.flush()
+	return e.b
 }
 
-// ReadScenarioRows deserializes rows written by WriteScenarioRows.
-func ReadScenarioRows(r io.Reader) ([]ScenarioRow, error) {
-	d := newReader(r)
-	if m := d.uvarint(); d.err == nil && m != scenarioRowsMagic {
+// DecodeScenarioRows deserializes rows encoded by AppendScenarioRows.
+func DecodeScenarioRows(b []byte) ([]ScenarioRow, error) {
+	d := &reader{b: b}
+	if m := d.uvarint(); d.ok() && m != scenarioRowsMagic {
 		return nil, fmt.Errorf("traceio: bad scenario rows magic %#x", m)
 	}
-	if v := d.uvarint(); d.err == nil && v != scenarioV2 {
+	if v := d.uvarint(); d.ok() && v != scenarioV2 {
 		return nil, fmt.Errorf("traceio: unsupported scenario rows version %d", v)
 	}
 	n := d.count(1<<12, "scenario row")
-	rows := make([]ScenarioRow, 0, capHint(n, 256))
-	for i := 0; i < n && d.err == nil; i++ {
+	rows := make([]ScenarioRow, 0, n)
+	for i := 0; i < n && d.ok(); i++ {
 		rows = append(rows, ScenarioRow{
 			Name:     d.str(),
 			App:      d.str(),
@@ -194,8 +191,8 @@ func ReadScenarioRows(r io.Reader) ([]ScenarioRow, error) {
 			Misses:   d.uvarint(),
 		})
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.failure(); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -12,10 +12,13 @@
 // with section magics, version-checked on read. Floats are encoded as
 // IEEE-754 bits. The format is independent of host endianness and Go
 // version.
+//
+// Each format has one encoder, AppendX, which appends to a byte slice, and
+// one decoder, DecodeX, which reads a byte slice; ReadProgram, ReadProfile,
+// WriteProgram and WriteProfile wrap them for callers that hold a stream.
 package traceio
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -38,143 +41,193 @@ const (
 	version      = 2
 )
 
-// writer wraps buffered varint encoding.
-type writer struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
+// writer appends varint encodings to a byte slice. It grows the slice by
+// doubling, where append would grow a large one by a quarter, so an
+// encoding of n bytes allocates less than 4n in all.
+type writer struct{ b []byte }
+
+func (e *writer) reserve(n int) {
+	if cap(e.b)-len(e.b) < n {
+		e.b = slices.Grow(e.b, max(n, len(e.b)))
+	}
 }
 
-func newWriter(w io.Writer) *writer { return &writer{w: bufio.NewWriter(w)} }
-
 func (e *writer) uvarint(v uint64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutUvarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
+	e.reserve(binary.MaxVarintLen64)
+	e.b = binary.AppendUvarint(e.b, v)
 }
 
 func (e *writer) varint(v int64) {
-	if e.err != nil {
-		return
-	}
-	n := binary.PutVarint(e.buf[:], v)
-	_, e.err = e.w.Write(e.buf[:n])
+	e.reserve(binary.MaxVarintLen64)
+	e.b = binary.AppendVarint(e.b, v)
 }
 
 func (e *writer) float(v float64) { e.uvarint(math.Float64bits(v)) }
 
 func (e *writer) str(s string) {
 	e.uvarint(uint64(len(s)))
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.WriteString(s)
+	e.reserve(len(s))
+	e.b = append(e.b, s...)
 }
 
-func (e *writer) flush() error {
-	if e.err != nil {
-		return e.err
-	}
-	return e.w.Flush()
-}
+// errTruncated is the failure of a read that ran past the end of its input
+// or met a varint longer than 64 bits.
+var errTruncated = fmt.Errorf("traceio: truncated input or overlong varint: %w", io.ErrUnexpectedEOF)
 
-// reader wraps buffered varint decoding.
+// reader decodes varints from a byte slice. A failed read moves the offset
+// past the end, where every later read fails too and returns zero; err
+// holds the message of the first failure, when a check named it.
 type reader struct {
-	r   *bufio.Reader
+	b   []byte
+	off int // len(b)+1 once a read has failed
 	err error
 }
 
-func newReader(r io.Reader) *reader { return &reader{r: bufio.NewReader(r)} }
-
+// uvarint reads an unsigned varint. It inlines, so a varint costs no
+// function call; that is why the failure is marked in the offset and not
+// in err, which would exceed the inlining budget.
 func (d *reader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+	var u uint64
+	for s := uint(0); d.off < len(d.b); s += 7 {
+		c := uint64(d.b[d.off])
+		d.off++
+		u |= (c & 0x7f) << s
+		if c < 0x80 && (s < 63 || c < 2) {
+			return u
+		}
+		if s == 63 {
+			break // an eleventh byte, or a tenth past bit 63
+		}
 	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("traceio: %w", err)
-	}
-	return v
+	d.off = len(d.b) + 1
+	return 0
 }
 
+// varint reads a zigzag-encoded signed varint. It repeats uvarint's loop,
+// because a call of uvarint plus the zigzag would not inline.
 func (d *reader) varint() int64 {
-	if d.err != nil {
-		return 0
+	var u uint64
+	for s := uint(0); d.off < len(d.b); s += 7 {
+		c := uint64(d.b[d.off])
+		d.off++
+		u |= (c & 0x7f) << s
+		if c < 0x80 && (s < 63 || c < 2) {
+			return int64(u>>1) ^ -int64(u&1)
+		}
+		if s == 63 {
+			break
+		}
 	}
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		d.err = fmt.Errorf("traceio: %w", err)
+	d.off = len(d.b) + 1
+	return 0
+}
+
+// ok reports whether every read so far succeeded.
+func (d *reader) ok() bool { return d.off <= len(d.b) }
+
+// fail records err, unless an earlier read failed, and ends the input.
+func (d *reader) fail(err error) {
+	if d.ok() {
+		d.err = err
 	}
-	return v
+	d.off = len(d.b) + 1
+}
+
+// failure returns nil if every read succeeded, else the first failure.
+func (d *reader) failure() error {
+	if d.ok() {
+		return nil
+	}
+	if d.err == nil {
+		return errTruncated
+	}
+	return d.err
+}
+
+// skip moves past n varints without decoding them.
+func (d *reader) skip(n int) {
+	for ; n > 0 && d.off < len(d.b); d.off++ {
+		if d.b[d.off] < 0x80 {
+			n--
+		}
+	}
+	if n > 0 {
+		d.fail(errTruncated)
+	}
 }
 
 func (d *reader) float() float64 { return math.Float64frombits(d.uvarint()) }
 
 func (d *reader) str() string {
 	n := d.uvarint()
-	if d.err != nil {
+	if !d.ok() {
 		return ""
 	}
 	if n > 1<<20 {
-		d.err = fmt.Errorf("traceio: unreasonable string length %d", n)
+		d.fail(fmt.Errorf("traceio: unreasonable string length %d", n))
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.err = fmt.Errorf("traceio: %w", err)
+	if n > uint64(len(d.b)-d.off) {
+		d.fail(errTruncated)
 		return ""
 	}
-	return string(b)
+	s := string(d.b[d.off : d.off+int(n)])
+	d.off += int(n)
+	return s
 }
 
 // block reads a block ID and fails unless it names one of nb blocks: the
 // analysis indexes per-block tables by the IDs a profile holds.
 func (d *reader) block(nb int, what string) int32 {
 	v := d.varint()
-	if d.err == nil && (v < 0 || v >= int64(nb)) {
-		d.err = fmt.Errorf("traceio: %s names block %d outside [0, %d)", what, v, nb)
+	if d.ok() && (v < 0 || v >= int64(nb)) {
+		d.fail(fmt.Errorf("traceio: %s names block %d outside [0, %d)", what, v, nb))
 	}
 	return int32(v)
 }
 
-// count guards slice allocations against corrupt headers. It returns 0 on
-// any invalid count: a value above max must not leak out, since a uint64
-// past 1<<63 converts to a negative int and make() panics on negative caps.
+// count reads an element count and fails unless it is at most max and at
+// most the bytes left: every element of every format takes at least one
+// byte, so a corrupt header cannot claim more elements than its data could
+// hold, and decoders allocate each slice at its final size. It returns 0 on
+// any invalid count: a uint64 past 1<<63 converts to a negative int, and
+// make() panics on negative sizes.
 func (d *reader) count(max uint64, what string) int {
 	n := d.uvarint()
-	if d.err != nil {
+	if !d.ok() {
 		return 0
 	}
 	if n > max {
-		d.err = fmt.Errorf("traceio: %s count %d exceeds sanity bound %d", what, n, max)
+		d.fail(fmt.Errorf("traceio: %s count %d exceeds sanity bound %d", what, n, max))
+		return 0
+	}
+	if left := len(d.b) - d.off; n > uint64(left) {
+		d.fail(fmt.Errorf("traceio: %s count %d exceeds the %d bytes left", what, n, left))
 		return 0
 	}
 	return int(n)
 }
 
-// capHint bounds the initial capacity of a decoded slice. A corrupt header
-// can claim a huge element count backed by no data; allocating it up front
-// turns a few garbage bytes into a multi-hundred-MB allocation. Capacities
-// start at most at max and grow only as elements actually decode.
-func capHint(n, max int) int {
-	if n < max {
-		return n
+// readAll returns the bytes of a stream for a slice decoder.
+func readAll(r io.Reader) ([]byte, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("traceio: %w", err)
 	}
-	return max
+	return b, nil
 }
 
 // WriteProgram serializes a laid-out program.
 func WriteProgram(w io.Writer, p *isa.Program) error {
-	e := newWriter(w)
-	e.uvarint(programMagic)
-	e.uvarint(version)
-	writeProgramBody(e, p)
-	return e.flush()
+	_, err := w.Write(AppendProgram(nil, p))
+	return err
 }
 
-func writeProgramBody(e *writer, p *isa.Program) {
+// AppendProgram appends the encoding of a laid-out program to b.
+func AppendProgram(b []byte, p *isa.Program) []byte {
+	e := writer{b: b}
+	e.uvarint(programMagic)
+	e.uvarint(version)
 	e.uvarint(uint64(len(p.Funcs)))
 	for i := range p.Funcs {
 		f := &p.Funcs[i]
@@ -205,34 +258,85 @@ func writeProgramBody(e *writer, p *isa.Program) {
 			}
 		}
 	}
+	return e.b
 }
 
 // header reads a stream's magic and version and fails unless they are
 // magic and this package's version.
 func (d *reader) header(magic uint64, what string) error {
-	if m := d.uvarint(); d.err == nil && m != magic {
+	if m := d.uvarint(); d.ok() && m != magic {
 		return fmt.Errorf("traceio: bad %s magic %#x", what, m)
 	}
-	if v := d.uvarint(); d.err == nil && v != version {
+	if v := d.uvarint(); d.ok() && v != version {
 		return fmt.Errorf("traceio: unsupported %s version %d", what, v)
 	}
-	return d.err
+	return d.failure()
 }
 
-// ReadProgramHeader checks a program stream's magic and version and reads
-// nothing past them: the staleness check for a reader that skips the
+// CheckProgramHeader checks an encoded program's magic and version and
+// reads nothing past them: the staleness check for a reader that skips the
 // program itself.
-func ReadProgramHeader(r io.Reader) error { return newReader(r).header(programMagic, "program") }
+func CheckProgramHeader(b []byte) error {
+	d := reader{b: b}
+	return d.header(programMagic, "program")
+}
 
-// ReadProgram deserializes a program and lays it out.
+// ReadProgram deserializes a program from a stream and lays it out.
 func ReadProgram(r io.Reader) (*isa.Program, error) {
-	d := newReader(r)
+	b, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeProgram(b)
+}
+
+// DecodeProgram deserializes a program and lays it out.
+func DecodeProgram(b []byte) (*isa.Program, error) {
+	d := &reader{b: b}
 	if err := d.header(programMagic, "program"); err != nil {
 		return nil, err
 	}
-	p := readProgramBody(d)
-	if d.err != nil {
-		return nil, d.err
+	p := &isa.Program{}
+	nf := d.count(1<<22, "func")
+	p.Funcs = make([]isa.Func, 0, nf)
+	for i := 0; i < nf && d.ok(); i++ {
+		f := isa.Func{Name: d.str(), Align: int(d.uvarint())}
+		if d.ok() && (f.Align < 0 || f.Align > 1<<16) {
+			d.fail(fmt.Errorf("traceio: func align %d out of range", f.Align))
+		}
+		nb := d.count(1<<24, "func block")
+		f.Blocks = make([]int, nb)
+		for j := range f.Blocks {
+			f.Blocks[j] = int(d.uvarint())
+		}
+		p.Funcs = append(p.Funcs, f)
+	}
+	nb := d.count(1<<24, "block")
+	p.Blocks = make([]isa.Block, 0, nb)
+	for i := 0; i < nb && d.ok(); i++ {
+		b := isa.Block{ID: i, Func: int(d.uvarint())}
+		ni := d.count(1<<20, "instr")
+		b.Instrs = make([]isa.Instr, 0, ni)
+		for j := 0; j < ni && d.ok(); j++ {
+			in := isa.Instr{Kind: isa.Kind(d.uvarint()), Size: uint8(d.uvarint()), TargetBlock: -1}
+			if in.Kind.IsPrefetch() {
+				in.TargetBlock = int32(d.varint())
+				in.TargetDelta = int32(d.varint())
+				in.CtxHash = d.uvarint()
+				in.BitVec = d.uvarint()
+				if na := d.count(64, "ctx addr"); na > 0 {
+					in.CtxAddrs = make([]isa.Addr, na)
+					for k := range in.CtxAddrs {
+						in.CtxAddrs[k] = isa.Addr(d.uvarint())
+					}
+				}
+			}
+			b.Instrs = append(b.Instrs, in)
+		}
+		p.Blocks = append(p.Blocks, b)
+	}
+	if err := d.failure(); err != nil {
+		return nil, err
 	}
 	// Validate BEFORE Layout: Layout indexes p.Blocks through the funcs'
 	// block lists and the instrs' targets unchecked, so laying out a
@@ -243,47 +347,6 @@ func ReadProgram(r io.Reader) (*isa.Program, error) {
 	}
 	p.Layout()
 	return p, nil
-}
-
-func readProgramBody(d *reader) *isa.Program {
-	p := &isa.Program{}
-	nf := d.count(1<<22, "func")
-	p.Funcs = make([]isa.Func, 0, capHint(nf, 4096))
-	for i := 0; i < nf && d.err == nil; i++ {
-		f := isa.Func{Name: d.str(), Align: int(d.uvarint())}
-		if d.err == nil && (f.Align < 0 || f.Align > 1<<16) {
-			d.err = fmt.Errorf("traceio: func align %d out of range", f.Align)
-		}
-		nb := d.count(1<<24, "func block")
-		f.Blocks = make([]int, 0, capHint(nb, 4096))
-		for j := 0; j < nb && d.err == nil; j++ {
-			f.Blocks = append(f.Blocks, int(d.uvarint()))
-		}
-		p.Funcs = append(p.Funcs, f)
-	}
-	nb := d.count(1<<24, "block")
-	p.Blocks = make([]isa.Block, 0, capHint(nb, 4096))
-	for i := 0; i < nb && d.err == nil; i++ {
-		b := isa.Block{ID: i, Func: int(d.uvarint())}
-		ni := d.count(1<<20, "instr")
-		b.Instrs = make([]isa.Instr, 0, capHint(ni, 1024))
-		for j := 0; j < ni && d.err == nil; j++ {
-			in := isa.Instr{Kind: isa.Kind(d.uvarint()), Size: uint8(d.uvarint()), TargetBlock: -1}
-			if in.Kind.IsPrefetch() {
-				in.TargetBlock = int32(d.varint())
-				in.TargetDelta = int32(d.varint())
-				in.CtxHash = d.uvarint()
-				in.BitVec = d.uvarint()
-				na := d.count(64, "ctx addr")
-				for k := 0; k < na && d.err == nil; k++ {
-					in.CtxAddrs = append(in.CtxAddrs, isa.Addr(d.uvarint()))
-				}
-			}
-			b.Instrs = append(b.Instrs, in)
-		}
-		p.Blocks = append(p.Blocks, b)
-	}
-	return p
 }
 
 // ProfileData is the serializable subset of a profile: the miss-annotated
@@ -350,7 +413,13 @@ func (pd *ProfileData) Rebind() (*profile.Profile, error) {
 
 // WriteProfile serializes a profile.
 func WriteProfile(w io.Writer, pd *ProfileData) error {
-	e := newWriter(w)
+	_, err := w.Write(AppendProfile(nil, pd))
+	return err
+}
+
+// AppendProfile appends the encoding of a profile to b.
+func AppendProfile(b []byte, pd *ProfileData) []byte {
+	e := writer{b: b}
 	e.uvarint(profileMagic)
 	e.uvarint(version)
 	e.str(pd.WorkloadName)
@@ -394,12 +463,21 @@ func WriteProfile(w io.Writer, pd *ProfileData) error {
 			}
 		}
 	}
-	return e.flush()
+	return e.b
 }
 
-// ReadProfile deserializes a profile.
+// ReadProfile deserializes a profile from a stream.
 func ReadProfile(r io.Reader) (*ProfileData, error) {
-	d := newReader(r)
+	b, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeProfile(b)
+}
+
+// DecodeProfile deserializes a profile.
+func DecodeProfile(b []byte) (*ProfileData, error) {
+	d := &reader{b: b}
 	if err := d.header(profileMagic, "profile"); err != nil {
 		return nil, err
 	}
@@ -414,70 +492,61 @@ func ReadProfile(r io.Reader) (*ProfileData, error) {
 	pd.BaseCycles = d.uvarint()
 	pd.BaseInstrs = d.uvarint()
 
-	// Decode the per-block series into growable scratch first and only build
-	// the graph (whose constructor allocates three nb-sized slices) once the
-	// claimed block count has been backed by actual data — a garbage header
-	// claiming 2^24 blocks must fail with a decode error, not allocate
-	// hundreds of MB.
+	// The block count is backed by data (count), so the graph's three
+	// nb-sized slices are at most a small multiple of the input's size.
 	nb := d.count(1<<24, "graph block")
-	exec := make([]uint64, 0, capHint(nb, 1<<16))
-	for i := 0; i < nb && d.err == nil; i++ {
-		exec = append(exec, d.uvarint())
-	}
-	cycles := make([]float64, 0, capHint(nb, 1<<16))
-	for i := 0; i < nb && d.err == nil; i++ {
-		cycles = append(cycles, d.float())
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
 	g := cfg.NewGraph(nb)
-	copy(g.Exec, exec)
-	copy(g.Cycles, cycles)
-	for i := 0; i < nb && d.err == nil; i++ {
+	for i := range g.Exec {
+		g.Exec[i] = d.uvarint()
+	}
+	for i := range g.Cycles {
+		g.Cycles[i] = d.float()
+	}
+	for i := 0; i < nb && d.ok(); i++ {
 		ne := d.count(1<<20, "edge")
-		for j := 0; j < ne && d.err == nil; j++ {
+		if ne > 0 {
+			g.Edges[i] = make(map[int32]uint64, ne)
+		}
+		for j := 0; j < ne && d.ok(); j++ {
 			to := d.block(nb, "edge")
-			n := d.uvarint()
-			if g.Edges[i] == nil {
-				g.Edges[i] = make(map[int32]uint64, capHint(ne, 256))
-			}
-			g.Edges[i][to] = n
+			g.Edges[i][to] = d.uvarint()
 		}
 	}
 	ns := d.count(1<<24, "site")
-	for i := 0; i < ns && d.err == nil; i++ {
+	for i := 0; i < ns && d.ok(); i++ {
 		key := cfg.LineKey{Block: d.block(nb, "site"), Delta: int32(d.varint())}
-		if d.err == nil && g.Sites[key] != nil {
-			d.err = fmt.Errorf("traceio: site %v appears twice", key)
+		if d.ok() && g.Sites[key] != nil {
+			d.fail(fmt.Errorf("traceio: site %v appears twice", key))
 			break
 		}
 		s := g.Site(key)
 		s.Count = d.uvarint()
 		// Each decoded history is a window of its own, anchored at 0.
-		nsm := d.count(1<<16, "sample")
-		for j := 0; j < nsm && d.err == nil; j++ {
-			np := d.count(64, "pred")
-			smp := cfg.Sample{Preds: make([]cfg.PredEntry, 0, np)}
-			for k := 0; k < np && d.err == nil; k++ {
-				smp.Preds = append(smp.Preds, cfg.Pred(d.block(nb, "history entry"), uint32(d.uvarint()), uint32(d.uvarint())))
+		if nsm := d.count(1<<16, "sample"); nsm > 0 {
+			s.Samples = make([]cfg.Sample, 0, nsm)
+			for j := 0; j < nsm && d.ok(); j++ {
+				np := d.count(64, "pred")
+				smp := cfg.Sample{Preds: make([]cfg.PredEntry, np)}
+				for k := range smp.Preds {
+					smp.Preds[k] = cfg.Pred(d.block(nb, "history entry"), uint32(d.uvarint()), uint32(d.uvarint()))
+				}
+				s.Samples = append(s.Samples, smp)
 			}
-			s.Samples = append(s.Samples, smp)
 		}
 	}
 	g.TotalMisses = pd.TotalMisses
 	pd.Graph = g
-	if d.err != nil {
-		return nil, d.err
+	if err := d.failure(); err != nil {
+		return nil, err
 	}
 	return pd, nil
 }
 
-// WriteStats serializes one simulation run's statistics. The artifact cache
-// uses this to persist baseline/ideal/evaluation runs so repeated harness
-// invocations skip re-simulation.
-func WriteStats(w io.Writer, s *sim.Stats) error {
-	e := newWriter(w)
+// AppendStats appends the encoding of one simulation run's statistics to
+// b. The artifact cache persists baseline/ideal/evaluation runs this way so
+// repeated harness invocations skip re-simulation.
+func AppendStats(b []byte, s *sim.Stats) []byte {
+	e := writer{b: b}
 	e.uvarint(statsMagic)
 	e.uvarint(version)
 	e.uvarint(s.Instrs)
@@ -506,12 +575,12 @@ func WriteStats(w io.Writer, s *sim.Stats) error {
 		e.uvarint(cs.PrefetchLate)
 		e.uvarint(cs.PrefetchRedundant)
 	}
-	return e.flush()
+	return e.b
 }
 
-// ReadStats deserializes statistics written by WriteStats.
-func ReadStats(r io.Reader) (*sim.Stats, error) {
-	d := newReader(r)
+// DecodeStats deserializes statistics encoded by AppendStats.
+func DecodeStats(b []byte) (*sim.Stats, error) {
+	d := &reader{b: b}
 	if err := d.header(statsMagic, "stats"); err != nil {
 		return nil, err
 	}
@@ -543,8 +612,8 @@ func ReadStats(r io.Reader) (*sim.Stats, error) {
 		cs.PrefetchLate = d.uvarint()
 		cs.PrefetchRedundant = d.uvarint()
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.failure(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

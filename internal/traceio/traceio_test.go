@@ -90,12 +90,12 @@ func TestProfileRoundTrip(t *testing.T) {
 	prof := profile.Collect(w, workload.DefaultInput(w), scfg)
 	pd := ProfileDataOf(prof)
 	roundTrip := func(in *ProfileData) *ProfileData {
-		enc := encodeProfile(t, in)
-		dec, err := ReadProfile(bytes.NewReader(enc))
+		enc := AppendProfile(nil, in)
+		dec, err := DecodeProfile(enc)
 		if err != nil {
 			t.Fatalf("%s: %v", in.WorkloadName, err)
 		}
-		if !bytes.Equal(encodeProfile(t, dec), enc) {
+		if !bytes.Equal(AppendProfile(nil, dec), enc) {
 			t.Errorf("%s: re-encoding the decoded profile changed its bytes", in.WorkloadName)
 		}
 		return dec
@@ -231,11 +231,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	s.L1I.Accesses, s.L1I.Misses, s.L1I.PrefetchUseful = 100, 20, 15
 	s.L2.PrefetchInserts, s.L2.PrefetchRedundant = 30, 3
 	s.L3.Misses, s.L3.PrefetchLate, s.L3.PrefetchUseless = 40, 4, 2
-	var buf bytes.Buffer
-	if err := WriteStats(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadStats(&buf)
+	got, err := DecodeStats(AppendStats(nil, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,15 +241,11 @@ func TestStatsRoundTrip(t *testing.T) {
 }
 
 func TestStatsBadInputRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteStats(&buf, &sim.Stats{Cycles: 1}); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	if _, err := ReadStats(bytes.NewReader(full[:len(full)/2])); err == nil {
+	full := AppendStats(nil, &sim.Stats{Cycles: 1})
+	if _, err := DecodeStats(full[:len(full)/2]); err == nil {
 		t.Error("truncated stats accepted")
 	}
-	if _, err := ReadStats(bytes.NewReader([]byte{0x01, 0x02, 0x03})); err == nil {
+	if _, err := DecodeStats([]byte{0x01, 0x02, 0x03}); err == nil {
 		t.Error("garbage stats accepted")
 	}
 }

@@ -35,7 +35,7 @@ type tenantExec struct {
 
 // NewExecutor builds the interleaving executor for a built world and a
 // composed trace. The trace must have at least one record and (as
-// ReadScenario guarantees) only in-range tenant indices.
+// DecodeScenario guarantees) only in-range tenant indices.
 func NewExecutor(w *World, tr *traceio.ScenarioTrace) (*Executor, error) {
 	if len(tr.Recs) == 0 {
 		return nil, fmt.Errorf("traffic: trace has no records")
