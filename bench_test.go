@@ -25,6 +25,7 @@ import (
 	"ispy/internal/profile"
 	"ispy/internal/server"
 	"ispy/internal/sim"
+	"ispy/internal/traceio"
 	"ispy/internal/workload"
 )
 
@@ -267,6 +268,44 @@ func BenchmarkProfileCollect(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(size)/float64(samples), "hist-B/sample")
+}
+
+// BenchmarkDecodePlan times the two reads of an injection plan's cache
+// section, on wordpress's default I-SPY plan at the quick budget (500k
+// measured after 250k of warmup), built once, untimed: "full" builds the
+// plan with its prefetch list (traceio.DecodePlan, which LoadBuild calls);
+// "summary" reads only its summary (traceio.DecodePlanSummary, the
+// plan-only read). Both report the section's size and prefetch count.
+func BenchmarkDecodePlan(b *testing.B) {
+	w := workload.Preset("wordpress")
+	scfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
+	scfg.MaxInstrs, scfg.WarmupInstrs = 500_000, 250_000
+	plan := core.BuildISPY(profile.Collect(w, workload.DefaultInput(w), scfg), scfg, core.DefaultOptions()).Plan
+	enc := traceio.AppendPlan(nil, plan)
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(len(enc)), "section-B")
+		b.ReportMetric(float64(len(plan.Prefetches)), "prefetches")
+	}
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := traceio.DecodePlan(enc)
+			if err != nil || len(p.Prefetches) != len(plan.Prefetches) {
+				b.Fatalf("DecodePlan: %v", err)
+			}
+		}
+		report(b)
+	})
+	b.Run("summary", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := traceio.DecodePlanSummary(enc)
+			if err != nil || s.Prefetches != len(plan.Prefetches) {
+				b.Fatalf("DecodePlanSummary: %v", err)
+			}
+		}
+		report(b)
+	})
 }
 
 // benchServe times ispyd rounds in process: one op is nine analyze

@@ -521,21 +521,16 @@ func (c *Cache) LoadBuild(ctx context.Context, k *Key) (*core.Build, bool) {
 	return &core.Build{Prog: prog, Plan: plan}, true
 }
 
-// LoadPlan returns the plan of the cached build for k, if valid: the entry
-// LoadBuild reads, minus the program. Only the program section's header is
-// read, so a stale format version still misses, but the injected program is
-// never decoded.
-func (c *Cache) LoadPlan(ctx context.Context, k *Key) (*core.Plan, bool) {
+// LoadPlanSummary returns the plan summary of the cached build for k, if
+// valid: the entry LoadBuild reads, every byte of it verified, minus the
+// program. Only the program section's header is read, so a stale format
+// version still misses, and the plan section is read in one pass that
+// builds no prefetch list.
+func (c *Cache) LoadPlanSummary(ctx context.Context, k *Key) (core.PlanSummary, bool) {
 	sections := c.readEntry(ctx, k)
-	if len(sections) != 2 {
-		return nil, false
+	if len(sections) != 2 || traceio.CheckProgramHeader(sections[0]) != nil {
+		return core.PlanSummary{}, false
 	}
-	if err := traceio.CheckProgramHeader(sections[0]); err != nil {
-		return nil, false
-	}
-	plan, err := traceio.DecodePlan(sections[1])
-	if err != nil {
-		return nil, false
-	}
-	return plan, true
+	s, err := traceio.DecodePlanSummary(sections[1])
+	return s, err == nil
 }

@@ -147,9 +147,9 @@ func TestBuildRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("stored build not found")
 	}
-	// The plan-only read serves the plan LoadBuild does.
-	if plan, ok := c.LoadPlan(context.Background(), k); !ok || !reflect.DeepEqual(plan, got.Plan) {
-		t.Errorf("LoadPlan = %+v (ok=%v), want LoadBuild's plan %+v", plan, ok, got.Plan)
+	// The plan-only read serves the summary of the plan LoadBuild does.
+	if sum, ok := c.LoadPlanSummary(context.Background(), k); !ok || !reflect.DeepEqual(sum, got.Plan.Summary()) {
+		t.Errorf("LoadPlanSummary = %+v (ok=%v), want the summary of LoadBuild's plan %+v", sum, ok, got.Plan.Summary())
 	}
 	if len(got.Prog.Blocks) != len(b.Prog.Blocks) || got.Prog.TextSize != b.Prog.TextSize {
 		t.Error("program round trip mismatch")
@@ -229,11 +229,11 @@ func TestCorruptEntriesFallBackToMiss(t *testing.T) {
 		if err := os.WriteFile(bpath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.LoadPlan(ctx, bk); ok {
-			t.Errorf("%s build entry served a plan", name)
+		if _, ok := c.LoadPlanSummary(ctx, bk); ok {
+			t.Errorf("%s build entry served a plan summary", name)
 		}
 		if _, err := os.Stat(bpath); !os.IsNotExist(err) {
-			t.Errorf("%s build entry not evicted by LoadPlan (stat err=%v)", name, err)
+			t.Errorf("%s build entry not evicted by LoadPlanSummary (stat err=%v)", name, err)
 		}
 	}
 
@@ -251,8 +251,8 @@ func TestCorruptEntriesFallBackToMiss(t *testing.T) {
 	if _, ok := c.LoadBuild(ctx, bk); ok {
 		t.Error("LoadBuild served a program of a stale traceio version")
 	}
-	if _, ok := c.LoadPlan(ctx, bk); ok {
-		t.Error("LoadPlan served the plan of a build whose program has a stale traceio version")
+	if _, ok := c.LoadPlanSummary(ctx, bk); ok {
+		t.Error("LoadPlanSummary served the plan of a build whose program has a stale traceio version")
 	}
 
 	// Version-1 entries, closed by FNV-1a, are what a cache written before
@@ -311,7 +311,7 @@ type v1Case struct {
 }
 
 // v1Entries returns one case per typed reader: LoadStats, LoadUint,
-// LoadProfile, LoadScenario, LoadBuild and LoadPlan.
+// LoadProfile, LoadScenario, LoadBuild and LoadPlanSummary.
 func v1Entries(t *testing.T) []v1Case {
 	t.Helper()
 	w := workload.Preset("tomcat")
@@ -357,8 +357,8 @@ func v1Entries(t *testing.T) []v1Case {
 			return ok && sameProg(got.Prog) && reflect.DeepEqual(got.Plan, b.Plan)
 		}},
 		{statsKey("v1-plan"), [][]byte{prog, plan}, func(ctx context.Context, c *Cache) bool {
-			got, ok := c.LoadPlan(ctx, statsKey("v1-plan"))
-			return ok && reflect.DeepEqual(got, b.Plan)
+			got, ok := c.LoadPlanSummary(ctx, statsKey("v1-plan"))
+			return ok && reflect.DeepEqual(got, b.Plan.Summary())
 		}},
 	}
 }
@@ -401,7 +401,7 @@ func TestNilCacheIsBypass(t *testing.T) {
 	if _, ok := c.LoadBuild(context.Background(), k); ok {
 		t.Error("nil cache hit")
 	}
-	if _, ok := c.LoadPlan(context.Background(), k); ok {
+	if _, ok := c.LoadPlanSummary(context.Background(), k); ok {
 		t.Error("nil cache hit")
 	}
 	if c.Enabled() || c.Dir() != "" {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ispy/internal/cfg"
@@ -423,8 +424,8 @@ func TestApplyInjectsAndRelayouts(t *testing.T) {
 	if count != len(plan.Prefetches) {
 		t.Error("prefetch count mismatch after injection")
 	}
-	if got := plan.PrefetchBytes(plan.Opt); got != bytes {
-		t.Errorf("plan prices %d injected bytes, the program holds %d", got, bytes)
+	if s := plan.Summary(); s.PrefetchBytes(plan.Opt) != bytes {
+		t.Errorf("plan prices %d injected bytes, the program holds %d", s.PrefetchBytes(plan.Opt), bytes)
 	}
 	// The original program is untouched.
 	if _, count := prog.PrefetchBytes(); count != 0 {
@@ -515,5 +516,39 @@ func TestKindCounts(t *testing.T) {
 	kc := plan.KindCounts()
 	if kc[isa.KindPrefetch] != 2 || kc[isa.KindCLprefetch] != 1 {
 		t.Errorf("KindCounts = %v", kc)
+	}
+}
+
+// TestPlanSummary: a plan's summary carries its counters and histograms,
+// counts the instructions of each prefetch kind as KindCounts does (and
+// none of another kind), and counts the conditional and the coalesced ones.
+func TestPlanSummary(t *testing.T) {
+	two := []cfg.LineKey{{Block: 1}, {Block: 1, Delta: 64}}
+	plan := &Plan{
+		MissesTotal: 9, MissesPlanned: 7, MissesUncovered: 2,
+		CoalescedLineCounts: []int{2}, CoalesceDistances: []int{1},
+		Prefetches: []PlannedPrefetch{
+			{Kind: isa.KindPrefetch, Targets: two[:1]},
+			{Kind: isa.KindCprefetch, Targets: two[:1], CtxBlocks: []int32{3}},
+			{Kind: isa.KindLprefetch, Targets: two},
+			{Kind: isa.KindCLprefetch, Targets: two, CtxBlocks: []int32{3, 4}},
+			{Kind: isa.KindCLprefetch, Targets: two, CtxBlocks: []int32{5}},
+			{Kind: isa.KindALU, Targets: two[:1]},
+		},
+	}
+	s := plan.Summary()
+	want := PlanSummary{
+		MissesTotal: 9, MissesPlanned: 7, MissesUncovered: 2,
+		CoalescedLineCounts: plan.CoalescedLineCounts, CoalesceDistances: plan.CoalesceDistances,
+		Prefetches: 6, Conditional: 3, Coalesced: 3, Kinds: [4]int{1, 1, 1, 2},
+	}
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("Summary = %+v, want %+v", s, want)
+	}
+	kc := plan.KindCounts()
+	for i, k := range []isa.Kind{isa.KindPrefetch, isa.KindCprefetch, isa.KindLprefetch, isa.KindCLprefetch} {
+		if s.Kinds[i] != kc[k] {
+			t.Errorf("%s: the summary counts %d, KindCounts %d", k, s.Kinds[i], kc[k])
+		}
 	}
 }

@@ -63,6 +63,60 @@ func (p *Plan) KindCounts() map[isa.Kind]int {
 	return m
 }
 
+// PlanSummary is what a plan-only reader reads of a plan: the miss
+// counters, the coalescing histograms (Fig. 20), and the prefetch counts
+// that the analyze response and the static footprint need. The artifact
+// cache reads it from a plan section without building the prefetch list.
+type PlanSummary struct {
+	MissesTotal     uint64
+	MissesPlanned   uint64
+	MissesUncovered uint64
+
+	CoalescedLineCounts []int
+	CoalesceDistances   []int
+
+	// Prefetches counts the planned instructions, Conditional those with
+	// context blocks, and Coalesced those with more than one target.
+	Prefetches  int
+	Conditional int
+	Coalesced   int
+	// Kinds counts the instructions of each prefetch kind at index
+	// Kind − isa.KindPrefetch (isa numbers the four kinds consecutively).
+	// An instruction of another kind occupies no bytes and is not counted.
+	Kinds [4]int
+}
+
+// Summary returns p's summary; its histograms are p's.
+func (p *Plan) Summary() PlanSummary {
+	s := PlanSummary{
+		MissesTotal:         p.MissesTotal,
+		MissesPlanned:       p.MissesPlanned,
+		MissesUncovered:     p.MissesUncovered,
+		CoalescedLineCounts: p.CoalescedLineCounts,
+		CoalesceDistances:   p.CoalesceDistances,
+	}
+	for i := range p.Prefetches {
+		pf := &p.Prefetches[i]
+		s.Count(pf.Kind, len(pf.Targets), len(pf.CtxBlocks))
+	}
+	return s
+}
+
+// Count adds one planned instruction of kind k with the given numbers of
+// targets and context blocks.
+func (s *PlanSummary) Count(k isa.Kind, targets, ctxBlocks int) {
+	s.Prefetches++
+	if ctxBlocks > 0 {
+		s.Conditional++
+	}
+	if targets > 1 {
+		s.Coalesced++
+	}
+	if i := int(k - isa.KindPrefetch); i < len(s.Kinds) {
+		s.Kinds[i]++
+	}
+}
+
 // BuildPlan converts per-target site choices and discovered contexts into a
 // deduplicated, coalesced instruction plan. contexts maps target → result;
 // entries may be missing (unconditional).
@@ -185,17 +239,17 @@ func (o Options) operandBytes() (ctxBytes, vecBytes int) {
 	return (o.HashBits + 7) / 8, (o.CoalesceBits + 7) / 8
 }
 
-// PrefetchBytes returns the bytes the plan's instructions occupy in the
-// injected program when the build ran under opt: each at its final kind's
-// encoded size, as Apply wrote it. It equals the injected program's
-// PrefetchBytes, so a reader holding only the plan can price the static
+// PrefetchBytes returns the bytes the summarized plan's instructions occupy
+// in the injected program when the build ran under opt: each at its final
+// kind's encoded size, as Apply wrote it. It equals the injected program's
+// PrefetchBytes, so a reader holding only the summary can price the static
 // footprint. opt is needed because a plan read from the artifact cache
 // carries no Opt.
-func (p *Plan) PrefetchBytes(opt Options) uint64 {
+func (s *PlanSummary) PrefetchBytes(opt Options) uint64 {
 	ctxBytes, vecBytes := opt.withDefaults().operandBytes()
 	var n uint64
-	for i := range p.Prefetches {
-		n += uint64(isa.PrefetchKindSize(p.Prefetches[i].Kind, ctxBytes, vecBytes))
+	for i, c := range s.Kinds {
+		n += uint64(c) * uint64(isa.PrefetchKindSize(isa.KindPrefetch+isa.Kind(i), ctxBytes, vecBytes))
 	}
 	return n
 }

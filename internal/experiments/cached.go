@@ -69,7 +69,7 @@ func (l *Lab) stats(k *artifacts.Key, compute func() *sim.Stats) *sim.Stats {
 // buildRef is one analysis build: its key, the memo that holds it once read
 // or computed, and its recipe. Cached builds carry the injected program and
 // the plan only (no analysis working state); every experiment consumes
-// exactly that subset, and most read only the plan.
+// exactly that subset, and most read only the plan's summary.
 type buildRef struct {
 	key     *artifacts.Key
 	memo    *memo[*core.Build]
@@ -84,30 +84,32 @@ func (r buildRef) build(l *Lab) *core.Build {
 	})
 }
 
-// plan returns the build's plan, reading as little as it can: from the
-// build when it is in memory, else from the plan section of the cache entry
-// (the injected program is never decoded), else from the computed build.
-// It is the one plan-only lookup for every build kind.
-func (r buildRef) plan(l *Lab) *core.Plan {
+// plan returns the summary of the build's plan, reading as little as it
+// can: from the build when it is in memory, else from the plan section of
+// the cache entry (neither the injected program nor the prefetch list is
+// built), else from the computed build. It is the one plan-only lookup for
+// every build kind.
+func (r buildRef) plan(l *Lab) core.PlanSummary {
 	if b, ok := r.memo.peek(); ok {
-		return b.Plan
+		return b.Plan.Summary()
 	}
-	if p, ok := l.cache.LoadPlan(l.ctx, r.key); ok {
+	if s, ok := l.cache.LoadPlanSummary(l.ctx, r.key); ok {
 		l.hit(r.key)
-		return p
+		return s
 	}
-	return r.build(l).Plan
+	return r.build(l).Plan.Summary()
 }
 
 // staticIncrease is the static code-footprint increase (Figs. 4, 14, 21)
-// of a build of this app run under opt, priced from its plan alone
-// (core.Plan.PrefetchBytes) over the unmodified program's size.
-func (a *App) staticIncrease(p *core.Plan, opt core.Options) float64 {
+// of a build of this app run under opt, priced from its plan's summary
+// alone (core.PlanSummary.PrefetchBytes) over the unmodified program's
+// size.
+func (a *App) staticIncrease(s core.PlanSummary, opt core.Options) float64 {
 	base := a.staticBytes()
 	if base == 0 {
 		return 0
 	}
-	return float64(p.PrefetchBytes(opt)) / float64(base)
+	return float64(s.PrefetchBytes(opt)) / float64(base)
 }
 
 // staticBytes is the unmodified program's static size, computed once per
@@ -157,13 +159,13 @@ func timed[T any](l *Lab, kind string, compute func() T) T {
 	return v
 }
 
-// ISPYVariant returns the plan and the run of an I-SPY variant built from
-// the prepared evidence; cfg overrides the simulator configuration
-// (HashBits follows opt). Both the build and the run are cached per
-// (options, configuration) point, making sensitivity sweeps idempotent
-// across harness runs. On a warm cache the injected program is never
-// decoded.
-func (a *App) ISPYVariant(opt core.Options, cfg sim.Config) (*core.Plan, *sim.Stats) {
+// ISPYVariant returns the plan summary and the run of an I-SPY variant
+// built from the prepared evidence; cfg overrides the simulator
+// configuration (HashBits follows opt). Both the build and the run are
+// cached per (options, configuration) point, making sensitivity sweeps
+// idempotent across harness runs. On a warm cache the injected program is
+// never decoded.
+func (a *App) ISPYVariant(opt core.Options, cfg sim.Config) (core.PlanSummary, *sim.Stats) {
 	b := a.variantBuild(opt)
 	st := a.variantStats(b, opt, cfg)
 	return b.plan(a.lab), st
@@ -221,10 +223,10 @@ func (a *App) freshRun(opt core.Options, cfg sim.Config) (*artifacts.Key, sim.Co
 	return a.key("ispy-fresh-run").SimConfig(cfg).Options(opt).SimConfig(runCfg), runCfg
 }
 
-// AsmDBAt returns the plan and the run of AsmDB at an explicit fan-out
-// threshold (Fig. 3), caching both artifacts per threshold. The default
-// threshold is the headline AsmDB build and run.
-func (a *App) AsmDBAt(threshold float64) (*core.Plan, *sim.Stats) {
+// AsmDBAt returns the plan summary and the run of AsmDB at an explicit
+// fan-out threshold (Fig. 3), caching both artifacts per threshold. The
+// default threshold is the headline AsmDB build and run.
+func (a *App) AsmDBAt(threshold float64) (core.PlanSummary, *sim.Stats) {
 	if threshold == asmdb.DefaultFanoutThreshold {
 		return a.AsmDBPlan(), a.AsmDBStats()
 	}

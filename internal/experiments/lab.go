@@ -379,10 +379,10 @@ type App struct {
 	ideal     memo[*sim.Stats]
 	prof      memo[*profile.Profile]
 	asmdbB    memo[*core.Build]
-	asmdbPlan memo[*core.Plan]
+	asmdbPlan memo[core.PlanSummary]
 	asmdbStat memo[*sim.Stats]
 	ispyB     memo[*core.Build]
-	ispyPlan  memo[*core.Plan]
+	ispyPlan  memo[core.PlanSummary]
 	ispyStat  memo[*sim.Stats]
 	prepared  memo[*core.Prepared]
 	static    memo[uint64]
@@ -503,8 +503,8 @@ func (a *App) asmdbBuild() buildRef {
 func (a *App) AsmDB() *core.Build { return a.asmdbBuild().build(a.lab) }
 
 // AsmDBPlan is ISPYPlan for the default AsmDB build.
-func (a *App) AsmDBPlan() *core.Plan {
-	return a.asmdbPlan.get(func() *core.Plan { return a.asmdbBuild().plan(a.lab) })
+func (a *App) AsmDBPlan() core.PlanSummary {
+	return a.asmdbPlan.get(func() core.PlanSummary { return a.asmdbBuild().plan(a.lab) })
 }
 
 // AsmDBStats returns the AsmDB evaluation run (demand-priority prefetch
@@ -544,11 +544,12 @@ func (a *App) ispyBuild() buildRef {
 // ISPY returns the full I-SPY build at default options.
 func (a *App) ISPY() *core.Build { return a.ispyBuild().build(a.lab) }
 
-// ISPYPlan returns the default I-SPY build's plan, for consumers that read
-// nothing else: a build already in memory, else the cache entry's plan
-// section (the injected program is never decoded), else ISPY().Plan.
-func (a *App) ISPYPlan() *core.Plan {
-	return a.ispyPlan.get(func() *core.Plan { return a.ispyBuild().plan(a.lab) })
+// ISPYPlan returns the summary of the default I-SPY build's plan, for
+// consumers that read nothing else: from a build already in memory, else
+// from the cache entry's plan section (neither the injected program nor
+// the prefetch list is built), else from ISPY().Plan.
+func (a *App) ISPYPlan() core.PlanSummary {
+	return a.ispyPlan.get(func() core.PlanSummary { return a.ispyBuild().plan(a.lab) })
 }
 
 // ISPYStats returns the I-SPY evaluation run.

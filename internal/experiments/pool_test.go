@@ -312,7 +312,7 @@ func TestLabConcurrentGetters(t *testing.T) {
 	a := l.App("tomcat")
 	var wg sync.WaitGroup
 	workloads := make([]*workload.Workload, 16)
-	plans := make([]*core.Plan, 16)
+	plans := make([]core.PlanSummary, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
@@ -334,12 +334,12 @@ func TestLabConcurrentGetters(t *testing.T) {
 	l.Warm()
 	wg.Wait()
 	for i := range workloads {
-		if workloads[i] != workloads[0] || plans[i] != plans[0] {
+		if workloads[i] != workloads[0] || !reflect.DeepEqual(plans[i], plans[0]) {
 			t.Fatalf("goroutine %d got a different workload or plan than goroutine 0", i)
 		}
 	}
-	if plans[0] != a.ISPY().Plan || a.AsmDBPlan() != a.AsmDB().Plan {
-		t.Error("cache-less ISPYPlan or AsmDBPlan is not the build's plan")
+	if !reflect.DeepEqual(plans[0], a.ISPY().Plan.Summary()) || !reflect.DeepEqual(a.AsmDBPlan(), a.AsmDB().Plan.Summary()) {
+		t.Error("cache-less ISPYPlan or AsmDBPlan is not the summary of the build's plan")
 	}
 	if l.Telemetry().Bypasses() == 0 {
 		t.Error("cache-less lab recorded no bypasses")

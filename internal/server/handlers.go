@@ -52,7 +52,8 @@ type StatsSummary struct {
 	PrefetchLinesIssued uint64 `json:"prefetch_lines_issued"`
 }
 
-// PlanSummary is the response-facing slice of an injection plan.
+// PlanSummary is the response-facing slice of an injection plan: six
+// fields of its core.PlanSummary.
 type PlanSummary struct {
 	Prefetches      int    `json:"prefetches"`
 	Conditional     int    `json:"conditional"`
@@ -102,22 +103,15 @@ func statsSummary(s *sim.Stats) StatsSummary {
 	}
 }
 
-// newAnalyzeResponse flattens the pipeline outputs. Plan counters come from
-// slice iteration only: the response must never take map-iteration order.
-func newAnalyzeResponse(app string, instrs uint64, base, ispy *sim.Stats, plan *core.Plan) *AnalyzeResponse {
+// newAnalyzeResponse flattens the pipeline outputs.
+func newAnalyzeResponse(app string, instrs uint64, base, ispy *sim.Stats, plan core.PlanSummary) *AnalyzeResponse {
 	ps := PlanSummary{
-		Prefetches:      len(plan.Prefetches),
+		Prefetches:      plan.Prefetches,
+		Conditional:     plan.Conditional,
+		Coalesced:       plan.Coalesced,
 		MissesTotal:     plan.MissesTotal,
 		MissesPlanned:   plan.MissesPlanned,
 		MissesUncovered: plan.MissesUncovered,
-	}
-	for i := range plan.Prefetches {
-		if len(plan.Prefetches[i].CtxBlocks) > 0 {
-			ps.Conditional++
-		}
-		if len(plan.Prefetches[i].Targets) > 1 {
-			ps.Coalesced++
-		}
 	}
 	resp := &AnalyzeResponse{App: app, Instrs: instrs, Baseline: statsSummary(base), ISPY: statsSummary(ispy), Plan: ps}
 	if resp.ISPY.Cycles > 0 {
@@ -450,5 +444,5 @@ func (s *Server) analyzeProfile(ctx context.Context, prof *profile.Profile, inst
 		return nil, context.Cause(ctx)
 	}
 	ispy := sim.Run(b.Prog, workload.NewExecutor(prof.Workload, prof.Input), scfg, nil)
-	return newAnalyzeResponse(prof.Workload.Name, scfg.MaxInstrs, base, ispy, b.Plan), nil
+	return newAnalyzeResponse(prof.Workload.Name, scfg.MaxInstrs, base, ispy, b.Plan.Summary()), nil
 }

@@ -195,8 +195,9 @@ func (s *Server) labConfig(apps []string, instrs uint64) experiments.Config {
 
 // analyzeApp runs the full pipeline (baseline run, I-SPY analysis +
 // coalescing + injection, evaluation run) for one app under ctx. The
-// response reads only the build's plan, so a warm request is three cache
-// entry reads that never decode the injected program.
+// response reads only the summary of the build's plan, so a warm request is
+// three cache-entry reads that build neither the injected program nor the
+// prefetch list.
 func (s *Server) analyzeApp(ctx context.Context, app string, instrs uint64) (*AnalyzeResponse, error) {
 	if err := knownApp(app); err != nil {
 		return nil, err

@@ -90,45 +90,58 @@ func TestHealthAndReadiness(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDeterministicAndCached: on every preset, the cold body, the
+// warm body served from the cache the cold request filled, and a restarted
+// server's body over the same cache are byte-identical — the
+// deterministic-response contract that makes chaos soaks checkable. At
+// least one preset plans conditional and coalesced prefetches, so the warm
+// summary read's counts are compared nonzero.
 func TestAnalyzeDeterministicAndCached(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.CacheDir = t.TempDir()
 	s := newTestServer(t, cfg)
 
-	w1 := analyze(t, s, `{"app":"wordpress"}`)
-	if w1.Code != http.StatusOK {
-		t.Fatalf("analyze = %d: %s", w1.Code, w1.Body)
+	cold := make(map[string][]byte, len(workload.AppNames))
+	both := false
+	for _, app := range workload.AppNames {
+		body := `{"app":"` + app + `"}`
+		w1 := analyze(t, s, body)
+		if w1.Code != http.StatusOK {
+			t.Fatalf("%s: analyze = %d: %s", app, w1.Code, w1.Body)
+		}
+		var resp AnalyzeResponse
+		if err := json.Unmarshal(w1.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.App != app || resp.Baseline.Cycles == 0 || resp.ISPY.Cycles == 0 {
+			t.Fatalf("%s: response = %+v", app, resp)
+		}
+		if resp.Plan.Prefetches == 0 || resp.Speedup <= 0 {
+			t.Fatalf("%s: empty plan or speedup: %+v", app, resp)
+		}
+		both = both || resp.Plan.Conditional > 0 && resp.Plan.Coalesced > 0
+		cold[app] = w1.Body.Bytes()
+
+		if w2 := analyze(t, s, body); !bytes.Equal(w2.Body.Bytes(), cold[app]) {
+			t.Errorf("%s: cache-warm response differs from the cold one:\n%s\nwant\n%s", app, w2.Body, cold[app])
+		}
 	}
-	var resp AnalyzeResponse
-	if err := json.Unmarshal(w1.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.App != "wordpress" || resp.Baseline.Cycles == 0 || resp.ISPY.Cycles == 0 {
-		t.Fatalf("response = %+v", resp)
-	}
-	if resp.Plan.Prefetches == 0 || resp.Speedup <= 0 {
-		t.Fatalf("empty plan or speedup: %+v", resp)
+	if !both {
+		t.Error("no preset planned both conditional and coalesced prefetches")
 	}
 
-	// Identical request, now cache-warm: the body must be byte-identical —
-	// the deterministic-response contract that makes chaos soaks checkable.
-	w2 := analyze(t, s, `{"app":"wordpress"}`)
-	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
-		t.Fatal("cache-warm response differs from cold response")
-	}
-
-	// A fresh server over the same cache dir — still byte-identical (the
-	// persisted build round-trips the full injection plan).
+	// A fresh server over the same cache dir: still byte-identical.
 	s2 := newTestServer(t, cfg)
-	w3 := analyze(t, s2, `{"app":"wordpress"}`)
-	if !bytes.Equal(w1.Body.Bytes(), w3.Body.Bytes()) {
-		t.Fatal("response across server restarts differs")
+	for _, app := range workload.AppNames {
+		if w3 := analyze(t, s2, `{"app":"`+app+`"}`); !bytes.Equal(w3.Body.Bytes(), cold[app]) {
+			t.Errorf("%s: response across server restarts differs:\n%s\nwant\n%s", app, w3.Body, cold[app])
+		}
 	}
 
 	// A timeout too large for time.Duration in nanoseconds is clamped to
 	// the server's maximum, not overflowed into an expired deadline.
 	w4 := analyze(t, s2, `{"app":"wordpress","timeout_millis":10000000000000}`)
-	if w4.Code != http.StatusOK || !bytes.Equal(w1.Body.Bytes(), w4.Body.Bytes()) {
+	if w4.Code != http.StatusOK || !bytes.Equal(w4.Body.Bytes(), cold["wordpress"]) {
 		t.Fatalf("analyze with a huge timeout_millis = %d: %s", w4.Code, w4.Body)
 	}
 }

@@ -7,6 +7,7 @@ package traceio
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -54,8 +55,10 @@ func tinyProfile() *ProfileData {
 	}
 }
 
-// decodeAll runs every decoder over data; the only failure mode under test
-// is a panic (or an allocation large enough to abort the process).
+// decodeAll runs every decoder over data. A decoder must not panic (or
+// allocate enough to abort the process), and the plan summary read must
+// fail exactly when DecodePlan fails and otherwise equal the decoded plan's
+// summary.
 func decodeAll(t *testing.T, data []byte) {
 	t.Helper()
 	if p, err := DecodeProgram(data); err == nil {
@@ -82,7 +85,14 @@ func decodeAll(t *testing.T, data []byte) {
 	_, _ = DecodeStats(data)
 	_, _ = DecodeScenario(data)
 	_, _ = DecodeScenarioRows(data)
-	_, _ = DecodePlan(data)
+	plan, err := DecodePlan(data)
+	sum, serr := DecodePlanSummary(data)
+	if (err == nil) != (serr == nil) {
+		t.Fatalf("DecodePlan err = %v, DecodePlanSummary err = %v", err, serr)
+	}
+	if err == nil && !reflect.DeepEqual(sum, plan.Summary()) {
+		t.Fatalf("DecodePlanSummary = %+v, want the decoded plan's %+v", sum, plan.Summary())
+	}
 }
 
 // tinyScenario builds a small two-tenant scenario trace.
@@ -188,8 +198,9 @@ func TestDuplicateSiteRejected(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds arbitrary bytes to every decoder, and re-encodes every
-// profile ReadProfile accepts (decodeAll). Run continuously
+// FuzzDecode feeds arbitrary bytes to every decoder, re-encodes every
+// profile DecodeProfile accepts, and checks the plan summary read against
+// DecodePlan (decodeAll). Run continuously
 // with `go test -fuzz=FuzzDecode ./internal/traceio`; `make check` runs a
 // short smoke pass.
 func FuzzDecode(f *testing.F) {

@@ -47,61 +47,95 @@ func AppendPlan(b []byte, p *core.Plan) []byte {
 // DecodePlan deserializes a plan encoded by AppendPlan. Having no magic,
 // the encoding must end exactly where the plan does: trailing bytes are an
 // error. Every prefetch's Targets and CtxBlocks are windows into one array
-// each, sized by a first pass over the counts, so a plan of any length
-// takes six allocations.
+// each, sized by walkPlan's totals, so a plan of any length takes six
+// allocations.
 func DecodePlan(b []byte) (*core.Plan, error) {
-	d := &reader{b: b}
-	p := &core.Plan{
-		MissesTotal:            d.uvarint(),
-		MissesPlanned:          d.uvarint(),
-		MissesUncovered:        d.uvarint(),
-		DroppedCoalesceTargets: int(d.uvarint()),
-		CoalescedLineCounts:    d.ints("coalesced line count"),
-		CoalesceDistances:      d.ints("coalesce distance"),
-	}
-	n := d.count(1<<24, "prefetch")
-	nt, nc, err := planCounts(*d, n)
+	w, err := walkPlan(b)
 	if err != nil {
 		return nil, err
 	}
-	targets, ctx := make([]cfg.LineKey, nt), make([]int32, nc)
-	p.Prefetches = make([]core.PlannedPrefetch, n)
+	p := &core.Plan{
+		MissesTotal:            w.MissesTotal,
+		MissesPlanned:          w.MissesPlanned,
+		MissesUncovered:        w.MissesUncovered,
+		DroppedCoalesceTargets: w.dropped,
+		CoalescedLineCounts:    w.CoalescedLineCounts,
+		CoalesceDistances:      w.CoalesceDistances,
+		Prefetches:             make([]core.PlannedPrefetch, w.Prefetches),
+	}
+	targets, ctx := make([]cfg.LineKey, w.targets), make([]int32, w.ctx)
+	// The walk read and checked every byte this pass reads, so no read can
+	// fail and every count is one the walk summed.
+	d := &reader{b: b, off: w.start}
 	for i := range p.Prefetches {
 		pf := &p.Prefetches[i]
 		pf.Site, pf.Kind, pf.MissCount = int32(d.varint()), isa.Kind(d.uvarint()), d.uvarint()
-		pf.Targets, targets = take(targets, d.count(1<<20, "prefetch target"))
+		pf.Targets, targets = take(targets, int(d.uvarint()))
 		for j := range pf.Targets {
 			pf.Targets[j] = cfg.LineKey{Block: int32(d.varint()), Delta: int32(d.varint())}
 		}
-		pf.CtxBlocks, ctx = take(ctx, d.count(1<<20, "prefetch context block"))
+		pf.CtxBlocks, ctx = take(ctx, int(d.uvarint()))
 		for j := range pf.CtxBlocks {
 			pf.CtxBlocks[j] = int32(d.varint())
 		}
 	}
-	if d.ok() && d.off != len(d.b) {
-		d.fail(fmt.Errorf("traceio: trailing data after plan"))
-	}
-	if err := d.failure(); err != nil {
-		return nil, err
-	}
 	return p, nil
 }
 
-// planCounts returns how many targets and context blocks the n prefetches
-// at d's offset hold. It reads a copy of d, which DecodePlan then reads
-// again: both passes see the same counts at the same offsets, so the second
-// never takes more than the first counted.
-func planCounts(d reader, n int) (targets, ctx int, err error) {
-	for i := 0; i < n && d.ok(); i++ {
-		d.skip(3) // site, kind, miss count
-		k := d.count(1<<20, "prefetch target")
-		d.skip(2 * k)
-		targets += k
-		k = d.count(1<<20, "prefetch context block")
-		d.skip(k)
-		ctx += k
+// DecodePlanSummary reads the summary of a plan encoded by AppendPlan
+// without building its prefetch list. It fails on exactly the encodings
+// DecodePlan fails on, and allocates only the two histograms.
+func DecodePlanSummary(b []byte) (core.PlanSummary, error) {
+	w, err := walkPlan(b)
+	if err != nil {
+		return core.PlanSummary{}, err
 	}
-	return targets, ctx, d.failure()
+	return w.PlanSummary, nil
+}
+
+// planWalk is what one pass over a plan encoding reads: the summary, the
+// one counter only DecodePlan needs, where the prefetch list starts, and
+// the targets and context blocks summed over it.
+type planWalk struct {
+	core.PlanSummary
+	dropped      int
+	start        int
+	targets, ctx int
+}
+
+// walkPlan reads a plan encoding in one pass, the only one that can fail:
+// it reads every varint with the inline readers, checks every element count
+// against the bytes left, and rejects trailing bytes. It allocates only the
+// two histograms. Its cost is the control flow per prefetch, not the
+// varint bytes.
+func walkPlan(b []byte) (w planWalk, err error) {
+	d := &reader{b: b}
+	w.MissesTotal, w.MissesPlanned, w.MissesUncovered = d.uvarint(), d.uvarint(), d.uvarint()
+	w.dropped = int(d.uvarint())
+	w.CoalescedLineCounts = d.ints("coalesced line count")
+	w.CoalesceDistances = d.ints("coalesce distance")
+	n := d.count(1<<24, "prefetch")
+	w.start = d.off
+	for i := 0; i < n && d.ok(); i++ {
+		d.uvarint() // site: a zigzag varint has a uvarint's bytes
+		kind := isa.Kind(d.uvarint())
+		d.uvarint() // miss count
+		nt := d.count(1<<20, "prefetch target")
+		for j := 0; j < 2*nt; j++ {
+			d.uvarint()
+		}
+		nc := d.count(1<<20, "prefetch context block")
+		for j := 0; j < nc; j++ {
+			d.uvarint()
+		}
+		w.Count(kind, nt, nc)
+		w.targets += nt
+		w.ctx += nc
+	}
+	if d.ok() && d.off != len(d.b) {
+		d.fail(fmt.Errorf("traceio: trailing data after plan"))
+	}
+	return w, d.failure()
 }
 
 // take splits the first k elements off s, as a window that cannot grow into

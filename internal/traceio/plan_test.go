@@ -35,8 +35,9 @@ func tinyPlan() *core.Plan {
 // into this package must keep decoding, so these bytes may never change.
 const tinyPlanHex = "ac02c80164010202030301028201020a0b960102120012040202089003083201040100"
 
-// TestPlanBytesPinned: WritePlan emits exactly the pinned bytes, ReadPlan
-// inverts them, and a trailing byte is rejected.
+// TestPlanBytesPinned: AppendPlan emits exactly the pinned bytes,
+// DecodePlan inverts them, DecodePlanSummary reads their summary, and both
+// reject a trailing byte.
 func TestPlanBytesPinned(t *testing.T) {
 	enc := AppendPlan(nil, tinyPlan())
 	if got := hex.EncodeToString(enc); got != tinyPlanHex {
@@ -46,8 +47,19 @@ func TestPlanBytesPinned(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, tinyPlan()) {
 		t.Fatalf("round trip: got %+v, err %v; want %+v", got, err, tinyPlan())
 	}
+	want := core.PlanSummary{
+		MissesTotal: 300, MissesPlanned: 200, MissesUncovered: 100,
+		CoalescedLineCounts: []int{2, 3}, CoalesceDistances: []int{1, 2, 130},
+		Prefetches: 2, Conditional: 1, Coalesced: 1, Kinds: [4]int{1, 0, 0, 1},
+	}
+	if sum, err := DecodePlanSummary(enc); err != nil || !reflect.DeepEqual(sum, want) {
+		t.Fatalf("summary: got %+v, err %v; want %+v", sum, err, want)
+	}
 	if _, err := DecodePlan(append(enc, 0)); err == nil {
 		t.Fatal("plan followed by a trailing byte decoded without error")
+	}
+	if _, err := DecodePlanSummary(append(enc, 0)); err == nil {
+		t.Fatal("plan followed by a trailing byte summarized without error")
 	}
 }
 
@@ -111,5 +123,21 @@ func TestDecodePlanAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { DecodePlan(enc) }); n > 6 {
 		t.Errorf("decoding %d prefetches allocated %.0f times, want at most 6", len(p.Prefetches), n)
+	}
+}
+
+// TestDecodePlanSummaryAllocations: reading a plan's summary allocates the
+// two histograms and nothing per prefetch.
+func TestDecodePlanSummaryAllocations(t *testing.T) {
+	p := tinyPlan()
+	for i := 0; i < 1000; i++ {
+		p.Prefetches = append(p.Prefetches, p.Prefetches[i%2])
+	}
+	enc := AppendPlan(nil, p)
+	if sum, err := DecodePlanSummary(enc); err != nil || !reflect.DeepEqual(sum, p.Summary()) {
+		t.Fatalf("summary of %d prefetches: got %+v, err %v; want %+v", len(p.Prefetches), sum, err, p.Summary())
+	}
+	if n := testing.AllocsPerRun(20, func() { DecodePlanSummary(enc) }); n != 2 {
+		t.Errorf("summarizing %d prefetches allocated %.0f times, want 2", len(p.Prefetches), n)
 	}
 }

@@ -16,6 +16,9 @@
 // Each format has one encoder, AppendX, which appends to a byte slice, and
 // one decoder, DecodeX, which reads a byte slice; ReadProgram, ReadProfile,
 // WriteProgram and WriteProfile wrap them for callers that hold a stream.
+// A plan also has DecodePlanSummary, which reads only what a plan-only
+// reader needs; its one pass over the encoding is DecodePlan's sizing pass
+// too.
 package traceio
 
 import (
@@ -142,18 +145,6 @@ func (d *reader) failure() error {
 		return errTruncated
 	}
 	return d.err
-}
-
-// skip moves past n varints without decoding them.
-func (d *reader) skip(n int) {
-	for ; n > 0 && d.off < len(d.b); d.off++ {
-		if d.b[d.off] < 0x80 {
-			n--
-		}
-	}
-	if n > 0 {
-		d.fail(errTruncated)
-	}
 }
 
 func (d *reader) float() float64 { return math.Float64frombits(d.uvarint()) }
